@@ -13,7 +13,6 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from .decomposition import decompose, flat_intersections, rank_vector
 from .degeneration_lab import DEFAULT_BUDGET, DEFAULT_QS, flat_scan, hom_report
@@ -42,25 +41,6 @@ from .serialize import (
     sw_array_from_json,
     sw_array_to_json,
 )
-
-
-@dataclass
-class RunConfig:
-    command: str
-    n: int | None = None
-    w: tuple | None = None
-    qs: tuple = DEFAULT_QS
-    budget: int = DEFAULT_BUDGET
-    threads: int = 1
-    seed: int = 0
-    format: str = "json"
-    out: str | None = None
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            raise ValueError("budget must be positive")
-        if len(set(self.qs)) != len(self.qs) or not all(is_prime_power(q) for q in self.qs):
-            raise ValueError("qs must be distinct prime powers")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,6 +81,17 @@ def _parse_w(text):
 
 def _parse_qs(text):
     return tuple(int(x) for x in text.split(","))
+
+
+def _experiment_flags(args):
+    """The checked (w, qs, budget) flags of flat-scan and hom-report."""
+    w = _parse_w(args.w)
+    qs = _parse_qs(args.qs) if args.qs else DEFAULT_QS
+    if args.budget <= 0:
+        raise ValueError("budget must be positive")
+    if len(set(qs)) != len(qs) or not all(is_prime_power(q) for q in qs):
+        raise ValueError("qs must be distinct prime powers")
+    return w, qs, args.budget
 
 
 def _orbit_by_id(shape, token):
@@ -221,10 +212,8 @@ def _cmd_schubert(args):
 
 
 def _cmd_flat_scan(args):
-    w = _parse_w(args.w)
-    qs = _parse_qs(args.qs) if args.qs else DEFAULT_QS
-    cfg = RunConfig("flat-scan", w=w, qs=qs, budget=args.budget, threads=args.threads)
-    result = flat_scan(w, qs=cfg.qs, budget=cfg.budget)
+    w, qs, budget = _experiment_flags(args)
+    result = flat_scan(w, qs=qs, budget=budget)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
@@ -244,12 +233,10 @@ def _cmd_flat_scan(args):
 
 
 def _cmd_hom_report(args):
-    w = _parse_w(args.w)
-    qs = _parse_qs(args.qs) if args.qs else DEFAULT_QS
-    cfg = RunConfig("hom-report", w=w, qs=qs, budget=args.budget, seed=args.seed)
+    w, qs, budget = _experiment_flags(args)
     shape = GridShape(len(w) - 1)
     point = _orbit_by_id(shape, args.orbit)
-    report = hom_report(w, point, qs=cfg.qs, seed=cfg.seed, budget=cfg.budget)
+    report = hom_report(w, point, qs=qs, seed=args.seed, budget=budget)
     obj = {
         "dim_G": report.dim_G,
         "dim_Gr": report.dim_Gr,
@@ -296,7 +283,6 @@ def build_parser():
 
     def common(p, fmt=("json",)):
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1)
         if fmt:
             p.add_argument("--format", choices=fmt, default=fmt[0])
 
@@ -351,7 +337,6 @@ def build_parser():
     p.add_argument("--w", required=True)
     p.add_argument("--qs", default=None)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
     common(p, fmt=None)
     p.set_defaults(func=_cmd_flat_scan)
 

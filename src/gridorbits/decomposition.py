@@ -2,9 +2,13 @@
 
 The rank vector collects, for every row i and window of consecutive maps,
 the dimensions of the image of the windowed composition (restricted to the
-top-left i x i block) intersected with each coordinate subspace.  It is a
-complete orbit invariant; decomposing a point amounts to writing its rank
-vector in terms of the indecomposables' rank vectors.
+top-left i x i block) intersected with each coordinate subspace.  Window
+products are upper-triangular, so each entry is a difference of two
+south-west ranks and the rank vector is a reindexing of the south-west
+array: it is an orbit invariant, complete for n = 2 and not for n >= 3 (see
+:mod:`gridorbits.parametrizations`).  Points are decomposed into thin
+indecomposables by reducing each map to partial permutation form; the
+result is accepted only if its canonical point has the same rank vector.
 """
 
 from __future__ import annotations
@@ -12,18 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import b_reduce, principal_block, rank, solve_unique
+from .exact_linalg import b_reduce, rank
 from .grid_quiver import (
-    Decomposition,
     GridQuiverError,
     assemble_canonical,
     dims_of_heights,
     enumerate_indecomposables,
     full_dim_grid,
     matchings_to_decomposition,
-    window_products,
     windows,
 )
+from .parametrizations import sw_array, table_entry
 
 
 class SolveFailure(GridQuiverError):
@@ -65,17 +68,18 @@ def rank_vector(point):
     For each window (j1, j2) and row i, the windowed composition is cut to
     its top-left i x i block; entry k <= i is dim(im ∩ span(e_1..e_k)),
     entry k = i+1 is the block's rank.
+
+    The composition is upper-triangular, so the block's rank is the
+    south-west rank s(1, i) of the window's table, and its rows k+1..i have
+    rank s(k+1, i); entry k < i is their difference.
     """
     shape = point.shape
-    prods = window_products(point)
     entries = []
-    for (j1, j2) in windows(shape):
-        comp = prods[(j1, j2)]
+    for table in sw_array(point).tables:
         for i in range(1, shape.size + 1):
-            block = principal_block(comp, i)
-            full = rank(block)
+            full = table_entry(table, 1, i)
             for k in range(1, i):
-                entries.append(full - rank(block.submatrix((k + 1, i), (1, i))))
+                entries.append(full - table_entry(table, k + 1, i))
             entries.append(full)  # k = i: im is contained in C^i already
             entries.append(full)  # k = i+1: the plain rank slot
     return RankVector(shape, full_dim_grid(shape), tuple(entries))
@@ -157,23 +161,13 @@ def _pivot_pairs(mat, size):
     return pairs
 
 
-def _sweep_decompose(point):
-    """Constructive decomposition: reduce each map to canonical form, read
-    the per-pair height matchings, and chain them into summands."""
-    shape = point.shape
-    matchings = [_pivot_pairs(b_reduce(m), shape.size) for m in point.maps]
-    return matchings_to_decomposition(shape, matchings)
-
-
 def decompose(point):
     """Unique decomposition of a point into thin indecomposables.
 
-    For n = 2 this solves the exact linear system against the independent
-    family of indecomposable rank vectors; the solution is certified to be
-    nonnegative integers.  For n >= 3 the family is linearly dependent
-    (there are more indecomposables than independent rank-vector
-    coordinates), so the constructive canonical-form sweep is used instead;
-    either way the result is verified by reassembly.
+    Each map is reduced to canonical form on its own; the per-pair height
+    matchings read off the reductions chain into summands.  Reassembly
+    verifies the result: the canonical point of the decomposition must have
+    the point's rank vector.
 
     Raises:
         SolveFailure: no multiset of thin summands reproduces the point's
@@ -181,25 +175,9 @@ def decompose(point):
             exist (see :class:`SolveFailure`).
     """
     shape = point.shape
-    rv = rank_vector(point)
-    if shape.n <= 2:
-        indecs = enumerate_indecomposables(shape)
-        columns = [full_vector(heights_rank_vector(hv)) for hv in indecs]
-        columns = [[Fraction(x) for x in col] for col in columns]
-        target = [Fraction(x) for x in full_vector(rv)]
-        try:
-            mults = solve_unique(columns, target)
-        except ValueError as exc:
-            raise SolveFailure(str(exc)) from exc
-        heights = []
-        for hv, mult in zip(indecs, mults):
-            if mult.denominator != 1 or mult < 0:
-                raise SolveFailure(f"multiplicity of {hv.h} solved to {mult}")
-            heights.extend([hv.h] * int(mult))
-        dec = Decomposition.from_heights(shape, heights)
-    else:
-        dec = _sweep_decompose(point)
-    if not same_rank_vector(rank_vector(assemble_canonical(dec)), rv):
+    matchings = [_pivot_pairs(b_reduce(m), shape.size) for m in point.maps]
+    dec = matchings_to_decomposition(shape, matchings)
+    if not same_rank_vector(rank_vector(assemble_canonical(dec)), rank_vector(point)):
         raise SolveFailure(
             "no multiset of thin summands reproduces the rank vector: the "
             "point's maps cannot be reduced to partial permutation form "

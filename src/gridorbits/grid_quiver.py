@@ -171,7 +171,13 @@ def zero_tuple(shape, field=QQ):
     return make_point(shape, [Matrix.zeros(field, shape.size)] * shape.num_maps)
 
 
-@lru_cache(maxsize=None)
+# Points whose window products stay cached.  A single-point query asks for
+# the products of the same few points several times (array, rank vector,
+# decomposition check); a census visits each point about twice in a row.
+WINDOW_PRODUCTS_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=WINDOW_PRODUCTS_CACHE_SIZE)
 def window_products(point):
     """All window compositions of a point, keyed by 1-based (j1, j2)."""
     prods = {}
@@ -328,10 +334,6 @@ def borel_act(point, hs):
 def full_dim_grid(shape):
     """The dimension grid of the restricted space: entry (i, j) equals i."""
     return tuple(tuple(i for _ in range(shape.n)) for i in range(1, shape.size + 1))
-
-
-def zero_dim_grid(shape):
-    return tuple(tuple(0 for _ in range(shape.n)) for _ in range(shape.size))
 
 
 def dims_of_heights(hv):

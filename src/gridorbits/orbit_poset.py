@@ -17,13 +17,15 @@ from math import comb
 
 import numpy as np
 
+from .exact_linalg import Matrix
+from .fields import GF
 from .grid_quiver import (
     Decomposition,
     assemble_canonical,
     matchings_to_decomposition,
     windows,
 )
-from .parametrizations import SWArray, sw_array
+from .parametrizations import SWArray, sw_array, sw_table
 
 
 def bell(m):
@@ -69,38 +71,6 @@ def enumerate_orbits(shape):
     return out
 
 
-def _f2_rank(rows):
-    """Rank of a binary matrix given as bitmask rows."""
-    r = 0
-    rows = [x for x in rows if x]
-    for col in range(16):
-        bit = 1 << col
-        piv = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
-        r += 1
-    return r
-
-
-def _f2_sw_table(mat, size):
-    """South-west rank table over F_2 of a 0/1 matrix (as nested lists)."""
-    table = []
-    for p in range(1, size + 1):
-        row = []
-        for q in range(p, size + 1):
-            rows = [
-                sum(mat[i][j] << j for j in range(q))
-                for i in range(p - 1, size)
-            ]
-            row.append(_f2_rank(rows))
-        table.append(tuple(row))
-    return tuple(table)
-
-
 def f2_census(shape):
     """Exhaustive F_2 census of south-west arrays (n <= 3).
 
@@ -126,10 +96,11 @@ def f2_census(shape):
     for b, (i, j) in enumerate(positions):
         mats[:, i, j] = (codes >> b) & 1
 
+    code_mats = [tuple(tuple(row) for row in m) for m in mats.tolist()]
     tables = {}
     t_of_code = np.empty(ncodes, dtype=np.int64)
-    for c in range(ncodes):
-        t = _f2_sw_table(mats[c].tolist(), size)
+    for c, mat in enumerate(code_mats):
+        t = sw_table(Matrix(GF(2), mat))
         t_of_code[c] = tables.setdefault(t, len(tables))
     by_id = list(tables)
     ntab = len(by_id)
@@ -167,7 +138,6 @@ def f2_census(shape):
         # keys are (f1, f2, f2·f1); windows run (1,1), (1,2), (2,2)
         window_ids = [found // (ntab * ntab), found % ntab, (found // ntab) % ntab]
         map_codes = [idx // ncodes, idx % ncodes]
-    code_mats = [tuple(tuple(row) for row in m) for m in mats.tolist()]
     return {
         SWArray(shape, tuple(by_id[t] for t in ts)): tuple(code_mats[c] for c in cs)
         for ts, cs in zip(

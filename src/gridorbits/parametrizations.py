@@ -2,8 +2,12 @@
 
 For every window of consecutive maps, the south-west array stores the rank
 of each submatrix made of rows p..n+1 and columns 1..q of the composed
-matrix.  Equality of arrays characterises orbit equality, and componentwise
-comparison encodes the closure (degeneration) order.
+matrix.  The array is constant on Borel orbits and rank functions are upper
+semicontinuous, so equal arrays are necessary for equal orbits and
+componentwise comparison is necessary for degeneration.  For n = 2 (one
+map) the array is a complete invariant; for n >= 3 it is not: the points
+(E24 + E33, E11 + E13) and (E24 + E33, E11 + E12 + E13) have equal arrays
+but stabilisers of different dimensions.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .exact_linalg import Matrix, sw_rank
+from .exact_linalg import Matrix, b_reduce
 from .fields import QQ
 from .grid_quiver import GridQuiverError, SizeMismatch, make_point, window_products, windows
 
@@ -67,11 +71,25 @@ def table_entry(table, p, q):
 
 
 def sw_table(mat):
-    """South-west rank table of one upper-triangular matrix."""
+    """South-west rank table of one upper-triangular matrix.
+
+    :func:`b_reduce` keeps every south-west rank and leaves a partial
+    permutation matrix, whose rank on rows p..size and columns 1..q is the
+    number of its 1s there; one reduction plus 2-D prefix sums of those 1s
+    gives the whole table.
+    """
     size = mat.rows
-    return tuple(
-        tuple(sw_rank(mat, p, q) for q in range(p, size + 1)) for p in range(1, size + 1)
-    )
+    zero = mat.field.zero
+    rows = b_reduce(mat).data
+    below = [0] * (size + 1)  # below[q]: 1s in rows p..size, columns 1..q
+    table = [None] * size
+    for p in range(size, 0, -1):
+        seen = 0  # 1s in row p, columns 1..q
+        for q in range(1, size + 1):
+            seen += rows[p - 1][q - 1] != zero
+            below[q] += seen
+        table[p - 1] = tuple(below[p:])
+    return tuple(table)
 
 
 def sw_array(point):
@@ -84,7 +102,9 @@ def sw_array(point):
 
 
 def same_orbit(f, g):
-    """Whether two points lie in the same Borel orbit (equal arrays)."""
+    """Whether two points have equal south-west arrays: the same Borel orbit
+    for n = 2, a necessary condition only for n >= 3 (see the module
+    docstring)."""
     if f.shape != g.shape:
         raise SizeMismatch("points have different shapes")
     return sw_array(f) == sw_array(g)
@@ -98,10 +118,12 @@ def array_leq(a, b):
 
 
 def degenerates(f, g):
-    """Whether the orbit of g lies in the closure of the orbit of f.
+    """Whether g's array is componentwise below f's.
 
     Rank functions are upper semicontinuous, so the closure of an orbit
-    consists of points with componentwise smaller-or-equal arrays.
+    consists of points with componentwise smaller-or-equal arrays: this is
+    necessary for the orbit of g to lie in the closure of the orbit of f,
+    and for n >= 3 (where arrays do not separate orbits) not sufficient.
     """
     return array_leq(sw_array(g), sw_array(f))
 

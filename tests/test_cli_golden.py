@@ -1,0 +1,203 @@
+"""Byte-for-byte pins of the CLI's standard output.
+
+Each case runs one command in-process on fixed n = 2 and n = 3 inputs and
+compares the sha256 of its standard output (and its exit code) with a
+recorded value.  Refactors of the invariant kernels must leave every digest
+unchanged; a deliberate output change has to re-record the digest here.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from gridorbits.cli import main
+
+# n = 2: a rational point in the orbit of diag(0, 1, 1), and a second orbit.
+N2_MESSY = {"n": 2, "maps": [[["0", "3/2", "-1"], ["0", "2", "5"], ["0", "0", "1/3"]]]}
+N2_OTHER = {"n": 2, "maps": [[["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]]]}
+# n = 3: a Borel conjugate of the published size-4 pair (decomposes), the
+# pair itself, a dense rational point, and a pair whose windows force
+# incompatible matchings (no thin decomposition).
+N3_PAIR = {
+    "n": 3,
+    "maps": [
+        [["0", "0", "0", "1"], ["0", "-1", "1/2", "-1/2"], ["0", "0", "0", "3"], ["0", "0", "0", "-1"]],
+        [["1/2", "0", "-1/2", "-3"], ["0", "0", "1", "3"], ["0", "0", "1", "4"], ["0", "0", "0", "-1"]],
+    ],
+}
+N3_CANON = {
+    "n": 3,
+    "maps": [
+        [["0", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "1"]],
+        [["1", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+    ],
+}
+N3_DENSE = {
+    "n": 3,
+    "maps": [
+        [["0", "0", "1", "-2"], ["0", "2", "1/2", "3"], ["0", "0", "0", "1"], ["0", "0", "0", "-1"]],
+        [["-1", "2", "0", "1"], ["0", "0", "1", "-1"], ["0", "0", "3", "2/3"], ["0", "0", "0", "2"]],
+    ],
+}
+N3_REJECTED = {
+    "n": 3,
+    "maps": [
+        [["0", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]],
+        [["1", "1", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]],
+    ],
+}
+BAD_ARRAY = {
+    "n": 2,
+    "windows": [{"j1": 1, "j2": 1, "table": [[2, 2, 2], [None, 0, 0], [None, None, 0]]}],
+}
+
+INPUTS = {
+    "n2_messy": N2_MESSY,
+    "n2_other": N2_OTHER,
+    "n3_pair": N3_PAIR,
+    "n3_canon": N3_CANON,
+    "n3_dense": N3_DENSE,
+    "n3_rejected": N3_REJECTED,
+    "bad_array": BAD_ARRAY,
+}
+
+# case id -> (argv with input names in braces, exit code, sha256 of stdout)
+GOLDEN = {
+    "rank-vector-n2": (["rank-vector", "{n2_messy}"], 0,
+        "ee6e6cb317180e999362429b79797e269b6811a97ca684fead6c62cd5aa64f0e",
+    ),
+    "rank-vector-n3": (["rank-vector", "{n3_pair}"], 0,
+        "2e77d43255eec9434fba2c84ed2346d2274cc08b92d7378cc8a30a7032d33bbe",
+    ),
+    "rank-vector-n3-dense": (["rank-vector", "{n3_dense}"], 0,
+        "5f1b7abab51fb069bf019f59159f4c0855fbde076197784b4014b82e151a1369",
+    ),
+    "sw-array-n2": (["sw-array", "{n2_messy}"], 0,
+        "2308da221c3e811ca91bd3e993ffe01b0c514db7f478f93e23adb38a53b85956",
+    ),
+    "sw-array-n3": (["sw-array", "{n3_pair}"], 0,
+        "fff56b06f5891b2bbf13e8bc2337513c24b568c982b10080fbe5d2956bb7f016",
+    ),
+    "sw-array-n3-dense": (["sw-array", "{n3_dense}"], 0,
+        "0d5caaa85217d21ec784b1cc7e4677a5f8bcb8fb3085680b60d93e77b1cb733a",
+    ),
+    "decompose-n2": (["decompose", "{n2_messy}"], 0,
+        "d91e3240253623551854e4810170339210f6845749434798d957a5c7621eb786",
+    ),
+    "decompose-n3": (["decompose", "{n3_pair}"], 0,
+        "ed846c5ff038c7063d6629a1ccf165312a133948deed5d6cd03d64183afcca5b",
+    ),
+    "decompose-n3-rejected": (["decompose", "{n3_rejected}"], 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "decompose-n3-dense": (["decompose", "{n3_dense}"], 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "canonical-n2": (["canonical", "{n2_messy}"], 0,
+        "c76506ffb42ef9916ff5d5026a7eec063e8421aa69b6929578717c689d6089b8",
+    ),
+    "canonical-n3": (["canonical", "{n3_pair}"], 0,
+        "f5afc577b72f9d143177366e4dd85a951420ab6377b0f005cdb0aae1cda4d359",
+    ),
+    "same-orbit-true": (["same-orbit", "{n2_messy}", "{n2_messy}"], 0,
+        "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+    ),
+    "same-orbit-false": (["same-orbit", "{n2_messy}", "{n2_other}"], 0,
+        "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0",
+    ),
+    "same-orbit-n3-true": (["same-orbit", "{n3_pair}", "{n3_canon}"], 0,
+        "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+    ),
+    "same-orbit-n3-false": (["same-orbit", "{n3_pair}", "{n3_rejected}"], 0,
+        "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0",
+    ),
+    "degenerates-down": (["degenerates", "{n2_messy}", "{n2_other}"], 0,
+        "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+    ),
+    "degenerates-up": (["degenerates", "{n2_other}", "{n2_messy}"], 0,
+        "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0",
+    ),
+    "degenerates-n3-down": (["degenerates", "{n3_pair}", "{n3_rejected}"], 0,
+        "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0",
+    ),
+    "degenerates-n3-up": (["degenerates", "{n3_dense}", "{n3_rejected}"], 0,
+        "a17fcf0a2f50e2d495e4f90ce263410edc183add6c62699a2facbccf60410f74",
+    ),
+    "validate-array-n3": (["validate-array", "{n3_pair_array}"], 0,
+        "a0e3c4460b5fe3a7c4e1f870498bd323f656529245edd421178be5b4b4fa9976",
+    ),
+    "validate-array-bad": (["validate-array", "{bad_array}"], 0,
+        "5e80c668ae53b93465143cbfb8fa54591709086c511fc7221b6427df8c182a55",
+    ),
+    "schubert": (["schubert", "--w", "2,3,1"], 0,
+        "53b32f49a0d1801e9d4c6c2dc95c8a2db57276e6fcc5ba2dd8fa2e5e19955e4a",
+    ),
+    "orbits-json": (["orbits", "--n", "2", "--format", "json"], 0,
+        "e318ebf91ef7df28771dc417f436b8e2760eae96418c920fb84a32703efe974c",
+    ),
+    "orbits-csv": (["orbits", "--n", "2", "--format", "csv"], 0,
+        "6ea652030ab6b1a4739f05530887d7202e4e0d2df8561dbbe3793c9882e1f97d",
+    ),
+    "orbits-dot": (["orbits", "--n", "2", "--format", "dot"], 0,
+        "82cb41eca97792f671645a81ebdae0d33505d734c77193932ebb3f63bb87cf6d",
+    ),
+    "poset-json": (["poset", "--n", "2", "--format", "json"], 0,
+        "8162772d440547f388c0863bd4ee7d1d3bcfdbe8bd48d8d76363e6b154712cc0",
+    ),
+    "poset-dot": (["poset", "--n", "2", "--format", "dot"], 0,
+        "82cb41eca97792f671645a81ebdae0d33505d734c77193932ebb3f63bb87cf6d",
+    ),
+    "count-report": (["count-report", "--n", "2"], 0,
+        "27061edac6a76f1d5e201f57b8ade8bd23bad2d010fafc96ca975a14ba904b43",
+    ),
+}
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for name, obj in INPUTS.items():
+        path = root / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        paths[name] = str(path)
+    # the n = 3 point's own array, as the sw-array command writes it
+    code, out, _ = run_main(["sw-array", paths["n3_pair"]])
+    assert code == 0
+    path = root / "n3_pair_array.json"
+    path.write_text(out)
+    paths["n3_pair_array"] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_stdout_digest(case, input_files):
+    argv, want_code, want_digest = GOLDEN[case]
+    code, out, _ = run_main([arg.format(**input_files) for arg in argv])
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == want_digest
+
+
+def test_rejected_point_message(input_files):
+    code, out, err = run_main(["decompose", input_files["n3_rejected"]])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: no multiset of thin summands reproduces the rank vector: the "
+        "point's maps cannot be reduced to partial permutation form "
+        "simultaneously\n"
+    )

@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from gridorbits import (
+    Decomposition,
     GridShape,
     SolveFailure,
     assemble_canonical,
@@ -18,7 +21,8 @@ from gridorbits import (
     validate_heights,
     zero_tuple,
 )
-from gridorbits.decomposition import _sweep_decompose, full_vector
+from gridorbits.decomposition import full_vector
+from gridorbits.exact_linalg import solve_unique
 
 from conftest import DECOMP_N3, INDECOMPOSABLE_VECTORS_12, random_borel, random_point
 
@@ -62,6 +66,22 @@ class TestHeightsRankVector:
         )
 
 
+def solve_decomposition(point):
+    """Decomposition read off the linear system for n = 2: the twelve
+    indecomposables' full rank vectors are linearly independent, so the
+    point's rank vector has unique coefficients, which must be nonnegative
+    integers (the multiplicities)."""
+    shape = point.shape
+    indecs = enumerate_indecomposables(shape)
+    columns = [[Fraction(x) for x in full_vector(heights_rank_vector(hv))] for hv in indecs]
+    target = [Fraction(x) for x in full_vector(rank_vector(point))]
+    heights = []
+    for hv, mult in zip(indecs, solve_unique(columns, target)):
+        assert mult.denominator == 1 and mult >= 0, (hv.h, mult)
+        heights.extend([hv.h] * int(mult))
+    return Decomposition.from_heights(shape, heights)
+
+
 class TestDecompose:
     def test_published_pair(self, shape3, pair_n3):
         dec = decompose(pair_n3)
@@ -94,9 +114,14 @@ class TestDecompose:
         with pytest.raises(SolveFailure):
             decompose(make_point(shape3, [f1, f2]))
 
-    def test_solve_and_sweep_agree(self, shape2, paper_points):
-        for pt in paper_points.values():
-            assert decompose(pt) == _sweep_decompose(pt)
+    def test_solve_and_sweep_agree(self, rng, shape2, paper_points):
+        # decompose runs the canonical-form sweep; the n = 2 linear solve is
+        # an independent oracle for it
+        pts = list(paper_points.values())
+        pts += [random_point(shape2, rng) for _ in range(15)]
+        pts += [borel_act(pt, random_borel(shape2, rng)) for pt in pts]
+        for pt in pts:
+            assert decompose(pt) == solve_decomposition(pt)
 
     def test_round_trip_all_orbits(self, shape2):
         for dec in enumerate_orbits(shape2):

@@ -21,6 +21,8 @@ from gridorbits import (
     validate_heights,
     zero_tuple,
 )
+from gridorbits.grid_quiver import WINDOW_PRODUCTS_CACHE_SIZE, window_products
+from gridorbits.orbit_poset import enumerate_orbits
 
 from conftest import DECOMP_N3, PAIR_N3
 
@@ -153,3 +155,12 @@ class TestBorelAct:
     def test_identity_action(self, shape2, diag011):
         hs = [Matrix.identity(QQ, 3)] * 2
         assert borel_act(diag011, hs) == diag011
+
+
+class TestWindowProducts:
+    def test_cache_is_bounded(self, shape3):
+        decs = enumerate_orbits(shape3)[: 2 * WINDOW_PRODUCTS_CACHE_SIZE]
+        for dec in decs:
+            pt = assemble_canonical(dec)
+            assert window_products(pt)[(1, 2)] == pt.maps[1] @ pt.maps[0]
+        assert window_products.cache_info().currsize <= WINDOW_PRODUCTS_CACHE_SIZE

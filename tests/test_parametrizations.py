@@ -1,7 +1,13 @@
+import random
+
 import pytest
 
 from gridorbits import (
+    GF,
+    QQ,
+    GridShape,
     InvalidTable,
+    Matrix,
     Order,
     ReconstructInvalid,
     SWArray,
@@ -17,11 +23,20 @@ from gridorbits import (
     same_orbit,
     same_rank_vector,
     sw_array,
+    sw_table,
     validate_array_inequalities,
     zero_tuple,
 )
+from gridorbits.exact_linalg import (
+    compose_window,
+    image_meet_coord_dim,
+    principal_block,
+    sw_rank,
+)
+from gridorbits.grid_quiver import matchings_to_decomposition, windows
+from gridorbits.orbit_poset import order_matchings
 
-from conftest import random_borel, random_point
+from conftest import random_borel, random_point, random_unimodular_ut, random_ut
 
 
 @pytest.fixture
@@ -147,3 +162,62 @@ class TestParametrisationEquivalence:
             rva, swa = rank_vector(a), sw_array(a)
             for b in pts:
                 assert same_rank_vector(rva, rank_vector(b)) == (swa == sw_array(b))
+
+
+def _over(field, m):
+    """A rational matrix with integer entries, read over ``field``."""
+    return Matrix(field, [[field.from_fraction(x) for x in row] for row in m.data])
+
+
+def _kernel_points(n, field):
+    """Random points, their Borel conjugates, and Borel conjugates of
+    canonical points (which have low, structured ranks) over ``field``."""
+    rng = random.Random(f"one-pass-kernel:{n}:{field!r}")
+    shape = GridShape(n)
+    matchings = order_matchings(shape.size)
+
+    def conjugate(pt):
+        hs = [_over(field, random_unimodular_ut(shape.size, rng)) for _ in range(n)]
+        return borel_act(pt, hs)
+
+    out = []
+    for _ in range(2):
+        pt = make_point(shape, [_over(field, random_ut(shape.size, rng)) for _ in range(n - 1)])
+        dec = matchings_to_decomposition(shape, [rng.choice(matchings) for _ in range(n - 1)])
+        canon = make_point(shape, [_over(field, m) for m in assemble_canonical(dec).maps])
+        out += [pt, conjugate(pt), conjugate(canon)]
+    return out
+
+
+KERNEL_CASES = [
+    pytest.param(n, field, id=f"n{n}-{field!r}") for n in range(2, 7) for field in (QQ, GF(2))
+]
+
+
+class TestOnePassKernel:
+    """The one-reduction kernels against their definitions: per-cell
+    south-west ranks, and rank-vector entries from principal blocks."""
+
+    @pytest.mark.parametrize("n,field", KERNEL_CASES)
+    def test_sw_table_matches_per_cell_ranks(self, n, field):
+        for pt in _kernel_points(n, field):
+            size = pt.shape.size
+            for j1, j2 in windows(pt.shape):
+                comp = compose_window(list(pt.maps), j1, j2)
+                per_cell = tuple(
+                    tuple(sw_rank(comp, p, q) for q in range(p, size + 1))
+                    for p in range(1, size + 1)
+                )
+                assert sw_table(comp) == per_cell
+
+    @pytest.mark.parametrize("n,field", KERNEL_CASES)
+    def test_rank_vector_matches_definition(self, n, field):
+        for pt in _kernel_points(n, field):
+            entries = []
+            for j1, j2 in windows(pt.shape):
+                comp = compose_window(list(pt.maps), j1, j2)
+                for i in range(1, pt.shape.size + 1):
+                    block = principal_block(comp, i)
+                    entries += [image_meet_coord_dim(block, k) for k in range(1, i + 1)]
+                    entries.append(image_meet_coord_dim(block, i))  # the rank slot
+            assert rank_vector(pt).inter == tuple(entries)

@@ -216,6 +216,32 @@ class TestCli:
             obj["lci"],
         ) == (7, 2, 9, 17, 4, 8, 8, True)
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("flat-scan", "--w", "2,3,1", "--qs", "2,2,3"), "qs must be distinct prime powers"),
+            (("flat-scan", "--w", "2,3,1", "--qs", "2,3,6"), "qs must be distinct prime powers"),
+            (("flat-scan", "--w", "2,3,1", "--budget", "0"), "budget must be positive"),
+            (
+                ("hom-report", "--w", "2,3,1", "--orbit", "zero", "--budget", "0"),
+                "budget must be positive",
+            ),
+        ],
+    )
+    def test_experiment_flags_checked(self, args, message):
+        code, out, err = run_cli(*args)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("schubert", "--w", "2,3,1", "--threads", "2"),
+            ("flat-scan", "--w", "2,3,1", "--seed", "1"),
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, args):
+        assert run_cli(*args)[0] == 1
+
     def test_deterministic_output(self):
         a = run_cli("orbits", "--n", "2", "--format", "csv")
         b = run_cli("orbits", "--n", "2", "--format", "csv")
