@@ -5,7 +5,13 @@ Dimensions of the degenerate fibres are estimated by counting their points
 over several finite fields and fitting one integer polynomial, validated on
 held-out field sizes.  The audit compares the codimension of the Hom scheme
 inside its ambient space against the rank of the defining bilinear system,
-computed exactly over Q at sampled points.
+computed exactly over Q at sampled points.  The ambient space contains the
+variety of representations with one commutativity relation per square; it
+is counted by linear fibres: once the horizontal maps are fixed every
+relation is linear in the vertical maps, so each horizontal tuple
+contributes q^(nullity) points.  Its budget bounds q^nvars, the number of
+arrow tuples over F_q.  All exact linear algebra runs on
+:class:`~gridorbits.exact_linalg.Matrix`.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .decomposition import decompose
-from .exact_linalg import Matrix, principal_block, rank
+from .exact_linalg import Matrix, inverse, principal_block, rank
 from .fields import GF, QQ, is_prime_power
 from .grid_quiver import GridQuiverError, GridShape, assemble_canonical
 from .orbit_poset import enumerate_orbits
@@ -37,7 +43,8 @@ class FitFailure(GridQuiverError):
 
 
 class NoPointFound(GridQuiverError):
-    """No rational point of the Hom scheme located within the budget."""
+    """The canonical point has no coordinate subrepresentation, the source
+    of the Hom audit's exact rational points."""
 
 
 @dataclass(frozen=True)
@@ -335,79 +342,60 @@ def _edim(e, v):
     return e[v[0] - 1][v[1] - 1]
 
 
-def _shaped_zero(r, c, zero):
-    return [[zero] * c for _ in range(r)]
-
-
-def _shaped_mul(field, a, b, r, m, c):
-    out = _shaped_zero(r, c, field.zero)
-    for i in range(r):
-        for t in range(m):
-            x = a[i][t]
-            if x != field.zero:
-                for j in range(c):
-                    y = b[t][j]
-                    if y != field.zero:
-                        out[i][j] = field.add(out[i][j], field.mul(x, y))
-    return out
-
-
 def rep_variety_count(shape, e, q, budget=DEFAULT_BUDGET):
     """Points over F_q of the variety of representations with dimension
-    grid e satisfying every square's commutativity relation.  Brute-force
-    enumeration of all arrow matrices with per-leaf relation checks."""
+    grid e satisfying every square's commutativity relation.
+
+    Each relation v2·h1 = h2·v1 is linear in the vertical maps once the
+    horizontal maps are fixed.  So the count is the sum, over the tuples H
+    of horizontal matrices, of q^(nv - rank L_H), where L_H is the linear
+    system in the nv vertical entries.
+
+    Raises:
+        InfeasibleSize: q^nvars exceeds the budget, nvars being the number
+            of entries of all arrow matrices (horizontal and vertical).
+    """
     field = GF(q)
     horiz, vert = _grid_arrows(shape)
-    arrows = horiz + vert
-    var_arrows = [a for a in arrows if _edim(e, a[0]) and _edim(e, a[1])]
-    sizes = [(_edim(e, t), _edim(e, s)) for s, t in var_arrows]
-    nvars = sum(r * c for r, c in sizes)
+    h_arrows = [a for a in horiz if _edim(e, a[0]) and _edim(e, a[1])]
+    v_arrows = [a for a in vert if _edim(e, a[0]) and _edim(e, a[1])]
+
+    def entry_index(arrows):
+        index = {}
+        for s, t in arrows:
+            for r in range(_edim(e, t)):
+                for c in range(_edim(e, s)):
+                    index[(s, t, r, c)] = len(index)
+        return index
+
+    h_index, v_index = entry_index(h_arrows), entry_index(v_arrows)
+    nvars = len(h_index) + len(v_index)
     if q ** nvars > budget:
         raise InfeasibleSize(f"representation variety has q^{nvars} candidate points")
-    squares = []
+    # One equation per entry (r, c) of a square's relation: the vertical
+    # entry v2[r][t] has coefficient h1[t][c] and v1[t][c] has -h2[r][t].
+    equations = []
     for (i, j) in _squares(shape):
-        if _edim(e, (i, j)) and _edim(e, (i + 1, j + 1)):
-            squares.append((i, j))
-
-    def matrices_from(flat):
-        mats = {}
-        pos = 0
-        for (s, t), (r, c) in zip(var_arrows, sizes):
-            mats[(s, t)] = [list(flat[pos + x * c:pos + (x + 1) * c]) for x in range(r)]
-            pos += r * c
-        return mats
-
-    def arrow_matrix(mats, s, t):
-        r, c = _edim(e, t), _edim(e, s)
-        return mats.get((s, t), _shaped_zero(r, c, field.zero)), r, c
-
+        es, et = _edim(e, (i, j)), _edim(e, (i + 1, j + 1))
+        mid_r, mid_d = _edim(e, (i, j + 1)), _edim(e, (i + 1, j))
+        h1, v2 = ((i, j), (i, j + 1)), ((i, j + 1), (i + 1, j + 1))
+        v1, h2 = ((i, j), (i + 1, j)), ((i + 1, j), (i + 1, j + 1))
+        for r in range(et):
+            for c in range(es):
+                equations.append(
+                    [(v_index[(*v2, r, t)], h_index[(*h1, t, c)], False) for t in range(mid_r)]
+                    + [(v_index[(*v1, t, c)], h_index[(*h2, r, t)], True) for t in range(mid_d)]
+                )
+    nv = len(v_index)
     count = 0
-    for flat in product(range(q), repeat=nvars):
-        mats = matrices_from(flat)
-        ok = True
-        for (i, j) in squares:
-            es, et = _edim(e, (i, j)), _edim(e, (i + 1, j + 1))
-            mid_r = _edim(e, (i, j + 1))
-            mid_d = _edim(e, (i + 1, j))
-            h1, _, _ = arrow_matrix(mats, (i, j), (i, j + 1))
-            v2, _, _ = arrow_matrix(mats, (i, j + 1), (i + 1, j + 1))
-            v1, _, _ = arrow_matrix(mats, (i, j), (i + 1, j))
-            h2, _, _ = arrow_matrix(mats, (i + 1, j), (i + 1, j + 1))
-            right_down = (
-                _shaped_mul(field, v2, h1, et, mid_r, es)
-                if mid_r
-                else _shaped_zero(et, es, field.zero)
-            )
-            down_right = (
-                _shaped_mul(field, h2, v1, et, mid_d, es)
-                if mid_d
-                else _shaped_zero(et, es, field.zero)
-            )
-            if right_down != down_right:
-                ok = False
-                break
-        if ok:
-            count += 1
+    for h in product(field.elements(), repeat=len(h_index)):
+        rows = []
+        for terms in equations:
+            row = [field.zero] * nv
+            for col, idx, negate in terms:
+                row[col] = field.neg(h[idx]) if negate else h[idx]
+            rows.append(row)
+        count += q ** (nv - rank(Matrix(field, rows)))
     return count
 
 
@@ -452,33 +440,28 @@ def _hom_point_from_subrep(point, e, assign):
     shape = point.shape
     horiz, vert = _grid_arrows(shape)
     bases = {v: sorted(assign.get(v, frozenset())) for v in assign}
-    g = {}
-    for (i, j), basis in bases.items():
-        mat = _shaped_zero(i, len(basis), Fraction(0))
-        for idx, t in enumerate(basis):
-            mat[t - 1][idx] = Fraction(1)
-        g[(i, j)] = mat
+    g = {
+        (i, j): Matrix(QQ, [[QQ.one if t == r else QQ.zero for t in basis] for r in range(1, i + 1)])
+        for (i, j), basis in bases.items()
+    }
     n_mats = {}
     for (s, t) in horiz + vert:
-        es, et = _edim(e, s), _edim(e, t)
-        if not (es and et):
+        if not (_edim(e, s) and _edim(e, t)):
             continue
-        sb, tb = bases[s], bases[t]
         i = s[0]
         if t[1] == s[1] + 1:  # horizontal: the stored map cut to row i
-            block = principal_block(point.maps[s[1] - 1], i)
-            col = lambda src: [block.entry(r, src) for r in range(1, i + 1)]
+            ambient = principal_block(point.maps[s[1] - 1], i)
         else:  # vertical: the coordinate inclusion
-            col = lambda src: [
-                Fraction(1) if r == src else Fraction(0) for r in range(1, i + 2)
-            ]
-        mat = _shaped_zero(et, es, Fraction(0))
-        for cdx, src in enumerate(sb):
-            image = col(src)
-            for rdx, dst in enumerate(tb):
-                mat[rdx][cdx] = image[dst - 1]
-        n_mats[(s, t)] = mat
+            ambient = _inclusion(i)
+        n_mats[(s, t)] = Matrix(
+            QQ, [[ambient.entry(dst, src) for src in bases[s]] for dst in bases[t]]
+        )
     return n_mats, g
+
+
+def _inclusion(i):
+    """The coordinate inclusion F^i -> F^(i+1)."""
+    return Matrix(QQ, [[QQ.one if c == r else QQ.zero for c in range(i)] for r in range(i + 1)])
 
 
 def _hom_residuals(point, e, n_mats, g):
@@ -493,48 +476,33 @@ def _hom_residuals(point, e, n_mats, g):
             continue
         et = _edim(e, t)
         if t[1] == j + 1:
-            block = principal_block(point.maps[j - 1], i)
-            big = [list(row) for row in block.data]
-            amb_t = i
+            big = principal_block(point.maps[j - 1], i)
         else:
-            big = [
-                [Fraction(1) if c == r else Fraction(0) for c in range(i)]
-                for r in range(i + 1)
-            ]
-            amb_t = i + 1
-        lhs = _shaped_mul(QQ, big, g[s], amb_t, i, es)
-        if et:
-            rhs = _shaped_mul(QQ, g[t], n_mats[(s, t)], amb_t, et, es)
-        else:
-            rhs = _shaped_zero(amb_t, es, Fraction(0))
-        for r in range(amb_t):
-            for c in range(es):
-                out.append(lhs[r][c] - rhs[r][c])
+            big = _inclusion(i)
+        lhs = big @ g[s]
+        rhs = g[t] @ n_mats[(s, t)] if et else Matrix.zeros(QQ, big.rows, es)
+        for lrow, rrow in zip(lhs.data, rhs.data):
+            out.extend(x - y for x, y in zip(lrow, rrow))
     return out
 
 
 def _comm_residuals(shape, e, n_mats):
     """Flattened commutativity relations of the representation variety."""
     out = []
-    zero = Fraction(0)
     for (i, j) in _squares(shape):
         es, et = _edim(e, (i, j)), _edim(e, (i + 1, j + 1))
         if not (es and et):
             continue
         mid_r, mid_d = _edim(e, (i, j + 1)), _edim(e, (i + 1, j))
+        zero = Matrix.zeros(QQ, et, es)
         right_down = (
-            _shaped_mul(QQ, n_mats[((i, j + 1), (i + 1, j + 1))], n_mats[((i, j), (i, j + 1))], et, mid_r, es)
-            if mid_r
-            else _shaped_zero(et, es, zero)
+            n_mats[((i, j + 1), (i + 1, j + 1))] @ n_mats[((i, j), (i, j + 1))] if mid_r else zero
         )
         down_right = (
-            _shaped_mul(QQ, n_mats[((i + 1, j), (i + 1, j + 1))], n_mats[((i, j), (i + 1, j))], et, mid_d, es)
-            if mid_d
-            else _shaped_zero(et, es, zero)
+            n_mats[((i + 1, j), (i + 1, j + 1))] @ n_mats[((i, j), (i + 1, j))] if mid_d else zero
         )
-        for r in range(et):
-            for c in range(es):
-                out.append(right_down[r][c] - down_right[r][c])
+        for lrow, rrow in zip(right_down.data, down_right.data):
+            out.extend(x - y for x, y in zip(lrow, rrow))
     return out
 
 
@@ -567,10 +535,13 @@ def _jacobian_ranks(point, e, n_mats, g):
     cols_h, cols_c = [], []
     for kind, key, r, c in _variables(shape, e):
         store = n_mats if kind == "N" else g
-        store[key][r][c] += 1
+        base = store[key]
+        bumped = [list(row) for row in base.data]
+        bumped[r][c] += 1
+        store[key] = Matrix(QQ, bumped)
         cols_h.append(_hom_residuals(point, e, n_mats, g))
         cols_c.append(_comm_residuals(shape, e, n_mats))
-        store[key][r][c] -= 1
+        store[key] = base
     nh, nc = len(base_h), len(base_c)
     if not cols_h:
         return 0, 0
@@ -586,29 +557,15 @@ def _jacobian_ranks(point, e, n_mats, g):
 
 
 def _random_unimodular(size, rng):
-    upper = [
+    upper = Matrix(QQ, [
         [Fraction(1) if i == j else (Fraction(rng.randint(-2, 2)) if j > i else Fraction(0)) for j in range(size)]
         for i in range(size)
-    ]
-    lower = [
+    ])
+    lower = Matrix(QQ, [
         [Fraction(1) if i == j else (Fraction(rng.randint(-2, 2)) if j < i else Fraction(0)) for j in range(size)]
         for i in range(size)
-    ]
-    return _shaped_mul(QQ, upper, lower, size, size, size)
-
-
-def _invert_square(mat, size):
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(size)] for i, row in enumerate(mat)]
-    for c in range(size):
-        piv = next(r for r in range(c, size) if aug[r][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv_p = 1 / aug[c][c]
-        aug[c] = [x * inv_p for x in aug[c]]
-        for r in range(size):
-            if r != c and aug[r][c] != 0:
-                coef = aug[r][c]
-                aug[r] = [x - coef * y for x, y in zip(aug[r], aug[c])]
-    return [row[size:] for row in aug]
+    ])
+    return upper @ lower
 
 
 def _translate_point(shape, e, n_mats, g, rng):
@@ -618,21 +575,11 @@ def _translate_point(shape, e, n_mats, g, rng):
     a_inv = {}
     for i in range(1, shape.size + 1):
         for j in range(1, shape.n + 1):
-            k = e[i - 1][j - 1]
-            if k:
-                m = _random_unimodular(k, rng)
-                a[(i, j)] = m
-                a_inv[(i, j)] = _invert_square([list(r) for r in m], k)
-    new_n = {}
-    for (s, t), mat in n_mats.items():
-        es, et = _edim(e, s), _edim(e, t)
-        new_n[(s, t)] = _shaped_mul(
-            QQ, a[t], _shaped_mul(QQ, mat, a_inv[s], et, es, es), et, et, es
-        )
-    new_g = {}
-    for (i, j), mat in g.items():
-        k = e[i - 1][j - 1]
-        new_g[(i, j)] = _shaped_mul(QQ, mat, a_inv[(i, j)], i, k, k) if k else mat
+            if e[i - 1][j - 1]:
+                a[(i, j)] = _random_unimodular(e[i - 1][j - 1], rng)
+                a_inv[(i, j)] = inverse(a[(i, j)])
+    new_n = {(s, t): a[t] @ (mat @ a_inv[s]) for (s, t), mat in n_mats.items()}
+    new_g = {v: mat @ a_inv[v] if v in a_inv else mat for v, mat in g.items()}
     return new_n, new_g
 
 
@@ -644,8 +591,8 @@ def hom_report(w, point, qs=DEFAULT_QS, seed=0, budget=DEFAULT_BUDGET, samples=5
     subrepresentations provide exact rational points of the scheme.
 
     Raises:
-        NoPointFound: no coordinate subrepresentation exists (sampling
-            budget exhausted).
+        NoPointFound: the canonical point has no coordinate
+            subrepresentation, so there is no exact point to start from.
     """
     w = check_permutation(w)
     shape = point.shape
@@ -675,15 +622,13 @@ def hom_report(w, point, qs=DEFAULT_QS, seed=0, budget=DEFAULT_BUDGET, samples=5
         raise NoPointFound("no coordinate subrepresentation of the canonical point")
     rng = random.Random(seed)
     ranks = []
-    idx = 0
-    while len(ranks) < max(samples, len(base_points)) and idx < 4 * max(samples, len(base_points)):
+    for idx in range(max(samples, len(base_points))):
         assign = base_points[idx % len(base_points)]
         n_mats, g = _hom_point_from_subrep(canon, e, assign)
         if idx >= len(base_points):
             n_mats, g = _translate_point(shape, e, n_mats, g, rng)
         stacked, comm = _jacobian_ranks(canon, e, n_mats, g)
         ranks.append(stacked - comm)
-        idx += 1
     indep = max(ranks)
     return HomReport(
         dim_g,

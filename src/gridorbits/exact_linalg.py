@@ -230,6 +230,29 @@ def inverse_upper_triangular(m):
     return Matrix(f, inv)
 
 
+def inverse(m):
+    """Exact inverse of an invertible square matrix, by Gauss-Jordan
+    elimination over the matrix's field."""
+    f = m.field
+    zero, one = f.zero, f.one
+    n = m.rows
+    if m.cols != n:
+        raise ValueError(f"inverse of a non-square {m.rows}x{m.cols} matrix")
+    aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(m.data)]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if aug[r][c] != zero), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        aug[c], aug[piv] = aug[piv], aug[c]
+        inv_p = f.inv(aug[c][c])
+        aug[c] = [f.mul(x, inv_p) for x in aug[c]]
+        for r in range(n):
+            coef = aug[r][c]
+            if r != c and coef != zero:
+                aug[r] = [f.sub(x, f.mul(coef, y)) for x, y in zip(aug[r], aug[c])]
+    return Matrix(f, [row[n:] for row in aug])
+
+
 def solve_unique(columns, target, field=QQ):
     """Solve sum_j x_j * columns[j] = target for a full-column-rank system.
 

@@ -1,9 +1,10 @@
 """Exact coefficient fields: rationals and small Galois fields.
 
-Rationals are ``fractions.Fraction`` values; elements of GF(q) are the
-integers 0..q-1 (for q = p^k with k > 1 the integer encodes a polynomial
-over F_p in base p).  Every operation is exact; nothing here ever touches
-floating point.
+Rationals are ``fractions.Fraction`` values; elements of GF(q), q = p^k,
+are the integers 0..q-1, each the base-p encoding of a polynomial over
+F_p.  Every GF(q) operation, for prime and non-prime q alike, is a lookup
+in tables built once per field.  Every operation is exact; nothing here
+ever touches floating point.
 """
 
 from __future__ import annotations
@@ -132,10 +133,14 @@ def _find_irreducible(p, k):
 
 
 class GaloisField:
-    """GF(q) for a prime power q, with table-based arithmetic for k > 1.
+    """GF(q) for a prime power q = p^k, with table-driven arithmetic.
 
-    Elements are ints in range(q).  For k > 1 the integer n encodes the
-    polynomial sum_i c_i x^i with n = sum_i c_i p^i.
+    Elements are ints in range(q): the integer n encodes the polynomial
+    sum_i c_i x^i over F_p with n = sum_i c_i p^i, taken modulo the
+    smallest monic irreducible polynomial of degree k (x itself when
+    k = 1, so prime fields are the integers mod p).  ``__init__`` builds
+    the add, neg, mul and inv tables once; each operation is a lookup.
+    The tables hold q^2 entries, so this is meant for small q.
     """
 
     def __init__(self, q):
@@ -146,72 +151,46 @@ class GaloisField:
         self.char = p
         self.zero = 0
         self.one = 1
-        if k == 1:
-            self._mul_table = None
-            self._inv_table = [0] + [pow(a, p - 2, p) for a in range(1, p)]
-        else:
-            mod_poly = _find_irreducible(p, k)[:-1]
-            decode = []
-            for n in range(q):
-                c, coeffs = n, []
-                for _ in range(k):
-                    coeffs.append(c % p)
-                    c //= p
-                decode.append(coeffs)
+        mod_poly = _find_irreducible(p, k)
+        decode = []
+        for n in range(q):
+            coeffs = []
+            for _ in range(k):
+                coeffs.append(n % p)
+                n //= p
+            decode.append(coeffs)
 
-            def encode(coeffs):
-                n = 0
-                for c in reversed(coeffs[:k] + [0] * (k - len(coeffs))):
-                    n = n * p + c
-                return n
+        def encode(coeffs):
+            n = 0
+            for c in reversed(coeffs):
+                n = n * p + c
+            return n
 
-            table = [[0] * q for _ in range(q)]
-            for a in range(q):
-                for b in range(q):
-                    table[a][b] = encode(_poly_mul_mod(decode[a], decode[b], mod_poly + [1], p))
-            self._mul_table = table
-            inv = [0] * q
-            for a in range(1, q):
-                for b in range(1, q):
-                    if table[a][b] == 1:
-                        inv[a] = b
-                        break
-            self._inv_table = inv
+        self._add = [
+            [encode([(x + y) % p for x, y in zip(a, b)]) for b in decode] for a in decode
+        ]
+        self._neg = [encode([-x % p for x in a]) for a in decode]
+        self._mul = [
+            [encode(_poly_mul_mod(a, b, mod_poly, p)) for b in decode] for a in decode
+        ]
+        self._inv = [0] + [self._mul[a].index(1) for a in range(1, q)]
 
     def add(self, a, b):
-        if self.k == 1:
-            return (a + b) % self.p
-        # coefficientwise addition in base p
-        n, mult = 0, 1
-        for _ in range(self.k):
-            n += ((a + b) % self.p) * mult
-            a //= self.p
-            b //= self.p
-            mult *= self.p
-        return n
+        return self._add[a][b]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def neg(self, a):
-        if self.k == 1:
-            return (-a) % self.p
-        n, mult = 0, 1
-        for _ in range(self.k):
-            n += ((-a) % self.p) * mult
-            a //= self.p
-            mult *= self.p
-        return n
+        return self._neg[a]
 
     def mul(self, a, b):
-        if self.k == 1:
-            return (a * b) % self.p
-        return self._mul_table[a][b]
+        return self._mul[a][b]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return self._inv_table[a]
+        return self._inv[a]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

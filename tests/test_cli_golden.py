@@ -1,8 +1,8 @@
 """Byte-for-byte pins of the CLI's standard output.
 
-Each case runs one command in-process on fixed n = 2 and n = 3 inputs and
-compares the sha256 of its standard output (and its exit code) with a
-recorded value.  Refactors of the invariant kernels must leave every digest
+Each case runs one command in-process on fixed n = 2 and n = 3 inputs, or
+on the fibre commands' permutations and orbit ids, and compares the sha256
+of its standard output (and its exit code) with a recorded value.  Refactors of the invariant kernels must leave every digest
 unchanged; a deliberate output change has to re-record the digest here.
 """
 
@@ -65,6 +65,11 @@ INPUTS = {
     "n3_rejected": N3_REJECTED,
     "bad_array": BAD_ARRAY,
 }
+
+HOM_231 = ["hom-report", "--w", "2,3,1", "--orbit"]
+HOM_231_FLAGS = ["--qs", "2,3,4,5,7,8", "--seed", "3"]
+# 5^6 arrow tuples exceed the budget although 5^3 horizontal tuples do not
+HOM_REFUSED = HOM_231 + ["identity", "--qs", "2,3,4,5", "--budget", "1000"]
 
 # case id -> (argv with input names in braces, exit code, sha256 of stdout)
 GOLDEN = {
@@ -155,6 +160,27 @@ GOLDEN = {
     "count-report": (["count-report", "--n", "2"], 0,
         "27061edac6a76f1d5e201f57b8ade8bd23bad2d010fafc96ca975a14ba904b43",
     ),
+    "flat-scan-231": (["flat-scan", "--w", "2,3,1", "--qs", "2,3,4,5,7"], 0,
+        "b0062560b27227c2b5743921bf485f149bfac759e882463568980b4952c10180",
+    ),
+    "flat-scan-312": (["flat-scan", "--w", "3,1,2", "--qs", "2,3,4,5,7"], 0,
+        "da2068650f3831ea4ddc33b45ba189586c69135529191d92edc7b966996931be",
+    ),
+    "hom-report-231-identity": (HOM_231 + ["identity"] + HOM_231_FLAGS, 0,
+        "ce87ef1ad55e49eea2dce8aa567527151610ea8d1c22071b87791972791b526d",
+    ),
+    "hom-report-231-zero": (HOM_231 + ["zero"] + HOM_231_FLAGS, 0,
+        "fe4574f9c87b593d4a5b467793b0677de8ef6f4b7c1d950ae748c2e3fe259c2c",
+    ),
+    "hom-report-231-orbit7": (HOM_231 + ["7"] + HOM_231_FLAGS, 0,
+        "e65dc880d020a2881a88ac0ed7e81c0988a05e8ebe6709c117e97ac021949f00",
+    ),
+    "hom-report-321-identity": (["hom-report", "--w", "3,2,1", "--orbit", "identity"], 0,
+        "1d7884dbad07f54c1a5b455b5f7ec3fa407a0eed6340cac2340d4c10906d78bc",
+    ),
+    "hom-report-budget-refused": (HOM_REFUSED, 2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
 }
 
 
@@ -201,3 +227,9 @@ def test_rejected_point_message(input_files):
         "point's maps cannot be reduced to partial permutation form "
         "simultaneously\n"
     )
+
+
+def test_refused_rep_variety_message():
+    code, out, err = run_main(HOM_REFUSED)
+    assert (code, out) == (2, "")
+    assert err == "error: representation variety has q^6 candidate points\n"

@@ -1,12 +1,14 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from gridorbits import (
+    DEFAULT_QS,
     GF,
     FitFailure,
     GridShape,
     InfeasibleSize,
+    e_grid,
     estimate_dim,
     euler_form,
     fit_dimension,
@@ -14,6 +16,7 @@ from gridorbits import (
     full_dim_grid,
     hom_report,
     identity_tuple,
+    r_grid,
     rep_variety_count,
     subrep_count,
     target_dims,
@@ -38,8 +41,27 @@ class TestFields:
             for b in els:
                 assert f.add(a, b) == f.add(b, a)
                 assert f.mul(a, b) == f.mul(b, a)
+                assert f.sub(a, b) == f.add(a, f.neg(b))
                 for c in els:
                     assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+                    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+                    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+
+    @pytest.mark.parametrize("q", [4, 8, 9])
+    def test_base_p_encoding(self, q):
+        # subspaces and every count read an element n as the base-p digits
+        # of a polynomial over F_p, with the integers mod p as constants
+        f = GF(q)
+        p = f.p
+
+        def digits(n):
+            return [n // p ** i % p for i in range(f.k)]
+
+        for a in range(q):
+            for b in range(q):
+                assert digits(f.add(a, b)) == [(x + y) % p for x, y in zip(digits(a), digits(b))]
+        for n in range(-2 * q, 2 * q):
+            assert f.from_int(n) == n % p
 
     def test_fraction_embedding(self):
         from fractions import Fraction
@@ -191,15 +213,89 @@ class TestEulerForm:
         assert euler_form(d, z) == 0
 
 
+def brute_force_rep_count(shape, e, q):
+    """Independent brute force: every tuple of arrow matrices over F_q,
+    with each square's relation v2·h1 = h2·v1 checked entry by entry."""
+    field = GF(q)
+
+    def dim(v):
+        return e[v[0] - 1][v[1] - 1]
+
+    arrows = [((i, j), (i, j + 1)) for i in range(1, shape.size + 1) for j in range(1, shape.n)]
+    arrows += [((i, j), (i + 1, j)) for i in range(1, shape.size) for j in range(1, shape.n + 1)]
+    entries = [(a, r, c) for a in arrows for r in range(dim(a[1])) for c in range(dim(a[0]))]
+    relations = [
+        ((((i, j + 1), (i + 1, j + 1)), ((i, j), (i, j + 1))),
+         (((i + 1, j), (i + 1, j + 1)), ((i, j), (i + 1, j))), r, c)
+        for i in range(1, shape.size)
+        for j in range(1, shape.n)
+        for r in range(dim((i + 1, j + 1)))
+        for c in range(dim((i, j)))
+    ]
+
+    def entry_of_product(m, second, first, r, c):
+        acc = field.zero
+        for t in range(dim(first[1])):
+            acc = field.add(acc, field.mul(m[(second, r, t)], m[(first, t, c)]))
+        return acc
+
+    count = 0
+    for values in product(range(q), repeat=len(entries)):
+        m = dict(zip(entries, values))
+        if all(
+            entry_of_product(m, *right_down, r, c) == entry_of_product(m, *down_right, r, c)
+            for right_down, down_right, r, c in relations
+        ):
+            count += 1
+    return count
+
+
+def _oracle_cases(limit=10 ** 5):
+    """Every distinct grid among target_dims, r_grid and e_grid of the
+    permutations of sizes 3 and 4, at q = 2, 3, where q^nvars <= limit."""
+    grids = sorted(
+        {
+            (len(w), grid(w))
+            for size in (3, 4)
+            for w in permutations(range(1, size + 1))
+            for grid in (target_dims, r_grid, e_grid)
+        }
+    )
+    cases = []
+    for size, e in grids:
+        nvars = sum(
+            e[i][j] * (e[i][j + 1] if j + 1 < size - 1 else 0)
+            + e[i][j] * (e[i + 1][j] if i + 1 < size else 0)
+            for i in range(size)
+            for j in range(size - 1)
+        )
+        cases.extend((size, e, q) for q in (2, 3) if q ** nvars <= limit)
+    return cases
+
+
 class TestRepVarietyCount:
-    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("q", DEFAULT_QS)
     def test_published_grid_counts(self, shape2, q):
         # two bilinear relations on six coordinates: 2q^4 - q^2 points
         assert rep_variety_count(shape2, target_dims(W231), q) == 2 * q ** 4 - q ** 2
 
+    @pytest.mark.parametrize("size,e,q", _oracle_cases())
+    def test_linear_fibres_match_brute_force(self, size, e, q):
+        shape = GridShape(size - 1)
+        assert rep_variety_count(shape, e, q) == brute_force_rep_count(shape, e, q)
+
+    def test_oracle_cases(self):
+        assert len(_oracle_cases()) == 16
+
     def test_budget(self, shape2):
         with pytest.raises(InfeasibleSize):
             rep_variety_count(shape2, target_dims(W231), 9, budget=10)
+
+    def test_budget_bounds_all_arrow_entries(self, shape2):
+        # 5^3 = 125 horizontal tuples fit the budget, but 5^6 arrow tuples
+        # do not: the budget meters q^nvars over every arrow entry
+        with pytest.raises(InfeasibleSize, match=r"q\^6 candidate points"):
+            rep_variety_count(shape2, target_dims(W231), 5, budget=1000)
 
 
 class TestFlatScan:

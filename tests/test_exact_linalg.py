@@ -13,6 +13,7 @@ from gridorbits import (
     b_reduce,
     compose_window,
     image_meet_coord_dim,
+    inverse,
     inverse_upper_triangular,
     is_upper_triangular,
     principal_block,
@@ -224,6 +225,25 @@ class TestHelpers:
         for _ in range(10):
             m = random_ut(4, rng, invertible=True)
             assert m @ inverse_upper_triangular(m) == Matrix.identity(QQ, 4)
+
+    @pytest.mark.parametrize("field", [QQ, GF(5), GF(9)], ids=repr)
+    def test_inverse(self, field):
+        rng = random.Random(2)
+
+        def draw():
+            return field.from_int(rng.randint(-2, 2)) if field is QQ else rng.randrange(field.q)
+
+        found = 0
+        while found < 10:
+            m = Matrix(field, [[draw() for _ in range(4)] for _ in range(4)])
+            if rank(m) < 4:
+                with pytest.raises(ValueError):
+                    inverse(m)
+                continue
+            found += 1
+            assert m @ inverse(m) == Matrix.identity(field, 4) == inverse(m) @ m
+        with pytest.raises(ValueError):
+            inverse(Matrix.zeros(field, 2, 3))
 
     def test_solve_unique(self):
         cols = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
