@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals and finite fields.
 
 Everything operates on immutable :class:`Matrix` values whose entries live
 in one of the fields from :mod:`gridorbits.fields`.  Ranks are computed by
