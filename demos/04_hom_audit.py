@@ -5,8 +5,12 @@ scheme cut out by bilinear equations.  The audit compares the scheme's
 codimension in its ambient space against the rank of the defining system
 at exact rational points; equality certifies a local complete
 intersection, the property that would settle the flat-locus question.
+The Hom conditions and the squares' commutativity relations form one list
+of equations with terms coef·x_a·x_b; the Jacobian at each point is written
+down from it by the product rule, and the same square relations count the
+representation variety.
 
-Takes about 0.6 s on a 2-core Xeon: each orbit needs two polynomial
+Takes about 0.5 s on a 2-core Xeon: each orbit needs two polynomial
 dimension fits over seven finite fields, and the representation variety is
 counted by linear fibres.
 """

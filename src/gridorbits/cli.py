@@ -14,7 +14,7 @@ import io
 import json
 import sys
 
-from .decomposition import decompose, flat_intersections, rank_vector
+from .decomposition import decompose, flat_intersections, rank_vector, rank_vector_from_sw
 from .degeneration_lab import DEFAULT_BUDGET, DEFAULT_QS, flat_scan, hom_report
 from .fields import is_prime_power
 from .grid_quiver import (
@@ -147,8 +147,8 @@ def _orbit_records(shape):
     records = []
     for idx, dec in enumerate(enumerate_orbits(shape), start=1):
         point = assemble_canonical(dec)
-        rv = rank_vector(point)
         arr = sw_array(point)
+        rv = rank_vector_from_sw(arr)
         digest = hashlib.sha256(
             json.dumps(sw_array_to_json(arr), sort_keys=True).encode()
         ).hexdigest()

@@ -67,15 +67,22 @@ def rank_vector(point):
 
     For each window (j1, j2) and row i, the windowed composition is cut to
     its top-left i x i block; entry k <= i is dim(im ∩ span(e_1..e_k)),
-    entry k = i+1 is the block's rank.
+    entry k = i+1 is the block's rank.  It is read off the point's
+    south-west array by :func:`rank_vector_from_sw`.
+    """
+    return rank_vector_from_sw(sw_array(point))
 
-    The composition is upper-triangular, so the block's rank is the
+
+def rank_vector_from_sw(arr):
+    """Rank vector of the points whose south-west array is ``arr``.
+
+    Window products are upper-triangular, so the block's rank is the
     south-west rank s(1, i) of the window's table, and its rows k+1..i have
     rank s(k+1, i); entry k < i is their difference.
     """
-    shape = point.shape
+    shape = arr.shape
     entries = []
-    for table in sw_array(point).tables:
+    for table in arr.tables:
         for i in range(1, shape.size + 1):
             full = table_entry(table, 1, i)
             for k in range(1, i):

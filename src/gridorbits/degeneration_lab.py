@@ -6,11 +6,14 @@ over several finite fields and fitting one integer polynomial, validated on
 held-out field sizes.  The audit compares the codimension of the Hom scheme
 inside its ambient space against the rank of the defining bilinear system,
 computed exactly over Q at sampled points.  The ambient space contains the
-variety of representations with one commutativity relation per square; it
-is counted by linear fibres: once the horizontal maps are fixed every
-relation is linear in the vertical maps, so each horizontal tuple
-contributes q^(nullity) points.  Its budget bounds q^nvars, the number of
-arrow tuples over F_q.  All exact linear algebra runs on
+variety of representations with one commutativity relation per square.
+Both are cut out by one list of equations over one index of unknowns (the
+arrow entries, horizontal before vertical, then the frame entries g), each
+a sum of terms coef·x_a·x_b where x_b may be absent.  The audit's Jacobian
+is written down from that list by the product rule, and the representation
+variety is counted by linear fibres of its square relations (see
+:func:`rep_variety_count`), under a budget on q^nvars, the number of arrow
+tuples over F_q.  All exact linear algebra runs on
 :class:`~gridorbits.exact_linalg.Matrix`.
 """
 
@@ -26,7 +29,7 @@ from .exact_linalg import Matrix, inverse, principal_block, rank
 from .fields import GF, QQ, is_prime_power
 from .grid_quiver import GridQuiverError, GridShape, assemble_canonical
 from .orbit_poset import enumerate_orbits
-from .parametrizations import sw_array
+from .parametrizations import array_leq, sw_array
 from .schubert import check_permutation, length, target_dims
 from .subspaces import column_chains, in_span
 
@@ -295,20 +298,20 @@ def flat_scan(w, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     e = target_dims(w)
     target = length(w)
     rows = []
-    flats = []
+    arrays = []
     for idx, dec in enumerate(enumerate_orbits(shape), start=1):
         pt = assemble_canonical(dec)
         table = point_counts(pt, e, qs, budget)
         est = fit_dimension(table.counts, _degree_bound(shape, e))
         rows.append(FlatScanRow(idx, dec, table, est, est.degree == target))
-        flats.append(sw_array(pt).flat())
+        arrays.append(sw_array(pt))
     candidates = {r.orbit_id for r in rows if r.flat_candidate}
     upward_closed = all(
         (rows[j].orbit_id in candidates)
         for i in range(len(rows))
         if rows[i].orbit_id in candidates
         for j in range(len(rows))
-        if i != j and all(x <= y for x, y in zip(flats[i], flats[j]))
+        if i != j and array_leq(arrays[i], arrays[j])
     )
     return FlatScanResult(w, target, tuple(rows), upward_closed)
 
@@ -316,30 +319,111 @@ def flat_scan(w, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 # Hom-scheme audit
 
+SAMPLES = 5  # least number of exact points audited per report
+MAX_BASE_POINTS = 8  # coordinate subrepresentations collected per report
+
+
 def _grid_arrows(shape):
-    horiz = [
-        ((i, j), (i, j + 1))
-        for i in range(1, shape.size + 1)
-        for j in range(1, shape.n)
-    ]
-    vert = [
-        ((i, j), (i + 1, j))
-        for i in range(1, shape.size)
-        for j in range(1, shape.n + 1)
-    ]
-    return horiz, vert
+    """Every arrow (s, t) of the grid, horizontal before vertical."""
+    horiz = [((i, j), (i, j + 1)) for i in range(1, shape.size + 1) for j in range(1, shape.n)]
+    vert = [((i, j), (i + 1, j)) for i in range(1, shape.size) for j in range(1, shape.n + 1)]
+    return horiz + vert
 
 
-def _squares(shape):
-    return [
-        (i, j)
-        for i in range(1, shape.size)
-        for j in range(1, shape.n)
-    ]
+def _arrow_map(point, s, t):
+    """The map the point puts on arrow (s, t), s = (i, j): the stored map
+    cut to row i if horizontal, the inclusion F^i -> F^(i+1) if vertical."""
+    i, j = s
+    if t[0] == i:
+        return principal_block(point.maps[j - 1], i)
+    return Matrix(QQ, [[QQ.one if c == r else QQ.zero for c in range(i)] for r in range(i + 1)])
 
 
 def _edim(e, v):
     return e[v[0] - 1][v[1] - 1]
+
+
+def _unknowns(shape, e):
+    """Keys of the audit's unknowns, as (arrow entries, frame entries).
+
+    Arrow entry (r, c) of the e_t x e_s matrix on arrow (s, t) is keyed
+    ((s, t), r, c), horizontal arrows before vertical ones; these are the
+    coordinates of the representation variety.  Frame entry (r, c) of the
+    i x e_v frame g_v at vertex v = (i, j) is keyed (v, r, c).
+    """
+    arrows = [
+        ((s, t), r, c)
+        for (s, t) in _grid_arrows(shape)
+        for r in range(_edim(e, t))
+        for c in range(_edim(e, s))
+    ]
+    frames = [
+        ((i, j), r, c)
+        for i in range(1, shape.size + 1)
+        for j in range(1, shape.n + 1)
+        for r in range(i)
+        for c in range(e[i - 1][j - 1])
+    ]
+    return arrows, frames
+
+
+def _square_relations(shape, e, index):
+    """Each square's relation v2·h1 = h2·v1, one equation per entry.
+
+    An equation is a list of terms (coef, a, b) standing for coef·x_a·x_b,
+    or coef·x_a when b is None; ``index`` maps the keys of
+    :func:`_unknowns` to positions in x.  Here x_a is always a vertical and
+    x_b a horizontal arrow entry.
+    """
+    equations = []
+    for i, j in product(range(1, shape.size), range(1, shape.n)):
+        h1, v2 = ((i, j), (i, j + 1)), ((i, j + 1), (i + 1, j + 1))
+        v1, h2 = ((i, j), (i + 1, j)), ((i + 1, j), (i + 1, j + 1))
+        for r in range(_edim(e, v2[1])):
+            for c in range(_edim(e, h1[0])):
+                equations.append(
+                    [(1, index[(v2, r, t)], index[(h1, t, c)]) for t in range(_edim(e, h1[1]))]
+                    + [(-1, index[(v1, t, c)], index[(h2, r, t)]) for t in range(_edim(e, v1[1]))]
+                )
+    return equations
+
+
+def _hom_conditions(point, e, index):
+    """The Hom conditions f·g_s = g_t·N_(s,t) over the point, f being
+    :func:`_arrow_map`, one equation per entry, in the format of
+    :func:`_square_relations`."""
+    equations = []
+    for (s, t) in _grid_arrows(point.shape):
+        for r, f_row in enumerate(_arrow_map(point, s, t).data):
+            for c in range(_edim(e, s)):
+                equations.append(
+                    [(x, index[(s, k, c)], None) for k, x in enumerate(f_row) if x]
+                    + [(-1, index[(t, r, u)], index[((s, t), u, c)]) for u in range(_edim(e, t))]
+                )
+    return equations
+
+
+def _residuals(equations, x):
+    """Values of the equations at x."""
+    return [
+        sum(coef * x[a] * (1 if b is None else x[b]) for coef, a, b in terms)
+        for terms in equations
+    ]
+
+
+def _jacobian(equations, x):
+    """Jacobian of the equations at x over Q, by the product rule."""
+    rows = []
+    for terms in equations:
+        row = [QQ.zero] * len(x)
+        for coef, a, b in terms:
+            if b is None:
+                row[a] += coef
+            else:
+                row[a] += coef * x[b]
+                row[b] += coef * x[a]
+        rows.append(row)
+    return rows
 
 
 def rep_variety_count(shape, e, q, budget=DEFAULT_BUDGET):
@@ -356,52 +440,34 @@ def rep_variety_count(shape, e, q, budget=DEFAULT_BUDGET):
             of entries of all arrow matrices (horizontal and vertical).
     """
     field = GF(q)
-    horiz, vert = _grid_arrows(shape)
-    h_arrows = [a for a in horiz if _edim(e, a[0]) and _edim(e, a[1])]
-    v_arrows = [a for a in vert if _edim(e, a[0]) and _edim(e, a[1])]
-
-    def entry_index(arrows):
-        index = {}
-        for s, t in arrows:
-            for r in range(_edim(e, t)):
-                for c in range(_edim(e, s)):
-                    index[(s, t, r, c)] = len(index)
-        return index
-
-    h_index, v_index = entry_index(h_arrows), entry_index(v_arrows)
-    nvars = len(h_index) + len(v_index)
+    arrows, _frames = _unknowns(shape, e)
+    nvars = len(arrows)
     if q ** nvars > budget:
         raise InfeasibleSize(f"representation variety has q^{nvars} candidate points")
-    # One equation per entry (r, c) of a square's relation: the vertical
-    # entry v2[r][t] has coefficient h1[t][c] and v1[t][c] has -h2[r][t].
-    equations = []
-    for (i, j) in _squares(shape):
-        es, et = _edim(e, (i, j)), _edim(e, (i + 1, j + 1))
-        mid_r, mid_d = _edim(e, (i, j + 1)), _edim(e, (i + 1, j))
-        h1, v2 = ((i, j), (i, j + 1)), ((i, j + 1), (i + 1, j + 1))
-        v1, h2 = ((i, j), (i + 1, j)), ((i + 1, j), (i + 1, j + 1))
-        for r in range(et):
-            for c in range(es):
-                equations.append(
-                    [(v_index[(*v2, r, t)], h_index[(*h1, t, c)], False) for t in range(mid_r)]
-                    + [(v_index[(*v1, t, c)], h_index[(*h2, r, t)], True) for t in range(mid_d)]
-                )
-    nv = len(v_index)
+    nh = sum(1 for (s, t), _r, _c in arrows if s[0] == t[0])
+    nv = nvars - nh
+    # With the horizontal entries fixed at H, the term coef·x_a·x_b puts
+    # coef·H[b] on the vertical entry x_a, column a - nh of L_H.
+    equations = [
+        [(a - nh, b, field.from_int(coef)) for coef, a, b in terms]
+        for terms in _square_relations(shape, e, {key: pos for pos, key in enumerate(arrows)})
+    ]
     count = 0
-    for h in product(field.elements(), repeat=len(h_index)):
+    for h in product(field.elements(), repeat=nh):
         rows = []
         for terms in equations:
             row = [field.zero] * nv
-            for col, idx, negate in terms:
-                row[col] = field.neg(h[idx]) if negate else h[idx]
+            for col, b, coef in terms:
+                row[col] = field.add(row[col], field.mul(coef, h[b]))
             rows.append(row)
         count += q ** (nv - rank(Matrix(field, rows)))
     return count
 
 
-def _coordinate_subreps(point, e, cap=8):
+def _coordinate_subreps(point, e):
     """Subrepresentations spanned by standard basis vectors: the torus-fixed
-    points of the fibre over a canonical representative."""
+    points of the fibre over a canonical representative, at most
+    MAX_BASE_POINTS of them."""
     shape = point.shape
     found = []
     cells = [(j, i) for j in range(1, shape.n + 1) for i in range(1, shape.size + 1)]
@@ -410,7 +476,7 @@ def _coordinate_subreps(point, e, cap=8):
         return {r for r in range(1, i + 1) if mat.entry(r, t) != QQ.zero}
 
     def extend(idx, assign):
-        if len(found) >= cap:
+        if len(found) >= MAX_BASE_POINTS:
             return
         if idx == len(cells):
             found.append(dict(assign))
@@ -437,123 +503,26 @@ def _coordinate_subreps(point, e, cap=8):
 
 def _hom_point_from_subrep(point, e, assign):
     """Exact (N, g) pair over Q for a coordinate subrepresentation."""
-    shape = point.shape
-    horiz, vert = _grid_arrows(shape)
     bases = {v: sorted(assign.get(v, frozenset())) for v in assign}
     g = {
         (i, j): Matrix(QQ, [[QQ.one if t == r else QQ.zero for t in basis] for r in range(1, i + 1)])
         for (i, j), basis in bases.items()
     }
     n_mats = {}
-    for (s, t) in horiz + vert:
+    for (s, t) in _grid_arrows(point.shape):
         if not (_edim(e, s) and _edim(e, t)):
             continue
-        i = s[0]
-        if t[1] == s[1] + 1:  # horizontal: the stored map cut to row i
-            ambient = principal_block(point.maps[s[1] - 1], i)
-        else:  # vertical: the coordinate inclusion
-            ambient = _inclusion(i)
+        ambient = _arrow_map(point, s, t)
         n_mats[(s, t)] = Matrix(
             QQ, [[ambient.entry(dst, src) for src in bases[s]] for dst in bases[t]]
         )
     return n_mats, g
 
 
-def _inclusion(i):
-    """The coordinate inclusion F^i -> F^(i+1)."""
-    return Matrix(QQ, [[QQ.one if c == r else QQ.zero for c in range(i)] for r in range(i + 1)])
-
-
-def _hom_residuals(point, e, n_mats, g):
-    """Flattened defining equations of the Hom scheme at (N, g)."""
-    shape = point.shape
-    horiz, vert = _grid_arrows(shape)
-    out = []
-    for (s, t) in horiz + vert:
-        i, j = s
-        es = _edim(e, s)
-        if es == 0:
-            continue
-        et = _edim(e, t)
-        if t[1] == j + 1:
-            big = principal_block(point.maps[j - 1], i)
-        else:
-            big = _inclusion(i)
-        lhs = big @ g[s]
-        rhs = g[t] @ n_mats[(s, t)] if et else Matrix.zeros(QQ, big.rows, es)
-        for lrow, rrow in zip(lhs.data, rhs.data):
-            out.extend(x - y for x, y in zip(lrow, rrow))
-    return out
-
-
-def _comm_residuals(shape, e, n_mats):
-    """Flattened commutativity relations of the representation variety."""
-    out = []
-    for (i, j) in _squares(shape):
-        es, et = _edim(e, (i, j)), _edim(e, (i + 1, j + 1))
-        if not (es and et):
-            continue
-        mid_r, mid_d = _edim(e, (i, j + 1)), _edim(e, (i + 1, j))
-        zero = Matrix.zeros(QQ, et, es)
-        right_down = (
-            n_mats[((i, j + 1), (i + 1, j + 1))] @ n_mats[((i, j), (i, j + 1))] if mid_r else zero
-        )
-        down_right = (
-            n_mats[((i + 1, j), (i + 1, j + 1))] @ n_mats[((i, j), (i + 1, j))] if mid_d else zero
-        )
-        for lrow, rrow in zip(right_down.data, down_right.data):
-            out.extend(x - y for x, y in zip(lrow, rrow))
-    return out
-
-
-def _variables(shape, e):
-    horiz, vert = _grid_arrows(shape)
-    vars_ = []
-    for (s, t) in horiz + vert:
-        es, et = _edim(e, s), _edim(e, t)
-        if es and et:
-            vars_.extend((("N", (s, t), r, c)) for r in range(et) for c in range(es))
-    for i in range(1, shape.size + 1):
-        for j in range(1, shape.n + 1):
-            k = e[i - 1][j - 1]
-            if k:
-                vars_.extend((("g", (i, j), r, c)) for r in range(i) for c in range(k))
-    return vars_
-
-
-def _jacobian_ranks(point, e, n_mats, g):
-    """Rank of the stacked [hom; commutativity] Jacobian and of the
-    commutativity Jacobian alone, exactly over Q at the given point.
-
-    The equations are multilinear in each scalar variable, so a unit
-    perturbation gives the exact partial derivative column.
-    """
-    shape = point.shape
-    base_h = _hom_residuals(point, e, n_mats, g)
-    base_c = _comm_residuals(shape, e, n_mats)
-    assert all(x == 0 for x in base_h) and all(x == 0 for x in base_c)
-    cols_h, cols_c = [], []
-    for kind, key, r, c in _variables(shape, e):
-        store = n_mats if kind == "N" else g
-        base = store[key]
-        bumped = [list(row) for row in base.data]
-        bumped[r][c] += 1
-        store[key] = Matrix(QQ, bumped)
-        cols_h.append(_hom_residuals(point, e, n_mats, g))
-        cols_c.append(_comm_residuals(shape, e, n_mats))
-        store[key] = base
-    nh, nc = len(base_h), len(base_c)
-    if not cols_h:
-        return 0, 0
-    stacked = [
-        [cols_h[v][r] for v in range(len(cols_h))] for r in range(nh)
-    ] + [
-        [cols_c[v][r] for v in range(len(cols_c))] for r in range(nc)
-    ]
-    comm_only = [[cols_c[v][r] for v in range(len(cols_c))] for r in range(nc)]
-    rank_stacked = rank(Matrix(QQ, stacked)) if stacked else 0
-    rank_comm = rank(Matrix(QQ, comm_only)) if comm_only else 0
-    return rank_stacked, rank_comm
+def _values(keys, n_mats, g):
+    """The point (N, g) as the vector x of the unknowns with these keys."""
+    mats = {**n_mats, **g}
+    return [mats[key].data[r][c] for key, r, c in keys]
 
 
 def _random_unimodular(size, rng):
@@ -583,14 +552,18 @@ def _translate_point(shape, e, n_mats, g, rng):
     return new_n, new_g
 
 
-def hom_report(w, point, qs=DEFAULT_QS, seed=0, budget=DEFAULT_BUDGET, samples=5):
+def hom_report(w, point, qs=DEFAULT_QS, seed=0, budget=DEFAULT_BUDGET):
     """Complete-intersection audit of the Hom scheme for (w, point).
 
     All reported quantities are orbit invariants, so the audit runs on the
     canonical representative of the point's orbit, where coordinate
-    subrepresentations provide exact rational points of the scheme.
+    subrepresentations provide exact rational points of the scheme.  The
+    representation variety is counted first, so a run whose q^nvars exceeds
+    the budget is refused before the fibre is counted.
 
     Raises:
+        InfeasibleSize: q^nvars exceeds the budget for some q (see
+            :func:`rep_variety_count`), or the fibre's counts exceed it.
         NoPointFound: the canonical point has no coordinate
             subrepresentation, so there is no exact point to start from.
     """
@@ -606,29 +579,32 @@ def hom_report(w, point, qs=DEFAULT_QS, seed=0, budget=DEFAULT_BUDGET, samples=5
     )
     if all(x == 0 for row in e for x in row):
         return HomReport(0, 0, 0, 0, 0, 0, 0, True, ())
-    est_gr = estimate_dim(canon, e, qs, budget)
     re_counts = tuple((q, rep_variety_count(shape, e, q, budget)) for q in qs)
-    nvars = sum(
-        _edim(e, s) * _edim(e, t)
-        for pair in _grid_arrows(shape)
-        for (s, t) in pair
-    )
-    est_re = fit_dimension(re_counts, nvars)
+    est_gr = estimate_dim(canon, e, qs, budget)
+    arrows, frames = _unknowns(shape, e)
+    est_re = fit_dimension(re_counts, len(arrows))
     dim_hom0 = est_gr.degree + dim_g
     dim_v = est_re.degree + total_e
     codim = dim_v - dim_hom0
     base_points = _coordinate_subreps(canon, e)
     if not base_points:
         raise NoPointFound("no coordinate subrepresentation of the canonical point")
+    keys = arrows + frames
+    index = {key: pos for pos, key in enumerate(keys)}
+    hom = _hom_conditions(canon, e, index)
+    equations = hom + _square_relations(shape, e, index)
     rng = random.Random(seed)
     ranks = []
-    for idx in range(max(samples, len(base_points))):
+    for idx in range(max(SAMPLES, len(base_points))):
         assign = base_points[idx % len(base_points)]
         n_mats, g = _hom_point_from_subrep(canon, e, assign)
         if idx >= len(base_points):
             n_mats, g = _translate_point(shape, e, n_mats, g, rng)
-        stacked, comm = _jacobian_ranks(canon, e, n_mats, g)
-        ranks.append(stacked - comm)
+        x = _values(keys, n_mats, g)
+        assert not any(_residuals(equations, x))
+        jac = _jacobian(equations, x)
+        # independent equations beyond the square relations
+        ranks.append(rank(Matrix(QQ, jac)) - rank(Matrix(QQ, jac[len(hom):])))
     indep = max(ranks)
     return HomReport(
         dim_g,

@@ -94,12 +94,14 @@ def _poly_mul_mod(a, b, mod_poly, p):
 
 
 def _find_irreducible(p, k):
-    """Smallest monic irreducible polynomial of degree k over F_p, found by
-    checking that x^(p^k) = x and x^(p^(k/l)) != x for proper prime divisors l."""
-    # Irreducibility test by brute force over the few candidates we need
-    # (q <= a few hundred): a degree-k poly is irreducible iff it has no
-    # root chain, i.e. no factor of smaller degree; test by trial division
-    # against all monic polynomials of degree 1..k//2.
+    """Smallest monic irreducible polynomial of degree k over F_p.
+
+    Candidates are tried in the order of their base-p codes, low
+    coefficients first; the first one that no monic polynomial of degree
+    1..k//2 divides is irreducible, since a reducible polynomial of degree
+    k has a factor of degree at most k/2.  Trial division is cheap for the
+    small q this module serves.
+    """
     def polys(deg):
         # all monic polynomials of given degree, low coefficients first
         span = p ** deg

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations, product
 
 import pytest
@@ -366,3 +367,59 @@ class TestHomReport:
         assert rep.dim_Hom0 == rep.dim_Gr + rep.dim_G
         assert rep.codim == rep.dim_V - rep.dim_Hom0
         assert rep.lci == (rep.indep_eqs == rep.codim)
+
+    def test_refuses_rep_variety_before_counting_the_fibre(self, monkeypatch):
+        from gridorbits import degeneration_lab
+
+        def fibre_count(*args, **kwargs):
+            raise AssertionError("the fibre was counted before the budget refusal")
+
+        monkeypatch.setattr(degeneration_lab, "subrep_count", fibre_count)
+        with pytest.raises(InfeasibleSize, match=r"q\^32 candidate points"):
+            hom_report((2, 3, 4, 1), identity_tuple(GridShape(3)))
+
+    @pytest.mark.parametrize("w", [(2, 3, 1), (3, 1, 2), (3, 2, 1), (2, 1, 3), (1, 2, 3)])
+    def test_jacobian_is_the_derivative(self, shape2, w):
+        # every equation is affine in each single unknown, so a unit step
+        # changes the residuals by exactly the Jacobian's column
+        from gridorbits import assemble_canonical, decompose, enumerate_orbits
+        from gridorbits.degeneration_lab import (
+            _coordinate_subreps,
+            _hom_conditions,
+            _hom_point_from_subrep,
+            _jacobian,
+            _residuals,
+            _square_relations,
+            _translate_point,
+            _unknowns,
+            _values,
+        )
+
+        e = target_dims(w)
+        decs = enumerate_orbits(shape2)
+        points = [decompose(identity_tuple(shape2)), decompose(zero_tuple(shape2))]
+        points += [decs[k - 1] for k in (3, 7, 11)]
+        checked = 0
+        for dec in points:
+            canon = assemble_canonical(dec)
+            arrows, frames = _unknowns(shape2, e)
+            keys = arrows + frames
+            index = {key: pos for pos, key in enumerate(keys)}
+            equations = _hom_conditions(canon, e, index) + _square_relations(shape2, e, index)
+            rng = random.Random(0)
+            for assign in _coordinate_subreps(canon, e):
+                n_mats, g = _hom_point_from_subrep(canon, e, assign)
+                for x in (
+                    _values(keys, n_mats, g),
+                    _values(keys, *_translate_point(shape2, e, n_mats, g, rng)),
+                ):
+                    base = _residuals(equations, x)
+                    assert not any(base)
+                    jac = _jacobian(equations, x)
+                    for v in range(len(x)):
+                        step = list(x)
+                        step[v] += 1
+                        diff = [s - b for s, b in zip(_residuals(equations, step), base)]
+                        assert diff == [row[v] for row in jac]
+                    checked += 1
+        assert checked

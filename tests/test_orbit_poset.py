@@ -3,6 +3,7 @@ import re
 import pytest
 
 from gridorbits import (
+    GridShape,
     OrbitPoset,
     assemble_canonical,
     bell,
@@ -44,8 +45,9 @@ class TestBell:
 
 class TestEnumeration:
     def test_matchings_counted_by_bell(self):
-        assert len(order_matchings(3)) == bell(4)
-        assert len(order_matchings(4)) == bell(5)
+        # count_report's closed form rests on this at every size
+        for size in (3, 4, 5, 6):
+            assert len(order_matchings(size)) == bell(size + 1)
 
     def test_census_small(self, shape2):
         assert len(enumerate_orbits(shape2)) == 15
@@ -99,6 +101,16 @@ class TestCountReport:
             assert sw_array(make_point(shape2, maps)) == arr
         canonical = {sw_array(assemble_canonical(dec)) for dec in enumerate_orbits(shape2)}
         assert set(census) == canonical
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_closed_form_counts_the_enumeration(self, n):
+        shape = GridShape(n)
+        assert count_report(shape).enumerated == len(enumerate_orbits(shape))
+
+    def test_closed_form_past_enumeration(self):
+        # 203^3 decompositions at n = 4: counted, never enumerated
+        rep = count_report(GridShape(4))
+        assert (rep.enumerated, rep.f2_distinct, rep.paper_formula) == (8365427, None, 609)
 
     def test_formula_value(self, shape3):
         assert count_report(shape3).paper_formula == 2 * bell(5) == 104

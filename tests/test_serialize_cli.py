@@ -165,6 +165,22 @@ class TestCli:
         assert lines[0] == "id,decomposition,rank_vector,sw_array_hash"
         assert len(lines) == 16
 
+    def test_orbit_records_compute_one_array_per_orbit(self, monkeypatch):
+        from gridorbits import GridShape, parametrizations
+        from gridorbits.cli import _orbit_records
+
+        original = parametrizations.sw_array
+        calls = []
+
+        def counted(point):
+            calls.append(point)
+            return original(point)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "gridorbits" and getattr(module, "sw_array", None) is original:
+                monkeypatch.setattr(module, "sw_array", counted)
+        assert len(_orbit_records(GridShape(2))) == len(calls) == 15
+
     def test_poset_dot(self):
         code, out, _ = run_cli("poset", "--n", "2", "--format", "dot")
         assert code == 0
