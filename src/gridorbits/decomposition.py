@@ -8,7 +8,8 @@ south-west ranks and the rank vector is a reindexing of the south-west
 array: it is an orbit invariant, complete for n = 2 and not for n >= 3 (see
 :mod:`gridorbits.parametrizations`).  Points are decomposed into thin
 indecomposables by reducing each map to partial permutation form; the
-result is accepted only if its canonical point has the same rank vector.
+result is accepted only if its canonical point has the same south-west
+array.
 """
 
 from __future__ import annotations
@@ -159,11 +160,10 @@ def _pivot_pairs(mat, size):
     """Matched height pairs (a, b) read off a canonical partial permutation
     matrix: a 1 in row r, column c links height a = size+1-c of the left
     column to height b = size+1-r of the right one."""
-    one = mat.field.one
     pairs = {}
-    for r in range(1, size + 1):
-        for c in range(1, size + 1):
-            if mat.entry(r, c) == one:
+    for r, row in enumerate(mat.data, start=1):
+        for c, x in enumerate(row, start=1):
+            if x:
                 pairs[size + 1 - c] = size + 1 - r
     return pairs
 
@@ -174,7 +174,8 @@ def decompose(point):
     Each map is reduced to canonical form on its own; the per-pair height
     matchings read off the reductions chain into summands.  Reassembly
     verifies the result: the canonical point of the decomposition must have
-    the point's rank vector.
+    the point's south-west array, which decides the same as comparing rank
+    vectors, an injective reindexing of the arrays.
 
     Raises:
         SolveFailure: no multiset of thin summands reproduces the point's
@@ -184,7 +185,7 @@ def decompose(point):
     shape = point.shape
     matchings = [_pivot_pairs(b_reduce(m), shape.size) for m in point.maps]
     dec = matchings_to_decomposition(shape, matchings)
-    if not same_rank_vector(rank_vector(assemble_canonical(dec)), rank_vector(point)):
+    if sw_array(assemble_canonical(dec)) != sw_array(point):
         raise SolveFailure(
             "no multiset of thin summands reproduces the rank vector: the "
             "point's maps cannot be reduced to partial permutation form "

@@ -27,7 +27,7 @@ from itertools import combinations, product
 from .decomposition import decompose
 from .exact_linalg import Matrix, inverse, principal_block, rank
 from .fields import GF, QQ, is_prime_power
-from .grid_quiver import GridQuiverError, GridShape, assemble_canonical
+from .grid_quiver import GridQuiverError, GridShape, InfeasibleSize, assemble_canonical
 from .orbit_poset import enumerate_orbits
 from .parametrizations import array_leq, sw_array
 from .schubert import check_permutation, length, target_dims
@@ -35,10 +35,6 @@ from .subspaces import column_chains, in_span
 
 DEFAULT_QS = (2, 3, 4, 5, 7, 8, 9)
 DEFAULT_BUDGET = 10 ** 9
-
-
-class InfeasibleSize(GridQuiverError):
-    """Enumeration would exceed the configured budget."""
 
 
 class FitFailure(GridQuiverError):

@@ -5,6 +5,10 @@ in one of the fields from :mod:`gridorbits.fields`.  Ranks are computed by
 exact Gaussian elimination; reduction to partial permutation canonical form
 uses only invertible upper-triangular row/column operations, so all
 south-west ranks are preserved.
+
+Zero tests are truthiness tests: ``Fraction(0)`` and the GF(q) element
+``0`` are both falsy and every other element is truthy, so ``if x:`` decides
+``x != field.zero`` without a call to ``Fraction.__eq__``.
 """
 
 from __future__ import annotations
@@ -66,18 +70,20 @@ class Matrix:
         if self.cols != other.rows:
             raise ValueError(f"size mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        bt = list(zip(*other.data))
+        add, mul = f.add, f.mul
+        # each output entry sums its products in increasing inner index, as
+        # the row-by-column definition does, so results are identical
+        other_rows = [
+            [(j, b) for j, b in enumerate(brow) if b] for brow in other.data
+        ]
         out = []
         for row in self.data:
-            out_row = []
-            for col in bt:
-                acc = zero
-                for a, b in zip(row, col):
-                    if a != zero and b != zero:
-                        acc = add(acc, mul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
+            acc = [f.zero] * other.cols
+            for a, brow in zip(row, other_rows):
+                if a:
+                    for j, b in brow:
+                        acc[j] = add(acc[j], mul(a, b))
+            out.append(acc)
         return Matrix(f, out)
 
     def entry(self, i, j):
@@ -92,29 +98,33 @@ class Matrix:
 
 
 def is_upper_triangular(m):
-    zero = m.field.zero
-    return all(
-        m.data[i][j] == zero for i in range(m.rows) for j in range(min(i, m.cols))
+    return not any(
+        m.data[i][j] for i in range(m.rows) for j in range(min(i, m.cols))
     )
 
 
 def rank(m):
     """Rank over the matrix's field, by exact Gaussian elimination."""
     f = m.field
-    zero = f.zero
+    sub, mul = f.sub, f.mul
     a = [list(row) for row in m.data]
     nrows, ncols = m.rows, m.cols
     r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c] != zero), None)
+        piv = next((i for i in range(r, nrows) if a[i][c]), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
         inv_p = f.inv(a[r][c])
+        # columns up to c are never read again, so only the pivot row's
+        # nonzero trailing entries enter the row operations
+        tail = [(j, y) for j, y in enumerate(a[r][c + 1:], start=c + 1) if y]
         for i in range(r + 1, nrows):
-            if a[i][c] != zero:
-                coef = f.mul(a[i][c], inv_p)
-                a[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(a[i], a[r])]
+            row = a[i]
+            if row[c]:
+                coef = mul(row[c], inv_p)
+                for j, y in tail:
+                    row[j] = sub(row[j], mul(coef, y))
         r += 1
         if r == nrows:
             break
@@ -170,43 +180,53 @@ def b_reduce(m):
     """Canonical partial permutation representative of the B x B orbit.
 
     Sweeps right with invertible upper-triangular column operations and
-    upwards with invertible upper-triangular row operations, normalising
-    pivots to 1.  The result is the unique upper-triangular 0/1 matrix with
-    at most one 1 per row and column that has the same south-west rank
-    table as the input.
+    upwards with invertible upper-triangular row operations, scaling each
+    pivot row so that its pivot is 1.  The result is the unique
+    upper-triangular 0/1 matrix with at most one 1 per row and column that
+    has the same south-west rank table as the input.
+
+    Column c takes the bottom-most nonzero entry outside the earlier pivot
+    rows as its pivot.  The sweep relies on two facts:
+
+    - Once processed, a pivot column (r0, c0) is the unit vector e_r0 for
+      the rest of the sweep: everything below its pivot is zero, everything
+      above was cleared, and later row operations add rows that are zero in
+      column c0.  So the column operation that clears a later entry of row
+      r0 only sets that entry to zero; the row drops out of the sweep.
+    - A pivot row is zero left of its pivot, since every earlier column is
+      either a unit vector of another row or entirely zero.  So the upward
+      row operations touch only the columns right of the pivot.
+
+    Only the pivot positions reach the result, which is built from them.
     """
     if not is_upper_triangular(m):
         raise ValueError("b_reduce expects an upper-triangular matrix")
     f = m.field
-    zero, one = f.zero, f.one
+    sub, mul = f.sub, f.mul
     n = m.rows
     a = [list(row) for row in m.data]
-    pivot_row_of_col = {}
-    pivot_rows = set()
+    free = list(range(n))  # rows without a pivot, in increasing order
+    pivots = []
     for c in range(n):
-        # entries in already-pivoted rows are cleared by adding the earlier
-        # pivot column (a column operation sweeping to the right)
-        for c0, r0 in pivot_row_of_col.items():
-            coef = a[r0][c]
-            if coef != zero:
-                for r in range(n):
-                    a[r][c] = f.sub(a[r][c], f.mul(coef, a[r][c0]))
-        # bottom-most remaining nonzero becomes the pivot of this column
-        r = next((x for x in range(n - 1, -1, -1) if a[x][c] != zero and x not in pivot_rows), None)
+        r = next((x for x in reversed(free) if a[x][c]), None)
         if r is None:
             continue
+        free.remove(r)
+        pivots.append((r, c))
         inv_p = f.inv(a[r][c])
-        if a[r][c] != one:
-            for x in range(n):
-                a[x][c] = f.mul(a[x][c], inv_p)
+        tail = [(j, mul(y, inv_p)) for j, y in enumerate(a[r][c + 1:], start=c + 1) if y]
         # sweep upwards: clear the column above the pivot with row operations
-        for rr in range(r):
+        # (free rows below the pivot are already zero in column c)
+        for rr in free:
             coef = a[rr][c]
-            if coef != zero:
-                a[rr] = [f.sub(x, f.mul(coef, y)) for x, y in zip(a[rr], a[r])]
-        pivot_row_of_col[c] = r
-        pivot_rows.add(r)
-    return Matrix(f, a)
+            if coef:
+                row = a[rr]
+                for j, y in tail:
+                    row[j] = sub(row[j], mul(coef, y))
+    out = [[f.zero] * n for _ in range(n)]
+    for r, c in pivots:
+        out[r][c] = f.one
+    return Matrix(f, out)
 
 
 def inverse_upper_triangular(m):
@@ -214,7 +234,7 @@ def inverse_upper_triangular(m):
     f = m.field
     zero = f.zero
     n = m.rows
-    if any(m.data[i][i] == zero for i in range(n)):
+    if not all(m.data[i][i] for i in range(n)):
         raise ValueError("matrix is singular")
     inv = [[zero] * n for _ in range(n)]
     for col in range(n):
@@ -240,7 +260,7 @@ def inverse(m):
         raise ValueError(f"inverse of a non-square {m.rows}x{m.cols} matrix")
     aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(m.data)]
     for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c] != zero), None)
+        piv = next((r for r in range(c, n) if aug[r][c]), None)
         if piv is None:
             raise ValueError("matrix is singular")
         aug[c], aug[piv] = aug[piv], aug[c]
@@ -248,7 +268,7 @@ def inverse(m):
         aug[c] = [f.mul(x, inv_p) for x in aug[c]]
         for r in range(n):
             coef = aug[r][c]
-            if r != c and coef != zero:
+            if r != c and coef:
                 aug[r] = [f.sub(x, f.mul(coef, y)) for x, y in zip(aug[r], aug[c])]
     return Matrix(f, [row[n:] for row in aug])
 
@@ -272,14 +292,14 @@ def solve_unique(columns, target, field=QQ):
     r = 0
     pivots = []
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c] != zero), None)
+        piv = next((i for i in range(r, nrows) if aug[i][c]), None)
         if piv is None:
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
         inv_p = f.inv(aug[r][c])
         aug[r] = [f.mul(x, inv_p) for x in aug[r]]
         for i in range(nrows):
-            if i != r and aug[i][c] != zero:
+            if i != r and aug[i][c]:
                 coef = aug[i][c]
                 aug[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(aug[i], aug[r])]
         pivots.append(c)
@@ -287,7 +307,7 @@ def solve_unique(columns, target, field=QQ):
     if r < ncols:
         raise ValueError("system is rank-deficient: solution not unique")
     # every column is a pivot, so all coefficient entries below row r vanish
-    if any(row[-1] != zero for row in aug[r:]):
+    if any(row[-1] for row in aug[r:]):
         raise ValueError("system is inconsistent")
     x = [zero] * ncols
     for row_idx, c in enumerate(pivots):

@@ -13,17 +13,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_linalg import (
-    Matrix,
-    compose_window,
-    inverse_upper_triangular,
-    is_upper_triangular,
-)
+from .exact_linalg import Matrix, inverse_upper_triangular, is_upper_triangular
 from .fields import QQ
 
 
 class GridQuiverError(Exception):
     """Base class for domain errors raised by this package."""
+
+
+class InfeasibleSize(GridQuiverError):
+    """A run refused before it starts: its enumeration would exceed the
+    configured budget or a fixed size limit."""
 
 
 class TriangularityViolation(GridQuiverError):
@@ -155,10 +155,9 @@ def make_point(shape, mats):
     for idx, m in enumerate(mats, start=1):
         if m.rows != shape.size or m.cols != shape.size:
             raise SizeMismatch(f"map {idx} is {m.rows}x{m.cols}, expected size {shape.size}")
-        zero = m.field.zero
         for i in range(m.rows):
             for j in range(i):
-                if m.data[i][j] != zero:
+                if m.data[i][j]:
                     raise TriangularityViolation(idx, (i + 1, j + 1))
     return MapTuple(shape, tuple(mats))
 
@@ -179,11 +178,18 @@ WINDOW_PRODUCTS_CACHE_SIZE = 64
 
 @lru_cache(maxsize=WINDOW_PRODUCTS_CACHE_SIZE)
 def window_products(point):
-    """All window compositions of a point, keyed by 1-based (j1, j2)."""
+    """All window compositions of a point, keyed by 1-based (j1, j2).
+
+    Each window extends the one before it by one map, in the association
+    :func:`~gridorbits.exact_linalg.compose_window` uses, so one product
+    per window of two or more maps gives the same matrices.
+    """
+    maps = point.maps
     prods = {}
-    for j1 in range(1, point.shape.num_maps + 1):
-        for j2 in range(j1, point.shape.num_maps + 1):
-            prods[(j1, j2)] = compose_window(list(point.maps), j1, j2)
+    for j1 in range(1, len(maps) + 1):
+        prods[(j1, j1)] = maps[j1 - 1]
+        for j2 in range(j1 + 1, len(maps) + 1):
+            prods[(j1, j2)] = maps[j2 - 1] @ prods[(j1, j2 - 1)]
     return prods
 
 

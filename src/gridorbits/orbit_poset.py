@@ -21,6 +21,7 @@ from .exact_linalg import Matrix
 from .fields import GF
 from .grid_quiver import (
     Decomposition,
+    InfeasibleSize,
     assemble_canonical,
     matchings_to_decomposition,
     windows,
@@ -207,9 +208,19 @@ def build_poset(shape):
     """Degeneration poset of all decomposable orbits: nodes carry the
     decomposition, the canonical representative and its array; edges are
     the covering pairs of the componentwise array order (transitive
-    reduction)."""
-    if shape.n > 4:
-        raise ValueError("poset construction is limited to n <= 4")
+    reduction).
+
+    Raises:
+        InfeasibleSize: n >= 4, refused before anything is enumerated.  The
+            order is a dense node x node matrix, and n = 4 already has
+            b_6^3 = 8,365,427 nodes.
+    """
+    if shape.n >= 4:
+        nodes = bell(shape.size + 1) ** shape.num_maps
+        raise InfeasibleSize(
+            f"poset of n = {shape.n} has {nodes} orbit nodes; "
+            "poset construction is limited to n <= 3"
+        )
     decs = enumerate_orbits(shape)
     nodes = []
     flats = []

@@ -79,14 +79,14 @@ def sw_table(mat):
     gives the whole table.
     """
     size = mat.rows
-    zero = mat.field.zero
     rows = b_reduce(mat).data
     below = [0] * (size + 1)  # below[q]: 1s in rows p..size, columns 1..q
     table = [None] * size
     for p in range(size, 0, -1):
         seen = 0  # 1s in row p, columns 1..q
-        for q in range(1, size + 1):
-            seen += rows[p - 1][q - 1] != zero
+        for q, x in enumerate(rows[p - 1], start=1):
+            if x:
+                seen += 1
             below[q] += seen
         table[p - 1] = tuple(below[p:])
     return tuple(table)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gridorbits import (
     GF,
     QQ,
+    GaloisField,
     Matrix,
     b_reduce,
     compose_window,
@@ -26,6 +27,118 @@ from gridorbits.parametrizations import sw_table
 from conftest import random_ut
 
 DIAG011 = Matrix.from_int_rows([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def reference_rank(m):
+    """Gaussian elimination whose row operations run over every column: the
+    definition the pivot-only :func:`rank` must agree with."""
+    f = m.field
+    zero = f.zero
+    a = [list(row) for row in m.data]
+    nrows, ncols = m.rows, m.cols
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if a[i][c] != zero), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv_p = f.inv(a[r][c])
+        for i in range(r + 1, nrows):
+            if a[i][c] != zero:
+                coef = f.mul(a[i][c], inv_p)
+                a[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def reference_b_reduce(m):
+    """The full two-sided sweep: every column operation updates the whole
+    column, pivots are normalised by scaling their column, and every row
+    operation runs over the whole row.  The pivot-only :func:`b_reduce`
+    must return the same matrix."""
+    f = m.field
+    zero, one = f.zero, f.one
+    n = m.rows
+    a = [list(row) for row in m.data]
+    pivot_row_of_col = {}
+    pivot_rows = set()
+    for c in range(n):
+        for c0, r0 in pivot_row_of_col.items():
+            coef = a[r0][c]
+            if coef != zero:
+                for r in range(n):
+                    a[r][c] = f.sub(a[r][c], f.mul(coef, a[r][c0]))
+        r = next((x for x in range(n - 1, -1, -1) if a[x][c] != zero and x not in pivot_rows), None)
+        if r is None:
+            continue
+        inv_p = f.inv(a[r][c])
+        if a[r][c] != one:
+            for x in range(n):
+                a[x][c] = f.mul(a[x][c], inv_p)
+        for rr in range(r):
+            coef = a[rr][c]
+            if coef != zero:
+                a[rr] = [f.sub(x, f.mul(coef, y)) for x, y in zip(a[rr], a[r])]
+        pivot_row_of_col[c] = r
+        pivot_rows.add(r)
+    return Matrix(f, a)
+
+
+def reference_matmul(a, b):
+    """Row-by-column product, each entry summed in increasing inner index."""
+    f = a.field
+    out = [[f.zero] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for k in range(a.cols):
+                x, y = a.data[i][k], b.data[k][j]
+                if x != f.zero and y != f.zero:
+                    out[i][j] = f.add(out[i][j], f.mul(x, y))
+    return Matrix(f, out)
+
+
+# (id, field, entry drawer); QQ is drawn both as plain ints and as Fractions
+KERNEL_FIELDS = [
+    ("QQ-int", QQ, lambda rng: rng.randint(-3, 3)),
+    ("QQ-fraction", QQ, lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 3))),
+    ("GF2", GF(2), lambda rng: rng.randrange(2)),
+    ("GF3", GF(3), lambda rng: rng.randrange(3)),
+    ("GF4", GF(4), lambda rng: rng.randrange(4)),
+    ("GF9", GF(9), lambda rng: rng.randrange(9)),
+]
+
+
+def _draw_ut(field, draw, size, rng, density):
+    return Matrix(field, [
+        [draw(rng) if j >= i and rng.random() < density else field.zero for j in range(size)]
+        for i in range(size)
+    ])
+
+
+def _invertible_ut(field, draw, size, rng):
+    rows = [[field.zero] * size for _ in range(size)]
+    for i in range(size):
+        while not rows[i][i]:
+            rows[i][i] = draw(rng)
+        for j in range(i + 1, size):
+            rows[i][j] = draw(rng)
+    return Matrix(field, rows)
+
+
+def _partial_permutation(field, size, rng):
+    """A random upper-triangular 0/1 matrix with at most one 1 per row and
+    column."""
+    rows = [[field.zero] * size for _ in range(size)]
+    free_rows = list(range(size))
+    for c in rng.sample(range(size), rng.randint(0, size)):
+        choices = [r for r in free_rows if r <= c]
+        if choices:
+            r = rng.choice(choices)
+            free_rows.remove(r)
+            rows[r][c] = field.one
+    return Matrix(field, rows)
 
 
 def minor_rank_oracle(rows, p):
@@ -217,6 +330,89 @@ class TestBReduce:
             reduced = b_reduce(m)
             assert sw_table(reduced) == sw_table(m)
             assert all(x in (0, 1) for row in reduced.data for x in row)
+
+
+@pytest.mark.parametrize("field,draw", [f[1:] for f in KERNEL_FIELDS],
+                         ids=[f[0] for f in KERNEL_FIELDS])
+class TestPivotOnlyKernels:
+    """The pivot-only kernels against the full sweeps they replaced."""
+
+    def test_random_upper_triangular(self, field, draw):
+        rng = random.Random(f"ut:{field}")
+        for size in range(1, 8):
+            for density in (0.3, 0.6, 1.0):
+                for _ in range(6):
+                    m = _draw_ut(field, draw, size, rng, density)
+                    assert b_reduce(m) == reference_b_reduce(m)
+                    assert rank(m) == reference_rank(m)
+
+    def test_borel_conjugates_of_partial_permutations(self, field, draw):
+        # a partial permutation is its orbit's canonical form, so both
+        # sweeps must give it back from any two-sided Borel conjugate
+        rng = random.Random(f"borel:{field}")
+        for size in range(1, 8):
+            for _ in range(8):
+                perm = _partial_permutation(field, size, rng)
+                m = _invertible_ut(field, draw, size, rng) @ perm @ _invertible_ut(
+                    field, draw, size, rng
+                )
+                assert b_reduce(m) == reference_b_reduce(m) == perm
+                ones = sum(1 for row in perm.data for x in row if x)
+                assert rank(m) == reference_rank(m) == ones
+
+    def test_rank_deficient(self, field, draw):
+        # products through a k-dimensional middle space have rank <= k, and
+        # rank takes any shape, not only upper-triangular squares
+        rng = random.Random(f"deficient:{field}")
+        for rows in range(1, 8):
+            for cols in range(1, 8):
+                k = rng.randint(0, min(rows, cols) - 1)
+                left = Matrix(field, [[draw(rng) for _ in range(k)] for _ in range(rows)])
+                right = Matrix(field, [[draw(rng) for _ in range(cols)] for _ in range(k)])
+                m = left @ right if k else Matrix.zeros(field, rows, cols)
+                assert rank(m) == reference_rank(m) <= k
+        for size in range(2, 8):
+            for _ in range(6):
+                m = _draw_ut(field, draw, size, rng, 0.7)
+                rows = [list(row) for row in m.data]
+                rows[rng.randrange(size)] = [field.zero] * size
+                m = Matrix(field, rows)
+                assert b_reduce(m) == reference_b_reduce(m)
+                assert rank(m) == reference_rank(m) < size
+
+    def test_matmul_against_row_by_column(self, field, draw):
+        rng = random.Random(f"matmul:{field}")
+        for size in range(1, 8):
+            for density in (0.3, 1.0):
+                a = _draw_ut(field, draw, size, rng, density)
+                b = Matrix(field, [[draw(rng) for _ in range(size)] for _ in range(size)])
+                assert a @ b == reference_matmul(a, b)
+                assert b @ a == reference_matmul(b, a)
+
+
+class CountingGF5(GaloisField):
+    """GF(5) that counts its multiplications."""
+
+    def __init__(self):
+        super().__init__(5)
+        self.muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return super().mul(a, b)
+
+
+def test_b_reduce_skips_work_that_cannot_move_a_pivot():
+    # a deterministic operation count, not a timing: the pivot-only sweep
+    # must stay well below the full sweep on a dense matrix
+    field = CountingGF5()
+    rows = [[(i * j + i + 2 * j) % 4 + 1 if j >= i else 0 for j in range(7)] for i in range(7)]
+    m = Matrix(field, rows)
+    expected = reference_b_reduce(m)
+    full = field.muls
+    field.muls = 0
+    assert b_reduce(m) == expected
+    assert 0 < field.muls < full / 2
 
 
 class TestHelpers:

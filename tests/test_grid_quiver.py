@@ -1,8 +1,11 @@
+import random
+
 import pytest
 
 from gridorbits import (
     Decomposition,
     EmptySupport,
+    GridShape,
     HeightOutOfRange,
     InvalidDecomposition,
     Matrix,
@@ -13,18 +16,20 @@ from gridorbits import (
     TriangularityViolation,
     assemble_canonical,
     borel_act,
+    compose_window,
     dims_of_heights,
     enumerate_indecomposables,
     identity_tuple,
     is_upper_triangular,
     make_point,
     validate_heights,
+    windows,
     zero_tuple,
 )
 from gridorbits.grid_quiver import WINDOW_PRODUCTS_CACHE_SIZE, window_products
 from gridorbits.orbit_poset import enumerate_orbits
 
-from conftest import DECOMP_N3, PAIR_N3
+from conftest import DECOMP_N3, PAIR_N3, random_point
 
 
 class TestMakePoint:
@@ -158,6 +163,17 @@ class TestBorelAct:
 
 
 class TestWindowProducts:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_products_match_compose_window(self, n):
+        rng = random.Random(n)
+        shape = GridShape(n)
+        for _ in range(3):
+            pt = random_point(shape, rng)
+            prods = window_products(pt)
+            assert list(prods) == windows(shape)
+            for (j1, j2), prod in prods.items():
+                assert prod == compose_window(list(pt.maps), j1, j2)
+
     def test_cache_is_bounded(self, shape3):
         decs = enumerate_orbits(shape3)[: 2 * WINDOW_PRODUCTS_CACHE_SIZE]
         for dec in decs:

@@ -4,6 +4,7 @@ import pytest
 
 from gridorbits import (
     GridShape,
+    InfeasibleSize,
     OrbitPoset,
     assemble_canonical,
     bell,
@@ -19,6 +20,9 @@ from gridorbits import (
     rank_vector,
     sw_array,
 )
+
+import gridorbits.degeneration_lab as degeneration_lab
+import gridorbits.orbit_poset as orbit_poset
 
 from conftest import CANONICAL_15, HASSE_EDGES_15, RANK_VECTORS_15
 
@@ -154,6 +158,17 @@ class TestPoset:
                     and arrays[w.id] not in (arrays[u], arrays[v])
                 )
                 assert not between
+
+    @pytest.mark.parametrize("n,nodes", [(4, 8365427), (5, 877 ** 4)])
+    def test_refused_past_n3(self, n, nodes, monkeypatch):
+        def enumerate_nothing(shape):
+            raise AssertionError("enumerated before refusing")
+
+        monkeypatch.setattr(orbit_poset, "enumerate_orbits", enumerate_nothing)
+        with pytest.raises(InfeasibleSize, match=f"has {nodes} orbit nodes"):
+            build_poset(GridShape(n))
+        # one class, whichever module names it
+        assert degeneration_lab.InfeasibleSize is InfeasibleSize
 
     def test_larger_poset_extremes(self, shape3):
         poset = build_poset(shape3)

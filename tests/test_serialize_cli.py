@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from gridorbits import (
     sw_array,
     validate_heights,
 )
+from gridorbits.cli import main
 from gridorbits.serialize import (
     decomposition_from_json,
     decomposition_to_json,
@@ -192,6 +194,19 @@ class TestCli:
         assert code == 0
         nodes, edges = parse_dot(out)
         assert len(nodes) == 15 and len(edges) == 24
+
+    @pytest.mark.parametrize(
+        "args", [("poset", "--n", "4"), ("orbits", "--n", "4", "--format", "dot")]
+    )
+    def test_poset_refused_past_n3(self, args, capsys):
+        # n = 4 has 8,365,427 orbit nodes: refused before enumerating any
+        start = time.perf_counter()
+        code = main(list(args))
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "8365427 orbit nodes" in err
+        assert elapsed < 1.0
 
     def test_schubert(self):
         code, out, _ = run_cli("schubert", "--w", "2,3,1")
