@@ -75,18 +75,14 @@ def _dump(obj):
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _parse_w(text):
-    return tuple(int(x) for x in text.split(","))
-
-
-def _parse_qs(text):
+def _parse_ints(text):
     return tuple(int(x) for x in text.split(","))
 
 
 def _experiment_flags(args):
     """The checked (w, qs, budget) flags of flat-scan and hom-report."""
-    w = _parse_w(args.w)
-    qs = _parse_qs(args.qs) if args.qs else DEFAULT_QS
+    w = _parse_ints(args.w)
+    qs = _parse_ints(args.qs) if args.qs else DEFAULT_QS
     if args.budget <= 0:
         raise ValueError("budget must be positive")
     if len(set(qs)) != len(qs) or not all(is_prime_power(q) for q in qs):
@@ -200,7 +196,7 @@ def _cmd_poset(args):
 
 
 def _cmd_schubert(args):
-    w = _parse_w(args.w)
+    w = _parse_ints(args.w)
     obj = {
         "w": list(w),
         "length": length(w),

@@ -7,9 +7,9 @@ products are upper-triangular, so each entry is a difference of two
 south-west ranks and the rank vector is a reindexing of the south-west
 array: it is an orbit invariant, complete for n = 2 and not for n >= 3 (see
 :mod:`gridorbits.parametrizations`).  Points are decomposed into thin
-indecomposables by reducing each map to partial permutation form; the
-result is accepted only if its canonical point has the same south-west
-array.
+indecomposables by reading each map's partial permutation form off the
+pivots of its single-map table in the south-west array; the result is
+accepted only if its canonical point has the same array.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import b_reduce, rank
+from .exact_linalg import rank
 from .grid_quiver import (
     GridQuiverError,
     assemble_canonical,
@@ -27,7 +27,7 @@ from .grid_quiver import (
     matchings_to_decomposition,
     windows,
 )
-from .parametrizations import sw_array, table_entry
+from .parametrizations import pivots, sw_array, table_entry
 
 
 class SolveFailure(GridQuiverError):
@@ -156,26 +156,16 @@ def independence_check(shape):
     return rank(m) == len(vecs)
 
 
-def _pivot_pairs(mat, size):
-    """Matched height pairs (a, b) read off a canonical partial permutation
-    matrix: a 1 in row r, column c links height a = size+1-c of the left
-    column to height b = size+1-r of the right one."""
-    pairs = {}
-    for r, row in enumerate(mat.data, start=1):
-        for c, x in enumerate(row, start=1):
-            if x:
-                pairs[size + 1 - c] = size + 1 - r
-    return pairs
-
-
 def decompose(point):
     """Unique decomposition of a point into thin indecomposables.
 
-    Each map is reduced to canonical form on its own; the per-pair height
-    matchings read off the reductions chain into summands.  Reassembly
-    verifies the result: the canonical point of the decomposition must have
-    the point's south-west array, which decides the same as comparing rank
-    vectors, an injective reindexing of the arrays.
+    Each map's single-map table in the point's south-west array has the
+    pivots of the map's canonical form: a 1 at (p, q) links height
+    size+1-q of the left column to height size+1-p of the right one.  The
+    per-pair height matchings chain into summands.  Reassembly verifies the
+    result: the canonical point of the decomposition must have the point's
+    south-west array, which decides the same as comparing rank vectors, an
+    injective reindexing of the arrays.
 
     Raises:
         SolveFailure: no multiset of thin summands reproduces the point's
@@ -183,9 +173,14 @@ def decompose(point):
             exist (see :class:`SolveFailure`).
     """
     shape = point.shape
-    matchings = [_pivot_pairs(b_reduce(m), shape.size) for m in point.maps]
+    size = shape.size
+    arr = sw_array(point)
+    matchings = [
+        {size + 1 - q: size + 1 - p for p, q in pivots(arr.table(j, j))}
+        for j in range(1, shape.num_maps + 1)
+    ]
     dec = matchings_to_decomposition(shape, matchings)
-    if sw_array(assemble_canonical(dec)) != sw_array(point):
+    if sw_array(assemble_canonical(dec)) != arr:
         raise SolveFailure(
             "no multiset of thin summands reproduces the rank vector: the "
             "point's maps cannot be reduced to partial permutation form "

@@ -136,28 +136,27 @@ def subrep_count(point, e, q, budget=DEFAULT_BUDGET):
     except OverflowError as exc:
         raise InfeasibleSize(str(exc)) from exc
 
-    def compatible(chain, nxt, mat):
-        for i in range(1, shape.size + 1):
-            block = [row[:i] for row in mat[:i]]
-            target = nxt[i - 1]
-            for u in chain[i - 1]:
-                img = tuple(
-                    _dot(field, block[r], u) for r in range(i)
-                )
-                if not in_span(field, target, img):
-                    return False
-        return True
-
     vec = {c: 1 for c in cols[0]}
     for j in range(shape.n - 1):
         counter[0] += len(vec) * len(cols[j + 1])
         if counter[0] > budget:
             raise InfeasibleSize("pair filtering budget exceeded")
+        mat = maps_gf[j]
+        # each chain's image level by level: a vector of F^i meets only the
+        # first i entries of a row, so the full row gives the i x i block's
+        images = [
+            (mult, [
+                [tuple(_dot(field, mat[r], u) for r in range(i)) for u in level]
+                for i, level in enumerate(chain, start=1)
+            ])
+            for chain, mult in vec.items()
+        ]
         nxt_vec = {}
         for nxt in cols[j + 1]:
             total = 0
-            for chain, mult in vec.items():
-                if compatible(chain, nxt, maps_gf[j]):
+            for mult, image in images:
+                if all(in_span(field, target, img)
+                       for target, level in zip(nxt, image) for img in level):
                     total += mult
             if total:
                 nxt_vec[nxt] = total

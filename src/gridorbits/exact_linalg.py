@@ -1,10 +1,15 @@
 """Exact linear algebra over the rationals and finite fields.
 
 Everything operates on immutable :class:`Matrix` values whose entries live
-in one of the fields from :mod:`gridorbits.fields`.  Ranks are computed by
-exact Gaussian elimination; reduction to partial permutation canonical form
-uses only invertible upper-triangular row/column operations, so all
-south-west ranks are preserved.
+in one of the fields from :mod:`gridorbits.fields`.  Three algorithms
+cover every use:
+
+- the triangular sweep :func:`_sweep`, whose pivots give :func:`rank` on
+  any matrix and, on an upper-triangular one, the partial permutation
+  canonical form of :func:`b_reduce`, which keeps all south-west ranks;
+- back-substitution, for :func:`inverse_upper_triangular`;
+- Gauss-Jordan elimination, in :func:`solve_unique`, which
+  :func:`inverse` calls once per column.
 
 Zero tests are truthiness tests: ``Fraction(0)`` and the GF(q) element
 ``0`` are both falsy and every other element is truthy, so ``if x:`` decides
@@ -49,8 +54,8 @@ class Matrix:
         return cls(field, [[zero] * cols for _ in range(rows)])
 
     @classmethod
-    def from_int_rows(cls, rows, field=QQ):
-        return cls(field, [[field.from_int(x) for x in row] for row in rows])
+    def from_int_rows(cls, rows):
+        return cls(QQ, [[QQ.from_int(x) for x in row] for row in rows])
 
     def __eq__(self, other):
         return (
@@ -103,32 +108,52 @@ def is_upper_triangular(m):
     )
 
 
-def rank(m):
-    """Rank over the matrix's field, by exact Gaussian elimination."""
+def _sweep(m):
+    """Pivot positions (row, column), 0-based, of the triangular sweep.
+
+    Column c takes the bottom-most nonzero entry outside the earlier pivot
+    rows as its pivot, scales that row so the pivot is 1, and clears column
+    c in every other free row.  After column c every free row is zero in
+    column c, so on any matrix the pivots count the rank.  On an
+    upper-triangular matrix they are the 1s of :func:`b_reduce`'s canonical
+    form, by two facts:
+
+    - Once processed, a pivot column (r0, c0) is the unit vector e_r0 for
+      the rest of the sweep: everything below its pivot is zero, everything
+      above was cleared, and later row operations add rows that are zero in
+      column c0.  So the column operation that clears a later entry of row
+      r0 only sets that entry to zero; the row drops out of the sweep.
+    - A pivot row is zero left of its pivot, since every earlier column is
+      either a unit vector of another row or entirely zero.  So the upward
+      row operations touch only the columns right of the pivot.
+    """
     f = m.field
     sub, mul = f.sub, f.mul
     a = [list(row) for row in m.data]
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if a[i][c]), None)
-        if piv is None:
+    free = list(range(m.rows))  # rows without a pivot, in increasing order
+    pivots = []
+    for c in range(m.cols):
+        r = next((x for x in reversed(free) if a[x][c]), None)
+        if r is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        free.remove(r)
+        pivots.append((r, c))
+        if not free:
+            break
         inv_p = f.inv(a[r][c])
-        # columns up to c are never read again, so only the pivot row's
-        # nonzero trailing entries enter the row operations
-        tail = [(j, y) for j, y in enumerate(a[r][c + 1:], start=c + 1) if y]
-        for i in range(r + 1, nrows):
-            row = a[i]
-            if row[c]:
-                coef = mul(row[c], inv_p)
+        tail = [(j, mul(y, inv_p)) for j, y in enumerate(a[r][c + 1:], start=c + 1) if y]
+        for rr in free:
+            coef = a[rr][c]
+            if coef:
+                row = a[rr]
                 for j, y in tail:
                     row[j] = sub(row[j], mul(coef, y))
-        r += 1
-        if r == nrows:
-            break
-    return r
+    return pivots
+
+
+def rank(m):
+    """Rank over the matrix's field: the number of pivots of the sweep."""
+    return len(_sweep(m))
 
 
 def sw_rank(m, p, q):
@@ -179,52 +204,17 @@ def image_meet_coord_dim(m, k):
 def b_reduce(m):
     """Canonical partial permutation representative of the B x B orbit.
 
-    Sweeps right with invertible upper-triangular column operations and
-    upwards with invertible upper-triangular row operations, scaling each
-    pivot row so that its pivot is 1.  The result is the unique
-    upper-triangular 0/1 matrix with at most one 1 per row and column that
-    has the same south-west rank table as the input.
-
-    Column c takes the bottom-most nonzero entry outside the earlier pivot
-    rows as its pivot.  The sweep relies on two facts:
-
-    - Once processed, a pivot column (r0, c0) is the unit vector e_r0 for
-      the rest of the sweep: everything below its pivot is zero, everything
-      above was cleared, and later row operations add rows that are zero in
-      column c0.  So the column operation that clears a later entry of row
-      r0 only sets that entry to zero; the row drops out of the sweep.
-    - A pivot row is zero left of its pivot, since every earlier column is
-      either a unit vector of another row or entirely zero.  So the upward
-      row operations touch only the columns right of the pivot.
-
-    Only the pivot positions reach the result, which is built from them.
+    The result is the unique upper-triangular 0/1 matrix with at most one 1
+    per row and column that has the same south-west rank table as the
+    input: invertible upper-triangular column operations sweeping right and
+    row operations sweeping upwards reach it, and its 1s are the pivots of
+    :func:`_sweep`.
     """
     if not is_upper_triangular(m):
         raise ValueError("b_reduce expects an upper-triangular matrix")
     f = m.field
-    sub, mul = f.sub, f.mul
-    n = m.rows
-    a = [list(row) for row in m.data]
-    free = list(range(n))  # rows without a pivot, in increasing order
-    pivots = []
-    for c in range(n):
-        r = next((x for x in reversed(free) if a[x][c]), None)
-        if r is None:
-            continue
-        free.remove(r)
-        pivots.append((r, c))
-        inv_p = f.inv(a[r][c])
-        tail = [(j, mul(y, inv_p)) for j, y in enumerate(a[r][c + 1:], start=c + 1) if y]
-        # sweep upwards: clear the column above the pivot with row operations
-        # (free rows below the pivot are already zero in column c)
-        for rr in free:
-            coef = a[rr][c]
-            if coef:
-                row = a[rr]
-                for j, y in tail:
-                    row[j] = sub(row[j], mul(coef, y))
-    out = [[f.zero] * n for _ in range(n)]
-    for r, c in pivots:
+    out = [[f.zero] * m.cols for _ in range(m.rows)]
+    for r, c in _sweep(m):
         out[r][c] = f.one
     return Matrix(f, out)
 
@@ -251,26 +241,21 @@ def inverse_upper_triangular(m):
 
 
 def inverse(m):
-    """Exact inverse of an invertible square matrix, by Gauss-Jordan
-    elimination over the matrix's field."""
-    f = m.field
-    zero, one = f.zero, f.one
+    """Exact inverse of an invertible square matrix: column k solves
+    m x = e_k by :func:`solve_unique`."""
     n = m.rows
     if m.cols != n:
         raise ValueError(f"inverse of a non-square {m.rows}x{m.cols} matrix")
-    aug = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(m.data)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if aug[r][c]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv_p = f.inv(aug[c][c])
-        aug[c] = [f.mul(x, inv_p) for x in aug[c]]
-        for r in range(n):
-            coef = aug[r][c]
-            if r != c and coef:
-                aug[r] = [f.sub(x, f.mul(coef, y)) for x, y in zip(aug[r], aug[c])]
-    return Matrix(f, [row[n:] for row in aug])
+    f = m.field
+    columns = [list(col) for col in zip(*m.data)]
+    try:
+        inv_cols = [
+            solve_unique(columns, [f.one if i == k else f.zero for i in range(n)], f)
+            for k in range(n)
+        ]
+    except ValueError:
+        raise ValueError("matrix is singular") from None
+    return Matrix(f, zip(*inv_cols))
 
 
 def solve_unique(columns, target, field=QQ):

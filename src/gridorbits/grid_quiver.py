@@ -162,17 +162,19 @@ def make_point(shape, mats):
     return MapTuple(shape, tuple(mats))
 
 
-def identity_tuple(shape, field=QQ):
-    return make_point(shape, [Matrix.identity(field, shape.size)] * shape.num_maps)
+def identity_tuple(shape):
+    return make_point(shape, [Matrix.identity(QQ, shape.size)] * shape.num_maps)
 
 
-def zero_tuple(shape, field=QQ):
-    return make_point(shape, [Matrix.zeros(field, shape.size)] * shape.num_maps)
+def zero_tuple(shape):
+    return make_point(shape, [Matrix.zeros(QQ, shape.size)] * shape.num_maps)
 
 
-# Points whose window products stay cached.  A single-point query asks for
-# the products of the same few points several times (array, rank vector,
-# decomposition check); a census visits each point about twice in a row.
+# Points whose window products stay cached.  Hits come only from repeated
+# south-west arrays of one point inside a single query; the census and scan
+# commands never revisit a point.  Measured hits / misses per command:
+# `orbits --n 3` and `poset --n 3` 0 / 2,704 each, `count-report` 0 / 0,
+# `flat-scan --w 2,3,1` 0 / 15, `hom-report --w 2,3,1 --orbit identity` 1 / 1.
 WINDOW_PRODUCTS_CACHE_SIZE = 64
 
 

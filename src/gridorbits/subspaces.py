@@ -61,8 +61,6 @@ def reduce_vector(field, rows, vec):
 
 
 def in_span(field, rows, vec):
-    if not rows:
-        return all(x == 0 for x in vec)
     return all(x == 0 for x in reduce_vector(field, rows, vec))
 
 
@@ -76,13 +74,13 @@ def contains(field, big_rows, small_rows, width):
     return True
 
 
-def column_chains(col_dims, q, counter=None, budget=None):
+def column_chains(col_dims, q, counter, budget):
     """All vertical chains of one grid column: U_i of dimension col_dims[i-1]
     inside F_q^i, with U_i contained in U_(i+1) under the coordinate
     inclusion.  Returns tuples of subspaces (rows of length i at level i).
 
-    ``counter``/``budget`` let the caller meter candidate tests; exceeding
-    the budget raises OverflowError.
+    Every candidate test adds one to ``counter[0]``; a count above
+    ``budget`` raises OverflowError.
     """
     field = GF(q)
     levels = len(col_dims)
@@ -93,10 +91,9 @@ def column_chains(col_dims, q, counter=None, budget=None):
         for chain in chains:
             prev = chain[-1] if chain else ()
             for cand in options:
-                if counter is not None:
-                    counter[0] += 1
-                    if budget is not None and counter[0] > budget:
-                        raise OverflowError("subspace enumeration budget exceeded")
+                counter[0] += 1
+                if counter[0] > budget:
+                    raise OverflowError("subspace enumeration budget exceeded")
                 if i == 1 or contains(field, cand, prev, i):
                     new_chains.append(chain + (cand,))
         chains = new_chains

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,12 @@ from gridorbits import (
     identity_tuple,
     independence_check,
     make_point,
+    matchings_to_decomposition,
+    order_matchings,
     rank_vector,
     same_rank_vector,
     validate_heights,
+    windows,
     zero_tuple,
 )
 from gridorbits.decomposition import full_vector
@@ -132,6 +136,30 @@ class TestDecompose:
             f = random_point(shape2, rng)
             once = assemble_canonical(decompose(f))
             assert assemble_canonical(decompose(once)) == once
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_one_reduction_per_window_product(self, n, rng, monkeypatch):
+        # the maps' forms are read off the point's array, so decompose
+        # reduces each window product of the point and of its reassembly
+        # once, and no map a second time
+        from gridorbits import exact_linalg
+
+        shape = GridShape(n)
+        matchings = order_matchings(n + 1)
+        dec = matchings_to_decomposition(shape, [rng.choice(matchings) for _ in range(n - 1)])
+        point = borel_act(assemble_canonical(dec), random_borel(shape, rng))
+        original = exact_linalg.b_reduce
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return original(m)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "gridorbits" and getattr(module, "b_reduce", None) is original:
+                monkeypatch.setattr(module, "b_reduce", counted)
+        assert decompose(point) == dec
+        assert len(calls) == 2 * len(windows(shape))
 
 
 class TestIndependence:

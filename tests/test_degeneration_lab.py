@@ -17,6 +17,7 @@ from gridorbits import (
     full_dim_grid,
     hom_report,
     identity_tuple,
+    make_point,
     r_grid,
     rep_variety_count,
     subrep_count,
@@ -24,6 +25,8 @@ from gridorbits import (
     zero_tuple,
 )
 from gridorbits.subspaces import contains, gaussian_binomial, in_span, subspaces
+
+from conftest import CANONICAL_15
 
 W231 = (2, 3, 1)
 
@@ -138,6 +141,7 @@ class TestSubrepCount:
         e = target_dims(W231)
         pt = identity_tuple(shape2)
         assert subrep_count(pt, e, 2) == 9 == exhaustive_subrep_oracle(pt, e, 2)
+        assert subrep_count(zero_tuple(shape2), e, 2) == 27
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7])
     def test_identity_orbit_counts(self, shape2, q):
@@ -150,11 +154,14 @@ class TestSubrepCount:
         e = tuple(tuple(0 for _ in range(2)) for _ in range(3))
         assert subrep_count(identity_tuple(shape2), e, 3) == 1
 
-    def test_zero_orbit_against_oracle(self, shape2):
-        e = target_dims(W231)
-        pt = zero_tuple(shape2)
-        got = subrep_count(pt, e, 2)
-        assert got == exhaustive_subrep_oracle(pt, e, 2) == 27
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("w", [W231, (3, 1, 2), (3, 2, 1), (1, 3, 2), (2, 1, 3)],
+                             ids=lambda w: "".join(map(str, w)))
+    @pytest.mark.parametrize("orbit", sorted(CANONICAL_15))
+    def test_canonical_orbits_against_oracle(self, shape2, orbit, w, q):
+        e = target_dims(w)
+        pt = make_point(shape2, [CANONICAL_15[orbit]])
+        assert subrep_count(pt, e, q) == exhaustive_subrep_oracle(pt, e, q)
 
     def test_budget_guard(self, shape2):
         with pytest.raises(InfeasibleSize):
