@@ -22,9 +22,17 @@ from .grid_quiver import (
     GridShape,
     assemble_canonical,
     identity_tuple,
+    matchings_to_decomposition,
     zero_tuple,
 )
-from .orbit_poset import build_poset, count_report, enumerate_orbits, export_dot
+from .orbit_poset import (
+    bell,
+    build_poset,
+    count_report,
+    enumerate_orbits,
+    export_dot,
+    order_matchings,
+)
 from .parametrizations import (
     degenerates,
     reconstruct,
@@ -95,11 +103,19 @@ def _orbit_by_id(shape, token):
         return identity_tuple(shape)
     if token == "zero":
         return zero_tuple(shape)
-    decs = enumerate_orbits(shape)
     idx = int(token)
-    if not (1 <= idx <= len(decs)):
-        raise GridQuiverError(f"orbit id {idx} out of range 1..{len(decs)}")
-    return assemble_canonical(decs[idx - 1])
+    total = bell(shape.size + 1) ** shape.num_maps
+    if not (1 <= idx <= total):
+        raise GridQuiverError(f"orbit id {idx} out of range 1..{total}")
+    # enumerate_orbits runs over the product of the per-map matchings, so
+    # id - 1 is a mixed-radix number with the first map's digit leading
+    per_pair = order_matchings(shape.size)
+    combo = []
+    rest = idx - 1
+    for _ in range(shape.num_maps):
+        rest, digit = divmod(rest, len(per_pair))
+        combo.append(per_pair[digit])
+    return assemble_canonical(matchings_to_decomposition(shape, combo[::-1]))
 
 
 def _cmd_rank_vector(args):

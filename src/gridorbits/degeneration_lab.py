@@ -2,8 +2,9 @@
 the Euler-form lower bound, and the Hom-scheme complete-intersection audit.
 
 Dimensions of the degenerate fibres are estimated by counting their points
-over several finite fields and fitting one integer polynomial, validated on
-held-out field sizes.  The audit compares the codimension of the Hom scheme
+over several finite fields and fitting one integer polynomial, an exact
+Vandermonde solve on :class:`~gridorbits.exact_linalg.Matrix`, validated
+on held-out field sizes.  The audit compares the codimension of the Hom scheme
 inside its ambient space against the rank of the defining bilinear system,
 computed exactly over Q at sampled points.  The ambient space contains the
 variety of representations with one commutativity relation per square.
@@ -25,13 +26,13 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .decomposition import decompose
-from .exact_linalg import Matrix, inverse, principal_block, rank
+from .exact_linalg import Matrix, inverse, principal_block, rank, solve_unique
 from .fields import GF, QQ, is_prime_power
 from .grid_quiver import GridQuiverError, GridShape, InfeasibleSize, assemble_canonical
 from .orbit_poset import enumerate_orbits
 from .parametrizations import array_leq, sw_array
 from .schubert import check_permutation, length, target_dims
-from .subspaces import column_chains, in_span
+from .subspaces import chain_tests, column_chains, in_span
 
 DEFAULT_QS = (2, 3, 4, 5, 7, 8, 9)
 DEFAULT_BUDGET = 10 ** 9
@@ -117,7 +118,10 @@ def subrep_count(point, e, q, budget=DEFAULT_BUDGET):
     f(U) ⊆ U'.
 
     Raises:
-        InfeasibleSize: the subspace enumeration exceeds the budget.
+        InfeasibleSize: the candidate tests of the chain enumeration,
+            counted in closed form before any chain is built (see
+            :func:`~gridorbits.subspaces.chain_tests`), or those plus the
+            pair tests of the filtering exceed the budget.
     """
     shape = point.shape
     if shape.n > 3:
@@ -125,21 +129,18 @@ def subrep_count(point, e, q, budget=DEFAULT_BUDGET):
     if q > 9 or not is_prime_power(q):
         raise ValueError(f"q must be a prime power <= 9, got {q}")
     _check_dim_grid(shape, e)
+    col_dims = [tuple(e[i][j] for i in range(shape.size)) for j in range(shape.n)]
+    used = sum(chain_tests(dims, q) for dims in col_dims)
+    if used > budget:
+        raise InfeasibleSize("subspace enumeration budget exceeded")
     field = GF(q)
     maps_gf = _maps_over(point, field)
-    counter = [0]
-    try:
-        cols = [
-            column_chains(tuple(e[i][j] for i in range(shape.size)), q, counter, budget)
-            for j in range(shape.n)
-        ]
-    except OverflowError as exc:
-        raise InfeasibleSize(str(exc)) from exc
+    cols = [column_chains(dims, q) for dims in col_dims]
 
     vec = {c: 1 for c in cols[0]}
     for j in range(shape.n - 1):
-        counter[0] += len(vec) * len(cols[j + 1])
-        if counter[0] > budget:
+        used += len(vec) * len(cols[j + 1])
+        if used > budget:
             raise InfeasibleSize("pair filtering budget exceeded")
         mat = maps_gf[j]
         # each chain's image level by level: a vector of F^i meets only the
@@ -195,44 +196,34 @@ def _poly_eval(c, x):
     return acc
 
 
-def _lagrange(points):
-    """Coefficients (ascending, Fractions) of the interpolating polynomial."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _yj) in enumerate(points):
-            if j == i:
-                continue
-            # multiply basis by (x - xj)
-            basis = [Fraction(0)] + basis
-            for t in range(len(basis) - 1):
-                basis[t] -= xj * basis[t + 1]
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for t, b in enumerate(basis):
-            coeffs[t] += scale * b
-    return _poly_trim(coeffs)
-
-
 def fit_dimension(counts, max_degree):
     """Fit one integer polynomial to (q, count) samples with mandatory
     holdout validation; the fitted degree is the dimension estimate.
 
+    The polynomial through the first k + 1 samples solves their Vandermonde
+    system by :func:`~gridorbits.exact_linalg.solve_unique`; it is unique
+    because the field sizes are distinct.
+
     Args:
-        counts: ordered (q, count) pairs; the fit uses a prefix and the
-            rest must be reproduced exactly.
+        counts: ordered (q, count) pairs with distinct q; the fit uses a
+            prefix and the rest must be reproduced exactly.
         max_degree: a priori bound on the degree.
 
     Raises:
+        ValueError: fewer than 3 samples, or a repeated field size.
         FitFailure: no integer polynomial of degree <= max_degree matches
             all samples with at least one held-out point.
     """
     pts = list(counts)
     if len(pts) < 3:
         raise ValueError("need at least 3 sample points")
+    for k, (q, _c) in enumerate(pts):
+        if any(q == p for p, _ in pts[:k]):
+            raise ValueError(f"field size q = {q} is repeated")
     for k in range(len(pts) - 1):
-        coeffs = _lagrange(pts[: k + 1])
+        sample = pts[: k + 1]
+        vandermonde = [[Fraction(q) ** d for q, _c in sample] for d in range(k + 1)]
+        coeffs = _poly_trim(solve_unique(vandermonde, [Fraction(c) for _q, c in sample]))
         if len(coeffs) - 1 > max_degree:
             break
         if any(c.denominator != 1 for c in coeffs):

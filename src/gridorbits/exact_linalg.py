@@ -1,15 +1,25 @@
 """Exact linear algebra over the rationals and finite fields.
 
 Everything operates on immutable :class:`Matrix` values whose entries live
-in one of the fields from :mod:`gridorbits.fields`.  Three algorithms
-cover every use:
+in one of the fields from :mod:`gridorbits.fields`.  One elimination, the
+triangular sweep :func:`_sweep`, serves every use, and one
+back-substitution reads solutions off its pivot rows:
 
-- the triangular sweep :func:`_sweep`, whose pivots give :func:`rank` on
-  any matrix and, on an upper-triangular one, the partial permutation
-  canonical form of :func:`b_reduce`, which keeps all south-west ranks;
-- back-substitution, for :func:`inverse_upper_triangular`;
-- Gauss-Jordan elimination, in :func:`solve_unique`, which
-  :func:`inverse` calls once per column.
+- the sweep's pivots give :func:`rank` on any matrix and, on an
+  upper-triangular one, the partial permutation canonical form of
+  :func:`b_reduce`, which keeps all south-west ranks;
+- :func:`solve_unique` sweeps [A | b] and back-substitutes; it fits the
+  counting polynomials of :mod:`gridorbits.degeneration_lab`;
+- :func:`inverse` sweeps [m | I] and back-substitutes all n right-hand
+  sides at once; it inverts the Borel base changes of
+  :func:`~gridorbits.grid_quiver.borel_act`, on which the sweep eliminates
+  nothing, and the audit's unimodular base changes.
+
+:mod:`gridorbits.subspaces` keeps its own reduction of a vector against
+reduced row echelon rows: ``flat-scan --w 2,3,1`` with ``hom-report --w
+2,3,1 --orbit identity --qs 2,3,4,5,7,8`` makes 133,470 span tests, each a
+reduction of a few microseconds, which a :class:`Matrix` and a sweep per
+test would multiply.
 
 Zero tests are truthiness tests: ``Fraction(0)`` and the GF(q) element
 ``0`` are both falsy and every other element is truthy, so ``if x:`` decides
@@ -109,7 +119,8 @@ def is_upper_triangular(m):
 
 
 def _sweep(m):
-    """Pivot positions (row, column), 0-based, of the triangular sweep.
+    """Pivot positions (row, column), 0-based, of the triangular sweep, in
+    column order, and the swept rows.
 
     Column c takes the bottom-most nonzero entry outside the earlier pivot
     rows as its pivot, scales that row so the pivot is 1, and clears column
@@ -126,6 +137,9 @@ def _sweep(m):
     - A pivot row is zero left of its pivot, since every earlier column is
       either a unit vector of another row or entirely zero.  So the upward
       row operations touch only the columns right of the pivot.
+
+    The swept rows hold each pivot row as it stood when it took its pivot,
+    unscaled; entries left of a row's pivot are stale and read as zero.
     """
     f = m.field
     sub, mul = f.sub, f.mul
@@ -148,12 +162,12 @@ def _sweep(m):
                 row = a[rr]
                 for j, y in tail:
                     row[j] = sub(row[j], mul(coef, y))
-    return pivots
+    return pivots, a
 
 
 def rank(m):
     """Rank over the matrix's field: the number of pivots of the sweep."""
-    return len(_sweep(m))
+    return len(_sweep(m)[0])
 
 
 def sw_rank(m, p, q):
@@ -214,48 +228,58 @@ def b_reduce(m):
         raise ValueError("b_reduce expects an upper-triangular matrix")
     f = m.field
     out = [[f.zero] * m.cols for _ in range(m.rows)]
-    for r, c in _sweep(m):
+    for r, c in _sweep(m)[0]:
         out[r][c] = f.one
     return Matrix(f, out)
 
 
-def inverse_upper_triangular(m):
-    """Exact inverse of an invertible upper-triangular matrix."""
-    f = m.field
-    zero = f.zero
-    n = m.rows
-    if not all(m.data[i][i] for i in range(n)):
-        raise ValueError("matrix is singular")
-    inv = [[zero] * n for _ in range(n)]
-    for col in range(n):
-        # back-substitute for the col-th column of the inverse
-        x = [zero] * n
-        for i in range(n - 1, -1, -1):
-            s = f.one if i == col else zero
-            for j in range(i + 1, n):
-                s = f.sub(s, f.mul(m.data[i][j], x[j]))
-            x[i] = f.div(s, m.data[i][i])
-        for i in range(n):
-            inv[i][col] = x[i]
-    return Matrix(f, inv)
+def _back_substitute(f, pivots, a, ncols):
+    """Rows of the unique X with A X = B, from the swept rows ``a`` of
+    [A | B] when A's ncols columns are all pivot columns.
+
+    A pivot row is zero left of its pivot, so the last pivot row gives its
+    unknown row directly and each earlier one needs only the unknown rows
+    after it.
+    """
+    sub, mul, zero = f.sub, f.mul, f.zero
+    x = [None] * ncols
+    for r, c in reversed(pivots):
+        row = a[r]
+        acc = row[ncols:]
+        for cc in range(c + 1, ncols):
+            coef = row[cc]
+            if coef:
+                acc = [sub(s, mul(coef, y)) if y else s for s, y in zip(acc, x[cc])]
+        inv_p = f.inv(row[c])
+        x[c] = [mul(y, inv_p) if y else zero for y in acc]
+    return x
+
+
+def _solve(f, aug, ncols):
+    """The unique X with A X = B for the rows ``aug`` of [A | B], A having
+    ncols columns: one sweep, then one back-substitution."""
+    pivots, a = _sweep(Matrix(f, aug))
+    if sum(1 for _r, c in pivots if c < ncols) < ncols:
+        raise ValueError("system is rank-deficient: solution not unique")
+    if len(pivots) > ncols:
+        raise ValueError("system is inconsistent")
+    return _back_substitute(f, pivots, a, ncols)
 
 
 def inverse(m):
-    """Exact inverse of an invertible square matrix: column k solves
-    m x = e_k by :func:`solve_unique`."""
+    """Exact inverse of an invertible square matrix: the sweep of [m | I]
+    and one back-substitution of all n right-hand sides.  On an
+    upper-triangular m the sweep eliminates nothing."""
     n = m.rows
     if m.cols != n:
         raise ValueError(f"inverse of a non-square {m.rows}x{m.cols} matrix")
     f = m.field
-    columns = [list(col) for col in zip(*m.data)]
+    one, zero = f.one, f.zero
+    aug = [row + tuple(one if i == k else zero for k in range(n)) for i, row in enumerate(m.data)]
     try:
-        inv_cols = [
-            solve_unique(columns, [f.one if i == k else f.zero for i in range(n)], f)
-            for k in range(n)
-        ]
+        return Matrix(f, _solve(f, aug, n))
     except ValueError:
         raise ValueError("matrix is singular") from None
-    return Matrix(f, zip(*inv_cols))
 
 
 def solve_unique(columns, target, field=QQ):
@@ -267,34 +291,7 @@ def solve_unique(columns, target, field=QQ):
 
     Returns:
         The unique coefficient list, or raises ValueError when the system
-        is inconsistent or rank-deficient.
+        is rank-deficient (checked first) or inconsistent.
     """
-    ncols = len(columns)
-    nrows = len(target)
-    f = field
-    zero = f.zero
-    aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv_p = f.inv(aug[r][c])
-        aug[r] = [f.mul(x, inv_p) for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                coef = aug[i][c]
-                aug[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    if r < ncols:
-        raise ValueError("system is rank-deficient: solution not unique")
-    # every column is a pivot, so all coefficient entries below row r vanish
-    if any(row[-1] for row in aug[r:]):
-        raise ValueError("system is inconsistent")
-    x = [zero] * ncols
-    for row_idx, c in enumerate(pivots):
-        x[c] = aug[row_idx][-1]
-    return x
+    aug = [[col[i] for col in columns] + [t] for i, t in enumerate(target)]
+    return [row[0] for row in _solve(field, aug, len(columns))]

@@ -93,47 +93,6 @@ def _poly_mul_mod(a, b, mod_poly, p):
     return prod
 
 
-def _find_irreducible(p, k):
-    """Smallest monic irreducible polynomial of degree k over F_p.
-
-    Candidates are tried in the order of their base-p codes, low
-    coefficients first; the first one that no monic polynomial of degree
-    1..k//2 divides is irreducible, since a reducible polynomial of degree
-    k has a factor of degree at most k/2.  Trial division is cheap for the
-    small q this module serves.
-    """
-    def polys(deg):
-        # all monic polynomials of given degree, low coefficients first
-        span = p ** deg
-        for code in range(span):
-            coeffs = []
-            c = code
-            for _ in range(deg):
-                coeffs.append(c % p)
-                c //= p
-            yield coeffs + [1]
-
-    def divides(d, f):
-        rem = list(f)
-        while len(rem) >= len(d) and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < len(d):
-                break
-            lead = rem[-1]
-            shift = len(rem) - len(d)
-            for t in range(len(d)):
-                rem[shift + t] = (rem[shift + t] - lead * d[t]) % p
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return not any(rem)
-
-    for cand in polys(k):
-        if all(not divides(d, cand) for deg in range(1, k // 2 + 1) for d in polys(deg)):
-            return cand
-    raise AssertionError("no irreducible polynomial found")
-
-
 class GaloisField:
     """GF(q) for a prime power q = p^k, with table-driven arithmetic.
 
@@ -153,7 +112,6 @@ class GaloisField:
         self.char = p
         self.zero = 0
         self.one = 1
-        mod_poly = _find_irreducible(p, k)
         decode = []
         for n in range(q):
             coeffs = []
@@ -172,9 +130,16 @@ class GaloisField:
             [encode([(x + y) % p for x, y in zip(a, b)]) for b in decode] for a in decode
         ]
         self._neg = [encode([-x % p for x in a]) for a in decode]
-        self._mul = [
-            [encode(_poly_mul_mod(a, b, mod_poly, p)) for b in decode] for a in decode
-        ]
+        # The modulus is the first monic candidate of degree k, in the order
+        # of the base-p codes of its lower coefficients, whose product table
+        # has no zero product of nonzero elements: a factor of a reducible
+        # candidate would be such a zero divisor.
+        for code in range(q):
+            mod_poly = decode[code] + [1]
+            mul = [[encode(_poly_mul_mod(a, b, mod_poly, p)) for b in decode] for a in decode]
+            if all(all(row[1:]) for row in mul[1:]):
+                break
+        self._mul = mul
         self._inv = [0] + [self._mul[a].index(1) for a in range(1, q)]
 
     def add(self, a, b):

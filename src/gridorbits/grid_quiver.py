@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact_linalg import Matrix, inverse_upper_triangular, is_upper_triangular
+from .exact_linalg import Matrix, inverse, is_upper_triangular
 from .fields import QQ
 
 
@@ -334,7 +334,7 @@ def borel_act(point, hs):
     for h in hs:
         if not is_upper_triangular(h):
             raise ValueError("base change must be upper-triangular")
-    invs = [inverse_upper_triangular(h) for h in hs]
+    invs = [inverse(h) for h in hs]
     new_maps = [hs[j + 1] @ point.maps[j] @ invs[j] for j in range(shape.num_maps)]
     return make_point(shape, new_maps)
 

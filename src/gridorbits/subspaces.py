@@ -74,13 +74,24 @@ def contains(field, big_rows, small_rows, width):
     return True
 
 
-def column_chains(col_dims, q, counter, budget):
+def chain_tests(col_dims, q):
+    """The number of candidate tests :func:`column_chains` makes, in closed
+    form: level i tests each of the N_(i-1) chains built so far against all
+    [i, d_i]_q subspaces of F_q^i, and each chain has
+    N_i / N_(i-1) = [i - d_(i-1), d_i - d_(i-1)]_q extensions, none when
+    d_i < d_(i-1)."""
+    tests, chains, prev = 0, 1, 0
+    for i, d in enumerate(col_dims, start=1):
+        tests += chains * gaussian_binomial(i, d, q)
+        chains = chains * gaussian_binomial(i - prev, d - prev, q) if d >= prev else 0
+        prev = d
+    return tests
+
+
+def column_chains(col_dims, q):
     """All vertical chains of one grid column: U_i of dimension col_dims[i-1]
     inside F_q^i, with U_i contained in U_(i+1) under the coordinate
     inclusion.  Returns tuples of subspaces (rows of length i at level i).
-
-    Every candidate test adds one to ``counter[0]``; a count above
-    ``budget`` raises OverflowError.
     """
     field = GF(q)
     levels = len(col_dims)
@@ -91,9 +102,6 @@ def column_chains(col_dims, q, counter, budget):
         for chain in chains:
             prev = chain[-1] if chain else ()
             for cand in options:
-                counter[0] += 1
-                if counter[0] > budget:
-                    raise OverflowError("subspace enumeration budget exceeded")
                 if i == 1 or contains(field, cand, prev, i):
                     new_chains.append(chain + (cand,))
         chains = new_chains

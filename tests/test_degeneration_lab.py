@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from gridorbits import (
     DEFAULT_QS,
     GF,
+    DimEstimate,
     FitFailure,
     GridShape,
     InfeasibleSize,
@@ -24,11 +26,92 @@ from gridorbits import (
     target_dims,
     zero_tuple,
 )
-from gridorbits.subspaces import contains, gaussian_binomial, in_span, subspaces
+from gridorbits import degeneration_lab
+from gridorbits.degeneration_lab import _poly_trim
+from gridorbits.exact_linalg import solve_unique
+from gridorbits.fields import _poly_mul_mod
+from gridorbits.subspaces import (
+    chain_tests,
+    column_chains,
+    contains,
+    gaussian_binomial,
+    in_span,
+    subspaces,
+)
 
 from conftest import CANONICAL_15
 
 W231 = (2, 3, 1)
+
+
+def reference_smallest_irreducible(p, k):
+    """Smallest monic irreducible polynomial of degree k over F_p, in the
+    order of base-p codes, by trial division by every monic polynomial of
+    degree 1..k//2."""
+    def polys(deg):
+        for code in range(p ** deg):
+            yield [code // p ** t % p for t in range(deg)] + [1]
+
+    def divides(d, f):
+        rem = list(f)
+        while len(rem) >= len(d):
+            lead = rem[-1]
+            shift = len(rem) - len(d)
+            for t in range(len(d)):
+                rem[shift + t] = (rem[shift + t] - lead * d[t]) % p
+            rem.pop()
+        return not any(rem)
+
+    return next(
+        cand for cand in polys(k)
+        if not any(divides(d, cand) for deg in range(1, k // 2 + 1) for d in polys(deg))
+    )
+
+
+def reference_lagrange(points):
+    """Coefficients (ascending, Fractions) of the interpolating polynomial,
+    by Lagrange's formula."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _yj) in enumerate(points):
+            if j == i:
+                continue
+            basis = [Fraction(0)] + basis
+            for t in range(len(basis) - 1):
+                basis[t] -= xj * basis[t + 1]
+            denom *= xi - xj
+        scale = Fraction(yi) / denom
+        for t, b in enumerate(basis):
+            coeffs[t] += scale * b
+    return _poly_trim(coeffs)
+
+
+def reference_fit_dimension(counts, max_degree):
+    """The holdout-validated fit, on :func:`reference_lagrange`."""
+    pts = list(counts)
+    for k in range(len(pts) - 1):
+        coeffs = reference_lagrange(pts[: k + 1])
+        if len(coeffs) - 1 > max_degree:
+            break
+        if any(c.denominator != 1 for c in coeffs):
+            continue
+        if all(sum(c * q ** d for d, c in enumerate(coeffs)) == y for q, y in pts[k + 1:]):
+            ints = tuple(int(c) for c in coeffs)
+            if any(c for _q, c in pts) and ints[-1] <= 0:
+                continue
+            return DimEstimate(len(ints) - 1, ints, True)
+    raise FitFailure(
+        f"no integer polynomial of degree <= {max_degree} fits {pts} with a holdout"
+    )
+
+
+def fit_outcome(fit, counts, max_degree):
+    try:
+        return fit(counts, max_degree)
+    except FitFailure as exc:
+        return f"FitFailure: {exc}"
 
 
 class TestFields:
@@ -67,9 +150,25 @@ class TestFields:
         for n in range(-2 * q, 2 * q):
             assert f.from_int(n) == n % p
 
-    def test_fraction_embedding(self):
-        from fractions import Fraction
+    @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49])
+    def test_modulus_is_the_smallest_irreducible(self, q):
+        # the field test picks the modulus trial division would
+        f = GF(q)
+        p, k = f.p, f.k
+        mod_poly = reference_smallest_irreducible(p, k)
 
+        def digits(n):
+            return [n // p ** i % p for i in range(k)]
+
+        def code(coeffs):
+            return sum(c * p ** i for i, c in enumerate(coeffs))
+
+        assert f._mul == [
+            [code(_poly_mul_mod(digits(a), digits(b), mod_poly, p)) for b in range(q)]
+            for a in range(q)
+        ]
+
+    def test_fraction_embedding(self):
         f = GF(7)
         assert f.from_fraction(Fraction(3, 2)) == f.mul(3, f.inv(2))
         with pytest.raises(ZeroDivisionError):
@@ -167,6 +266,30 @@ class TestSubrepCount:
         with pytest.raises(InfeasibleSize):
             subrep_count(identity_tuple(shape2), target_dims(W231), 5, budget=3)
 
+    def test_budget_metered_before_any_chain_is_built(self, shape2, monkeypatch):
+        e = target_dims(W231)
+        tests = sum(chain_tests(tuple(e[i][j] for i in range(3)), 5) for j in range(2))
+        assert subrep_count(identity_tuple(shape2), e, 5, budget=10 ** 6) == 36
+
+        def built(*args):
+            raise AssertionError("a chain was built before the budget check")
+
+        monkeypatch.setattr(degeneration_lab, "column_chains", built)
+        with pytest.raises(InfeasibleSize, match="^subspace enumeration budget exceeded$"):
+            subrep_count(identity_tuple(shape2), e, 5, budget=tests - 1)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_chain_tests_closed_form(self, q):
+        # level i tests every chain of the levels below against every
+        # subspace of F_q^i of the level's dimension
+        for size in range(1, 5):
+            for dims in product(*[range(i + 1) for i in range(1, size + 1)]):
+                made = sum(
+                    len(column_chains(dims[: i - 1], q)) * len(subspaces(i, dims[i - 1], q))
+                    for i in range(1, size + 1)
+                )
+                assert chain_tests(dims, q) == made
+
     def test_shape_guard(self):
         shape = GridShape(4)
         with pytest.raises(InfeasibleSize):
@@ -202,6 +325,37 @@ class TestEstimateDim:
         # degree-2 series with exactly 3 points has no holdout left
         with pytest.raises(FitFailure):
             fit_dimension(((2, 9), (3, 16), (5, 36)), max_degree=2)
+
+    def test_repeated_field_size_refused(self):
+        with pytest.raises(ValueError, match="field size q = 2 is repeated"):
+            fit_dimension(((2, 1), (2, 1), (3, 2), (4, 3)), 3)
+        with pytest.raises(ValueError, match="field size q = 2 is repeated"):
+            flat_scan((2, 3, 1), qs=(2, 2, 3, 4, 5))
+
+    def test_vandermonde_solve_matches_lagrange(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            xs = rng.sample(range(-6, 12), rng.randint(1, 7))
+            pts = [(x, Fraction(rng.randint(-20, 20), rng.randint(1, 4))) for x in xs]
+            vandermonde = [[Fraction(x) ** d for x in xs] for d in range(len(xs))]
+            got = _poly_trim(solve_unique(vandermonde, [y for _x, y in pts]))
+            assert got == reference_lagrange(pts)
+
+    def test_fit_matches_lagrange_fit(self):
+        rng = random.Random(9)
+        kinds = set()
+        for _ in range(300):
+            qs = rng.sample([2, 3, 4, 5, 7, 8, 9, 11], rng.randint(3, 7))
+            poly = [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))]
+            counts = [(q, sum(c * q ** d for d, c in enumerate(poly))) for q in qs]
+            if rng.random() < 0.3:
+                t = rng.randrange(len(counts))
+                counts[t] = (counts[t][0], counts[t][1] + rng.choice([-1, 1]))
+            max_degree = rng.randint(0, 5)
+            got = fit_outcome(fit_dimension, counts, max_degree)
+            assert got == fit_outcome(reference_fit_dimension, counts, max_degree)
+            kinds.add(type(got))
+        assert kinds == {DimEstimate, str}
 
 
 class TestEulerForm:

@@ -15,7 +15,6 @@ from gridorbits import (
     compose_window,
     image_meet_coord_dim,
     inverse,
-    inverse_upper_triangular,
     is_upper_triangular,
     principal_block,
     rank,
@@ -97,6 +96,83 @@ def reference_matmul(a, b):
                 if x != f.zero and y != f.zero:
                     out[i][j] = f.add(out[i][j], f.mul(x, y))
     return Matrix(f, out)
+
+
+def reference_solve_unique(columns, target, field=QQ):
+    """Gauss-Jordan elimination of [A | b], the solver :func:`solve_unique`
+    replaced: same solutions and same error messages."""
+    ncols = len(columns)
+    nrows = len(target)
+    f = field
+    aug = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(nrows)]
+    r = 0
+    pivots = []
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv_p = f.inv(aug[r][c])
+        aug[r] = [f.mul(x, inv_p) for x in aug[r]]
+        for i in range(nrows):
+            if i != r and aug[i][c]:
+                coef = aug[i][c]
+                aug[i] = [f.sub(x, f.mul(coef, y)) for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    if r < ncols:
+        raise ValueError("system is rank-deficient: solution not unique")
+    if any(row[-1] for row in aug[r:]):
+        raise ValueError("system is inconsistent")
+    x = [f.zero] * ncols
+    for row_idx, c in enumerate(pivots):
+        x[c] = aug[row_idx][-1]
+    return x
+
+
+def reference_inverse(m):
+    """Column k of the inverse solves m x = e_k by Gauss-Jordan."""
+    n = m.rows
+    if m.cols != n:
+        raise ValueError(f"inverse of a non-square {m.rows}x{m.cols} matrix")
+    f = m.field
+    columns = [list(col) for col in zip(*m.data)]
+    try:
+        inv_cols = [
+            reference_solve_unique(columns, [f.one if i == k else f.zero for i in range(n)], f)
+            for k in range(n)
+        ]
+    except ValueError:
+        raise ValueError("matrix is singular") from None
+    return Matrix(f, zip(*inv_cols))
+
+
+def reference_inverse_upper_triangular(m):
+    """Back-substitution, column by column, for an upper-triangular m."""
+    f = m.field
+    zero = f.zero
+    n = m.rows
+    if not all(m.data[i][i] for i in range(n)):
+        raise ValueError("matrix is singular")
+    inv = [[zero] * n for _ in range(n)]
+    for col in range(n):
+        x = [zero] * n
+        for i in range(n - 1, -1, -1):
+            s = f.one if i == col else zero
+            for j in range(i + 1, n):
+                s = f.sub(s, f.mul(m.data[i][j], x[j]))
+            x[i] = f.div(s, m.data[i][i])
+        for i in range(n):
+            inv[i][col] = x[i]
+    return Matrix(f, inv)
+
+
+def outcome(func, *args):
+    """The value of func(*args), or the message of the ValueError it raises."""
+    try:
+        return func(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
 
 
 # (id, field, entry drawer); QQ is drawn both as plain ints and as Fractions
@@ -392,6 +468,71 @@ class TestPivotOnlyKernels:
                 assert b @ a == reference_matmul(b, a)
 
 
+def _apply(field, rows, x):
+    """The matrix with these rows times the vector x."""
+    out = []
+    for row in rows:
+        acc = field.zero
+        for y, z in zip(row, x):
+            acc = field.add(acc, field.mul(y, z))
+        out.append(acc)
+    return out
+
+
+def _product_rows(field, draw, rows, cols, k, rng):
+    """A rows x cols matrix, as row lists, of rank at most k."""
+    left = [[draw(rng) for _ in range(k)] for _ in range(rows)]
+    right_cols = [[draw(rng) for _ in range(k)] for _ in range(cols)]
+    return [[_apply(field, [row], col)[0] for col in right_cols] for row in left]
+
+
+@pytest.mark.parametrize("field,draw", [f[1:] for f in KERNEL_FIELDS],
+                         ids=[f[0] for f in KERNEL_FIELDS])
+class TestSolveAndInverse:
+    """solve_unique and inverse against the Gauss-Jordan elimination and the
+    back-substitution they replaced, results and error messages alike."""
+
+    def test_solve_unique(self, field, draw):
+        rng = random.Random(f"solve:{field}")
+        kinds = set()
+        for rows in range(7):
+            for cols in range(6):
+                for _ in range(5):
+                    a = _product_rows(field, draw, rows, cols, rng.randint(0, min(rows, cols)), rng)
+                    columns = [[a[i][j] for i in range(rows)] for j in range(cols)]
+                    if rng.random() < 0.5:
+                        # consistent: the image of a random vector
+                        target = _apply(field, a, [draw(rng) for _ in range(cols)])
+                    else:
+                        target = [draw(rng) for _ in range(rows)]
+                    got = outcome(solve_unique, columns, target, field)
+                    assert got == outcome(reference_solve_unique, columns, target, field)
+                    kinds.add(got if isinstance(got, str) else "solved")
+        assert kinds == {
+            "solved",
+            "ValueError: system is rank-deficient: solution not unique",
+            "ValueError: system is inconsistent",
+        }
+
+    def test_inverse(self, field, draw):
+        rng = random.Random(f"inverse:{field}")
+        kinds = set()
+        for size in range(1, 7):
+            for _ in range(8):
+                dense = Matrix(field, [[draw(rng) for _ in range(size)] for _ in range(size)])
+                singular = Matrix(field, _product_rows(field, draw, size, size, size - 1, rng))
+                ut = _draw_ut(field, draw, size, rng, 0.7)
+                for m in (dense, singular, ut):
+                    got = outcome(inverse, m)
+                    assert got == outcome(reference_inverse, m)
+                    kinds.add(got if isinstance(got, str) else "inverted")
+                assert outcome(inverse, ut) == outcome(reference_inverse_upper_triangular, ut)
+        assert kinds == {"inverted", "ValueError: matrix is singular"}
+        for shape in ((2, 3), (3, 2)):
+            m = Matrix.zeros(field, *shape)
+            assert outcome(inverse, m) == outcome(reference_inverse, m)
+
+
 class CountingGF5(GaloisField):
     """GF(5) that counts its multiplications."""
 
@@ -404,12 +545,15 @@ class CountingGF5(GaloisField):
         return super().mul(a, b)
 
 
+# a fixed dense invertible upper-triangular matrix over GF(5)
+DENSE_UT7 = [[(i * j + i + 2 * j) % 4 + 1 if j >= i else 0 for j in range(7)] for i in range(7)]
+
+
 def test_b_reduce_skips_work_that_cannot_move_a_pivot():
     # a deterministic operation count, not a timing: the pivot-only sweep
     # must stay well below the full sweep on a dense matrix
     field = CountingGF5()
-    rows = [[(i * j + i + 2 * j) % 4 + 1 if j >= i else 0 for j in range(7)] for i in range(7)]
-    m = Matrix(field, rows)
+    m = Matrix(field, DENSE_UT7)
     expected = reference_b_reduce(m)
     full = field.muls
     field.muls = 0
@@ -417,12 +561,26 @@ def test_b_reduce_skips_work_that_cannot_move_a_pivot():
     assert 0 < field.muls < full / 2
 
 
+def test_inverse_of_triangular_input_costs_a_back_substitution():
+    # on an upper-triangular matrix the sweep of [m | I] eliminates nothing,
+    # so the inverse costs about one back-substitution per column
+    field = CountingGF5()
+    m = Matrix(field, DENSE_UT7)
+    expected = reference_inverse_upper_triangular(m)
+    back = field.muls
+    field.muls = 0
+    assert inverse(m) == expected
+    assert back == 196
+    assert field.muls <= 1.2 * back
+
+
 class TestHelpers:
     def test_inverse_upper_triangular(self):
         rng = random.Random(1)
         for _ in range(10):
             m = random_ut(4, rng, invertible=True)
-            assert m @ inverse_upper_triangular(m) == Matrix.identity(QQ, 4)
+            assert inverse(m) == reference_inverse_upper_triangular(m)
+            assert m @ inverse(m) == Matrix.identity(QQ, 4)
 
     @pytest.mark.parametrize("field", [QQ, GF(5), GF(9)], ids=repr)
     def test_inverse(self, field):

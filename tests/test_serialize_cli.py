@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -8,14 +9,18 @@ import pytest
 
 from gridorbits import (
     Decomposition,
+    GridQuiverError,
     GridShape,
+    assemble_canonical,
     decompose,
+    enumerate_orbits,
     make_point,
     rank_vector,
     sw_array,
     validate_heights,
 )
-from gridorbits.cli import main
+from gridorbits import cli, orbit_poset
+from gridorbits.cli import _orbit_by_id, main
 from gridorbits.serialize import (
     decomposition_from_json,
     decomposition_to_json,
@@ -206,6 +211,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 2
         assert "8365427 orbit nodes" in err
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_orbit_ids_index_the_enumeration(self, n):
+        shape = GridShape(n)
+        decs = enumerate_orbits(shape)
+        assert [_orbit_by_id(shape, str(i)) for i in range(1, len(decs) + 1)] == [
+            assemble_canonical(dec) for dec in decs
+        ]
+        for idx in (0, len(decs) + 1):
+            with pytest.raises(GridQuiverError, match=f"^orbit id {idx} out of range 1..{len(decs)}$"):
+                _orbit_by_id(shape, str(idx))
+
+    def test_orbit_id_past_n3_enumerates_nothing(self, monkeypatch, capsys):
+        # n = 4 has 8,365,427 orbits; the id is decoded, not looked up
+        def enumerated(shape):
+            raise AssertionError("the orbits were enumerated")
+
+        monkeypatch.setattr(cli, "enumerate_orbits", enumerated)
+        monkeypatch.setattr(orbit_poset, "enumerate_orbits", enumerated)
+        start = time.perf_counter()
+        code = main(["hom-report", "--w", "2,3,4,5,1", "--orbit", "7"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.fullmatch(r"error: representation variety has q\^\d+ candidate points\n", err)
         assert elapsed < 1.0
 
     def test_schubert(self):
