@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,22 +18,8 @@ import sys
 from .decomposition import decompose, flat_intersections, rank_vector, rank_vector_from_sw
 from .degeneration_lab import DEFAULT_BUDGET, DEFAULT_QS, flat_scan, hom_report
 from .fields import is_prime_power
-from .grid_quiver import (
-    GridQuiverError,
-    GridShape,
-    assemble_canonical,
-    identity_tuple,
-    matchings_to_decomposition,
-    zero_tuple,
-)
-from .orbit_poset import (
-    bell,
-    build_poset,
-    count_report,
-    enumerate_orbits,
-    export_dot,
-    order_matchings,
-)
+from .grid_quiver import GridQuiverError, GridShape, assemble_canonical, identity_tuple, zero_tuple
+from .orbit_poset import build_poset, count_report, export_dot, orbit_by_id, orbit_nodes
 from .parametrizations import (
     degenerates,
     reconstruct,
@@ -103,19 +90,7 @@ def _orbit_by_id(shape, token):
         return identity_tuple(shape)
     if token == "zero":
         return zero_tuple(shape)
-    idx = int(token)
-    total = bell(shape.size + 1) ** shape.num_maps
-    if not (1 <= idx <= total):
-        raise GridQuiverError(f"orbit id {idx} out of range 1..{total}")
-    # enumerate_orbits runs over the product of the per-map matchings, so
-    # id - 1 is a mixed-radix number with the first map's digit leading
-    per_pair = order_matchings(shape.size)
-    combo = []
-    rest = idx - 1
-    for _ in range(shape.num_maps):
-        rest, digit = divmod(rest, len(per_pair))
-        combo.append(per_pair[digit])
-    return assemble_canonical(matchings_to_decomposition(shape, combo[::-1]))
+    return assemble_canonical(orbit_by_id(shape, int(token)))
 
 
 def _cmd_rank_vector(args):
@@ -157,20 +132,17 @@ def _cmd_degenerates(args):
 
 def _orbit_records(shape):
     records = []
-    for idx, dec in enumerate(enumerate_orbits(shape), start=1):
-        point = assemble_canonical(dec)
-        arr = sw_array(point)
-        rv = rank_vector_from_sw(arr)
+    for node in orbit_nodes(shape):
         digest = hashlib.sha256(
-            json.dumps(sw_array_to_json(arr), sort_keys=True).encode()
+            json.dumps(sw_array_to_json(node.sw), sort_keys=True).encode()
         ).hexdigest()
         records.append(
             {
-                "id": idx,
-                "decomposition": str(dec),
-                "rank_vector": list(flat_intersections(rv)),
+                "id": node.id,
+                "decomposition": str(node.decomposition),
+                "rank_vector": list(flat_intersections(rank_vector_from_sw(node.sw))),
                 "sw_array_hash": digest,
-                "maps": map_tuple_to_json(point)["maps"],
+                "maps": map_tuple_to_json(node.canonical)["maps"],
             }
         )
     return records
@@ -249,18 +221,7 @@ def _cmd_hom_report(args):
     shape = GridShape(len(w) - 1)
     point = _orbit_by_id(shape, args.orbit)
     report = hom_report(w, point, qs=qs, seed=args.seed, budget=budget)
-    obj = {
-        "dim_G": report.dim_G,
-        "dim_Gr": report.dim_Gr,
-        "dim_Hom0": report.dim_Hom0,
-        "dim_V": report.dim_V,
-        "dim_Re": report.dim_Re,
-        "codim": report.codim,
-        "indep_eqs": report.indep_eqs,
-        "lci": report.lci,
-        "per_point_ranks": list(report.per_point_ranks),
-    }
-    _emit(_dump(obj), args.out)
+    _emit(_dump(dataclasses.asdict(report)), args.out)
 
 
 def _cmd_validate_array(args):
@@ -280,13 +241,7 @@ def _cmd_validate_array(args):
 
 
 def _cmd_count_report(args):
-    rep = count_report(GridShape(args.n))
-    obj = {
-        "enumerated": rep.enumerated,
-        "f2_distinct": rep.f2_distinct,
-        "paper_formula": rep.paper_formula,
-    }
-    _emit(_dump(obj), args.out)
+    _emit(_dump(dataclasses.asdict(count_report(GridShape(args.n)))), args.out)
 
 
 def build_parser():

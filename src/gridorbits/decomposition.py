@@ -7,9 +7,10 @@ products are upper-triangular, so each entry is a difference of two
 south-west ranks and the rank vector is a reindexing of the south-west
 array: it is an orbit invariant, complete for n = 2 and not for n >= 3 (see
 :mod:`gridorbits.parametrizations`).  Points are decomposed into thin
-indecomposables by reading each map's partial permutation form off the
-pivots of its single-map table in the south-west array; the result is
-accepted only if its canonical point has the same array.
+indecomposables by :func:`~gridorbits.parametrizations.reconstruct` of
+their south-west array, which builds each map's partial permutation form
+from its single-map table and accepts only if that canonical point has
+the same array; the summands are read off the canonical maps.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ from fractions import Fraction
 from .exact_linalg import rank
 from .grid_quiver import (
     GridQuiverError,
-    assemble_canonical,
     dims_of_heights,
     enumerate_indecomposables,
     full_dim_grid,
     matchings_to_decomposition,
     windows,
 )
-from .parametrizations import pivots, sw_array, table_entry
+from .parametrizations import ReconstructInvalid, reconstruct, sw_array, table_entry
 
 
 class SolveFailure(GridQuiverError):
@@ -159,31 +159,30 @@ def independence_check(shape):
 def decompose(point):
     """Unique decomposition of a point into thin indecomposables.
 
-    Each map's single-map table in the point's south-west array has the
-    pivots of the map's canonical form: a 1 at (p, q) links height
-    size+1-q of the left column to height size+1-p of the right one.  The
-    per-pair height matchings chain into summands.  Reassembly verifies the
-    result: the canonical point of the decomposition must have the point's
-    south-west array, which decides the same as comparing rank vectors, an
-    injective reindexing of the arrays.
+    :func:`~gridorbits.parametrizations.reconstruct` of the point's
+    south-west array builds the canonical maps, whose 1s are the pivots of
+    the single-map tables, and accepts them only if they have the point's
+    array, which decides the same as comparing rank vectors, an injective
+    reindexing of the arrays.  A 1 of map j at 0-based (r, c) links height
+    size-c of column j to height size-r of column j+1; the per-pair height
+    matchings chain into summands.
 
     Raises:
         SolveFailure: no multiset of thin summands reproduces the point's
             rank vector.  Impossible for n = 2; for n >= 3 such points
             exist (see :class:`SolveFailure`).
     """
-    shape = point.shape
-    size = shape.size
-    arr = sw_array(point)
-    matchings = [
-        {size + 1 - q: size + 1 - p for p, q in pivots(arr.table(j, j))}
-        for j in range(1, shape.num_maps + 1)
-    ]
-    dec = matchings_to_decomposition(shape, matchings)
-    if sw_array(assemble_canonical(dec)) != arr:
+    try:
+        canon = reconstruct(sw_array(point))
+    except ReconstructInvalid as exc:
         raise SolveFailure(
             "no multiset of thin summands reproduces the rank vector: the "
             "point's maps cannot be reduced to partial permutation form "
             "simultaneously"
-        )
-    return dec
+        ) from exc
+    size = point.shape.size
+    matchings = [
+        {size - c: size - r for r, row in enumerate(m.data) for c, x in enumerate(row) if x}
+        for m in canon.maps
+    ]
+    return matchings_to_decomposition(point.shape, matchings)

@@ -25,12 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
+
 from .decomposition import decompose
 from .exact_linalg import Matrix, inverse, principal_block, rank, solve_unique
 from .fields import GF, QQ, is_prime_power
 from .grid_quiver import GridQuiverError, GridShape, InfeasibleSize, assemble_canonical
-from .orbit_poset import enumerate_orbits
-from .parametrizations import array_leq, sw_array
+from .orbit_poset import array_order, enumerate_orbits
+from .parametrizations import sw_array
 from .schubert import check_permutation, length, target_dims
 from .subspaces import chain_tests, column_chains, in_span
 
@@ -275,7 +277,8 @@ def flat_scan(w, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     target dimension (the permutation's length).
 
     The flat-candidate set is reported raw; whether it is upward closed
-    under the degeneration order is attached as a diagnostic only.
+    under the componentwise array order (no orbit above a candidate is
+    left out) is attached as a diagnostic only.
     """
     w = check_permutation(w)
     shape = GridShape(len(w) - 1)
@@ -291,14 +294,8 @@ def flat_scan(w, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
         est = fit_dimension(table.counts, _degree_bound(shape, e))
         rows.append(FlatScanRow(idx, dec, table, est, est.degree == target))
         arrays.append(sw_array(pt))
-    candidates = {r.orbit_id for r in rows if r.flat_candidate}
-    upward_closed = all(
-        (rows[j].orbit_id in candidates)
-        for i in range(len(rows))
-        if rows[i].orbit_id in candidates
-        for j in range(len(rows))
-        if i != j and array_leq(arrays[i], arrays[j])
-    )
+    flat = np.array([r.flat_candidate for r in rows])
+    upward_closed = not array_order(arrays)[flat][:, ~flat].any()
     return FlatScanResult(w, target, tuple(rows), upward_closed)
 
 

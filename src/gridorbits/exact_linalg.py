@@ -123,11 +123,11 @@ def _sweep(m):
     column order, and the swept rows.
 
     Column c takes the bottom-most nonzero entry outside the earlier pivot
-    rows as its pivot, scales that row so the pivot is 1, and clears column
-    c in every other free row.  After column c every free row is zero in
-    column c, so on any matrix the pivots count the rank.  On an
-    upper-triangular matrix they are the 1s of :func:`b_reduce`'s canonical
-    form, by two facts:
+    rows as its pivot and, if another free row is nonzero in column c,
+    clears it there with the pivot row scaled so the pivot is 1.  After
+    column c every free row is zero in column c, so on any matrix the
+    pivots count the rank.  On an upper-triangular matrix they are the 1s
+    of :func:`b_reduce`'s canonical form, by two facts:
 
     - Once processed, a pivot column (r0, c0) is the unit vector e_r0 for
       the rest of the sweep: everything below its pivot is zero, everything
@@ -154,14 +154,16 @@ def _sweep(m):
         pivots.append((r, c))
         if not free:
             break
+        hits = [rr for rr in free if a[rr][c]]
+        if not hits:
+            continue
         inv_p = f.inv(a[r][c])
         tail = [(j, mul(y, inv_p)) for j, y in enumerate(a[r][c + 1:], start=c + 1) if y]
-        for rr in free:
+        for rr in hits:
             coef = a[rr][c]
-            if coef:
-                row = a[rr]
-                for j, y in tail:
-                    row[j] = sub(row[j], mul(coef, y))
+            row = a[rr]
+            for j, y in tail:
+                row[j] = sub(row[j], mul(coef, y))
     return pivots, a
 
 

@@ -4,7 +4,9 @@ Decomposable orbits are enumerated combinatorially: between each pair of
 adjacent columns, the heights 1..n+1 are partially matched with every
 matched pair weakly increasing, and matchings of different column pairs are
 independent.  Chaining the matchings yields the decomposition; assembling
-it yields the canonical representative.  An exhaustive F_2 census of
+it yields the canonical representative.  The product order of the matchings
+numbers the orbits 1..b_(n+2)^(n-1); these ids index the census, the poset
+and the experiment commands.  An exhaustive F_2 census of
 south-west arrays provides an independent check for n <= 3: it holds every
 enumerated orbit's array, plus those of tuples with no thin decomposition.
 """
@@ -21,6 +23,7 @@ from .exact_linalg import Matrix
 from .fields import GF
 from .grid_quiver import (
     Decomposition,
+    GridQuiverError,
     InfeasibleSize,
     assemble_canonical,
     matchings_to_decomposition,
@@ -61,15 +64,38 @@ def order_matchings(size):
     return out
 
 
+def orbit_count(shape):
+    """Number of decomposable orbits, b_(n+2)^(n-1): the n-1 column pairs
+    are matched independently, each in b_(n+2) ways (the Bell number of
+    size+1), so nothing is enumerated."""
+    return bell(shape.size + 1) ** shape.num_maps
+
+
 def enumerate_orbits(shape):
     """All decomposable orbits of the restricted space (those of points that
     are direct sums of thin summands), as decompositions, in a fixed order
-    (the product order of the per-pair matchings)."""
+    (the product order of the per-pair matchings), orbit id k at k - 1."""
     per_pair = order_matchings(shape.size)
     out = []
     for combo in itertools.product(per_pair, repeat=shape.num_maps):
         out.append(matchings_to_decomposition(shape, list(combo)))
     return out
+
+
+def orbit_by_id(shape, k):
+    """``enumerate_orbits(shape)[k - 1]``, decoded without enumerating: k - 1
+    is a mixed-radix number over the per-pair matchings, the first map's
+    digit leading.  Raises GridQuiverError outside 1..orbit_count(shape)."""
+    total = orbit_count(shape)
+    if not (1 <= k <= total):
+        raise GridQuiverError(f"orbit id {k} out of range 1..{total}")
+    per_pair = order_matchings(shape.size)
+    combo = []
+    rest = k - 1
+    for _ in range(shape.num_maps):
+        rest, digit = divmod(rest, len(per_pair))
+        combo.append(per_pair[digit])
+    return matchings_to_decomposition(shape, combo[::-1])
 
 
 def f2_census(shape):
@@ -160,12 +186,9 @@ class CountReport:
 
 
 def count_report(shape):
-    """Three counts side by side: the decompositions, the exhaustive F_2
-    array census (n <= 3), and the formula (n-1)·b_(n+2).
-
-    The decompositions are counted by the closed form b_(n+2)^(n-1): the
-    n-1 column pairs are matched independently, each in b_(n+2) ways (the
-    Bell number of size+1), so nothing is enumerated.
+    """Three counts side by side: the decompositions, counted by
+    :func:`orbit_count` without enumerating them, the exhaustive F_2 array
+    census (n <= 3), and the formula (n-1)·b_(n+2).
 
     All three are reported verbatim, never asserted against each other.
     For n = 2 they coincide at 15.  For n >= 3 tuples exist whose maps
@@ -176,9 +199,8 @@ def count_report(shape):
     census representative :func:`decompose` rejects, 3402 = 2704 + 698
     (acceptance criterion 6); the formula, 104, matches neither.
     """
-    enumerated = bell(shape.size + 1) ** shape.num_maps
     f2 = f2_distinct_count(shape) if shape.n <= 3 else None
-    return CountReport(enumerated, f2, (shape.n - 1) * bell(shape.n + 2))
+    return CountReport(orbit_count(shape), f2, (shape.n - 1) * bell(shape.n + 2))
 
 
 @dataclass(frozen=True)
@@ -204,6 +226,28 @@ class OrbitPoset:
         return sorted(n.id for n in self.nodes if n.id not in above_something)
 
 
+def orbit_nodes(shape):
+    """Each decomposable orbit in id order, as an :class:`OrbitNode` with its
+    canonical representative and that point's south-west array."""
+    for idx, dec in enumerate(enumerate_orbits(shape), start=1):
+        point = assemble_canonical(dec)
+        yield OrbitNode(idx, dec, point, sw_array(point))
+
+
+def array_order(arrays):
+    """All-pairs componentwise order of equal-shape south-west arrays, as a
+    boolean matrix: leq[i, j] holds when arrays[i] <= arrays[j] in every
+    entry (:func:`~gridorbits.parametrizations.array_leq`)."""
+    a = np.array([arr.flat() for arr in arrays], dtype=np.int16)
+    nn = len(a)
+    leq = np.empty((nn, nn), dtype=bool)
+    chunk = max(1, (1 << 24) // max(1, a.size))
+    for lo in range(0, nn, chunk):
+        hi = min(nn, lo + chunk)
+        leq[lo:hi] = (a[lo:hi, None, :] <= a[None, :, :]).all(axis=2)
+    return leq
+
+
 def build_poset(shape):
     """Degeneration poset of all decomposable orbits: nodes carry the
     decomposition, the canonical representative and its array; edges are
@@ -216,26 +260,12 @@ def build_poset(shape):
             b_6^3 = 8,365,427 nodes.
     """
     if shape.n >= 4:
-        nodes = bell(shape.size + 1) ** shape.num_maps
         raise InfeasibleSize(
-            f"poset of n = {shape.n} has {nodes} orbit nodes; "
+            f"poset of n = {shape.n} has {orbit_count(shape)} orbit nodes; "
             "poset construction is limited to n <= 3"
         )
-    decs = enumerate_orbits(shape)
-    nodes = []
-    flats = []
-    for idx, dec in enumerate(decs, start=1):
-        point = assemble_canonical(dec)
-        arr = sw_array(point)
-        nodes.append(OrbitNode(idx, dec, point, arr))
-        flats.append(arr.flat())
-    a = np.array(flats, dtype=np.int16)
-    nn = len(nodes)
-    leq = np.empty((nn, nn), dtype=bool)  # leq[i, j]: orbit i degenerate below j
-    chunk = max(1, (1 << 24) // max(1, nn * a.shape[1]))
-    for lo in range(0, nn, chunk):
-        hi = min(nn, lo + chunk)
-        leq[lo:hi] = (a[lo:hi, None, :] <= a[None, :, :]).all(axis=2)
+    nodes = tuple(orbit_nodes(shape))
+    leq = array_order([node.sw for node in nodes])  # i degenerates below j
     less = leq & ~leq.T
     # path counts are bounded by the node count << 2^24, so float32 matmul
     # is exact here and much faster than integer matmul
@@ -244,7 +274,7 @@ def build_poset(shape):
     edges = tuple(
         (int(j + 1), int(i + 1)) for i, j in zip(*np.nonzero(cover))
     )
-    return OrbitPoset(shape, tuple(nodes), tuple(sorted(edges)))
+    return OrbitPoset(shape, nodes, tuple(sorted(edges)))
 
 
 def export_dot(poset):

@@ -11,7 +11,14 @@ from fractions import Fraction
 from .decomposition import RankVector, flat_intersections, inter_order
 from .exact_linalg import Matrix
 from .fields import QQ
-from .grid_quiver import Decomposition, GridShape, make_point, validate_heights, windows
+from .grid_quiver import (
+    Decomposition,
+    GridShape,
+    SizeMismatch,
+    make_point,
+    validate_heights,
+    windows,
+)
 from .parametrizations import SWArray
 
 
@@ -97,11 +104,18 @@ def sw_array_to_json(s):
 
 
 def sw_array_from_json(obj):
+    """Inverse of :func:`sw_array_to_json`; raises SizeMismatch unless every
+    window of the shape has ``size`` rows of ``size`` entries, nulls included."""
     shape = GridShape(int(obj["n"]))
+    size = shape.size
     by_window = {(w["j1"], w["j2"]): w["table"] for w in obj["windows"]}
     tables = []
-    for w in windows(shape):
-        padded = by_window[w]
+    for (j1, j2) in windows(shape):
+        padded = by_window.get((j1, j2))
+        if padded is None:
+            raise SizeMismatch(f"array of n = {shape.n} has no table for window ({j1},{j2})")
+        if len(padded) != size or any(len(row) != size for row in padded):
+            raise SizeMismatch(f"window ({j1},{j2}): table is not {size} rows of {size} entries")
         tables.append(
             tuple(tuple(int(x) for x in row[p - 1:]) for p, row in enumerate(padded, start=1))
         )

@@ -16,6 +16,8 @@ import json
 import pytest
 
 from gridorbits.cli import main
+from gridorbits.parametrizations import sw_array
+from gridorbits.serialize import map_tuple_from_json, sw_array_from_json
 
 # n = 2: a rational point in the orbit of diag(0, 1, 1), and a second orbit.
 N2_MESSY = {"n": 2, "maps": [[["0", "3/2", "-1"], ["0", "2", "5"], ["0", "0", "1/3"]]]}
@@ -136,6 +138,9 @@ GOLDEN = {
     "validate-array-n3": (["validate-array", "{n3_pair_array}"], 0,
         "a0e3c4460b5fe3a7c4e1f870498bd323f656529245edd421178be5b4b4fa9976",
     ),
+    "validate-array-n3-rejected": (["validate-array", "{n3_rejected_array}"], 0,
+        "2a9a637a2c44d63fc72e73a69ad91bb1992841951c395e00dca1b3ed045e8f26",
+    ),
     "validate-array-bad": (["validate-array", "{bad_array}"], 0,
         "5e80c668ae53b93465143cbfb8fa54591709086c511fc7221b6427df8c182a55",
     ),
@@ -202,12 +207,13 @@ def input_files(tmp_path_factory):
         path = root / f"{name}.json"
         path.write_text(json.dumps(obj))
         paths[name] = str(path)
-    # the n = 3 point's own array, as the sw-array command writes it
-    code, out, _ = run_main(["sw-array", paths["n3_pair"]])
-    assert code == 0
-    path = root / "n3_pair_array.json"
-    path.write_text(out)
-    paths["n3_pair_array"] = str(path)
+    # the arrays of the n = 3 points, as the sw-array command writes them
+    for name in ("n3_pair", "n3_rejected"):
+        code, out, _ = run_main(["sw-array", paths[name]])
+        assert code == 0
+        path = root / f"{name}_array.json"
+        path.write_text(out)
+        paths[f"{name}_array"] = str(path)
     return paths
 
 
@@ -233,3 +239,14 @@ def test_refused_rep_variety_message():
     code, out, err = run_main(HOM_REFUSED)
     assert (code, out) == (2, "")
     assert err == "error: representation variety has q^6 candidate points\n"
+
+
+def test_rejected_point_realises_its_array(input_files):
+    # validate-array decides realisation by a direct sum of thin summands:
+    # the rejected point realises its own array, yet no such sum does
+    with open(input_files["n3_rejected_array"], encoding="utf-8") as fh:
+        arr = sw_array_from_json(json.load(fh))
+    assert sw_array(map_tuple_from_json(N3_REJECTED)) == arr
+    code, out, _ = run_main(["validate-array", input_files["n3_rejected_array"]])
+    report = json.loads(out)
+    assert code == 0 and report["inequalities_ok"] and not report["realizable"]

@@ -21,12 +21,14 @@ from gridorbits import (
     order_matchings,
     rank_vector,
     same_rank_vector,
+    sw_array,
     validate_heights,
     windows,
     zero_tuple,
 )
 from gridorbits.decomposition import full_vector
 from gridorbits.exact_linalg import solve_unique
+from gridorbits.parametrizations import pivots
 
 from conftest import DECOMP_N3, INDECOMPOSABLE_VECTORS_12, random_borel, random_point
 
@@ -86,7 +88,57 @@ def solve_decomposition(point):
     return Decomposition.from_heights(shape, heights)
 
 
+def reference_decompose(point):
+    """The decomposition path before :func:`decompose` ran on
+    :func:`reconstruct`: matchings read off the pivots of the single-map
+    tables, chained, reassembled and accepted when the arrays agree."""
+    shape = point.shape
+    size = shape.size
+    arr = sw_array(point)
+    matchings = [
+        {size + 1 - q: size + 1 - p for p, q in pivots(arr.table(j, j))}
+        for j in range(1, shape.num_maps + 1)
+    ]
+    dec = matchings_to_decomposition(shape, matchings)
+    if sw_array(assemble_canonical(dec)) != arr:
+        raise SolveFailure("no thin decomposition")
+    return dec
+
+
+def sparse_point(shape, rng):
+    """0/1 maps with about 30% of each upper triangle set."""
+    size = shape.size
+    maps = [
+        [[int(j >= i and rng.random() < 0.3) for j in range(size)] for i in range(size)]
+        for _ in range(shape.num_maps)
+    ]
+    return make_point(shape, maps)
+
+
 class TestDecompose:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_reference_path(self, n, rng):
+        # both paths accept exactly when the maps' partial permutation forms
+        # reproduce the point's array, and then read the same summands
+        shape = GridShape(n)
+        matchings = order_matchings(shape.size)
+        pts = [sparse_point(shape, rng) for _ in range(20)]
+        pts += [random_point(shape, rng) for _ in range(4)]
+        for _ in range(6):
+            dec = matchings_to_decomposition(shape, [rng.choice(matchings) for _ in range(n - 1)])
+            pts.append(borel_act(assemble_canonical(dec), random_borel(shape, rng)))
+        accepted = 0
+        for pt in pts:
+            try:
+                want = reference_decompose(pt)
+            except SolveFailure:
+                with pytest.raises(SolveFailure):
+                    decompose(pt)
+                continue
+            assert decompose(pt) == want
+            accepted += 1
+        assert accepted >= 6 and (n == 2 or accepted < len(pts))
+
     def test_published_pair(self, shape3, pair_n3):
         dec = decompose(pair_n3)
         assert set(dec.heights()) == DECOMP_N3
@@ -140,8 +192,8 @@ class TestDecompose:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_one_reduction_per_window_product(self, n, rng, monkeypatch):
         # the maps' forms are read off the point's array, so decompose
-        # reduces each window product of the point and of its reassembly
-        # once, and no map a second time
+        # reduces each window product of the point and of its
+        # reconstruction once, and no map a second time
         from gridorbits import exact_linalg
 
         shape = GridShape(n)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -478,6 +479,22 @@ class TestFlatScan:
         assert res.upward_closed
         bound = 2
         assert all(r.estimate.degree >= bound for r in res.rows)
+
+    def test_scan_builds_no_poset(self, monkeypatch):
+        # the scan orders its own arrays; building the poset as well would
+        # repeat the census and its covers for every scan
+        from gridorbits import orbit_poset
+
+        original = orbit_poset.build_poset
+
+        def refused(shape):
+            raise AssertionError("flat_scan built the poset")
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "gridorbits" and getattr(module, "build_poset", None) is original:
+                monkeypatch.setattr(module, "build_poset", refused)
+        res = flat_scan(W231, qs=(2, 3, 4, 5, 7))
+        assert len(res.rows) == 15 and res.upward_closed
 
 
 class TestOrbitInvariance:

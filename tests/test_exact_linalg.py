@@ -550,15 +550,16 @@ DENSE_UT7 = [[(i * j + i + 2 * j) % 4 + 1 if j >= i else 0 for j in range(7)] fo
 
 
 def test_b_reduce_skips_work_that_cannot_move_a_pivot():
-    # a deterministic operation count, not a timing: the pivot-only sweep
-    # must stay well below the full sweep on a dense matrix
+    # a deterministic operation count, not a timing: on upper-triangular
+    # input no free row has a nonzero in a pivot column, so the sweep
+    # scales and subtracts nothing
     field = CountingGF5()
     m = Matrix(field, DENSE_UT7)
     expected = reference_b_reduce(m)
-    full = field.muls
+    assert field.muls > 0
     field.muls = 0
     assert b_reduce(m) == expected
-    assert 0 < field.muls < full / 2
+    assert field.muls == 0
 
 
 def test_inverse_of_triangular_input_costs_a_back_substitution():
@@ -571,7 +572,7 @@ def test_inverse_of_triangular_input_costs_a_back_substitution():
     field.muls = 0
     assert inverse(m) == expected
     assert back == 196
-    assert field.muls <= 1.2 * back
+    assert field.muls == 80
 
 
 class TestHelpers:

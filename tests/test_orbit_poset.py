@@ -1,11 +1,15 @@
+import random
 import re
 
+import numpy as np
 import pytest
 
 from gridorbits import (
     GridShape,
     InfeasibleSize,
     OrbitPoset,
+    array_leq,
+    array_order,
     assemble_canonical,
     bell,
     build_poset,
@@ -16,6 +20,7 @@ from gridorbits import (
     f2_distinct_count,
     flat_intersections,
     make_point,
+    orbit_nodes,
     order_matchings,
     rank_vector,
     sw_array,
@@ -194,6 +199,48 @@ class TestPoset:
                 for c in arrays:
                     if array_leq(a, b) and array_leq(b, c):
                         assert array_leq(a, c)
+
+
+def reference_upward_closed(arrays, flat):
+    """Whether every array above a flagged one, other than itself, is
+    flagged: the all-pairs loop :func:`flat_scan` ran before it read the
+    order off :func:`array_order`."""
+    return all(
+        flat[j]
+        for i in range(len(arrays))
+        if flat[i]
+        for j in range(len(arrays))
+        if i != j and array_leq(arrays[i], arrays[j])
+    )
+
+
+class TestArrayOrder:
+    def test_matches_array_leq(self, shape2):
+        arrays = [node.sw for node in orbit_nodes(shape2)]
+        leq = array_order(arrays)
+        assert leq.tolist() == [[array_leq(a, b) for b in arrays] for a in arrays]
+
+    @pytest.mark.parametrize("n,sample", [(2, 15), (3, 80)])
+    def test_upward_closure_matches_loop(self, n, sample):
+        rng = random.Random(n)
+        arrays = rng.sample([node.sw for node in orbit_nodes(GridShape(n))], sample)
+        arrays += rng.sample(arrays, 5)  # equal arrays at distinct indices
+        leq = array_order(arrays)
+        outcomes = set()
+        for trial in range(30):
+            if trial % 3 == 0:  # a random candidate set
+                density = rng.random()
+                flat = [rng.random() < density for _ in arrays]
+            else:  # the up-set of a few arrays, on every third trial less one member
+                gens = rng.sample(arrays, rng.randint(1, 3))
+                flat = [any(array_leq(g, b) for g in gens) for b in arrays]
+                if trial % 3 == 2:
+                    flat[rng.choice([i for i, f in enumerate(flat) if f])] = False
+            mask = np.array(flat)
+            closed = reference_upward_closed(arrays, flat)
+            assert (not leq[mask][:, ~mask].any()) == closed
+            outcomes.add(closed)
+        assert outcomes == {True, False}
 
 
 DOT_NODE = re.compile(r'^  (o\d+) \[label="[^"]*"\];$')

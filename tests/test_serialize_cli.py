@@ -11,6 +11,7 @@ from gridorbits import (
     Decomposition,
     GridQuiverError,
     GridShape,
+    SizeMismatch,
     assemble_canonical,
     decompose,
     enumerate_orbits,
@@ -19,7 +20,7 @@ from gridorbits import (
     sw_array,
     validate_heights,
 )
-from gridorbits import cli, orbit_poset
+from gridorbits import orbit_poset
 from gridorbits.cli import _orbit_by_id, main
 from gridorbits.serialize import (
     decomposition_from_json,
@@ -136,6 +137,31 @@ class TestCli:
         report = json.loads(out)
         assert not report["inequalities_ok"]
 
+    @pytest.mark.parametrize(
+        "arr,message",
+        [
+            (
+                {"n": 3, "windows": [{"j1": 1, "j2": 1, "table": [[0] * 4] * 4}]},
+                "array of n = 3 has no table for window (1,2)",
+            ),
+            (
+                {"n": 2, "windows": [{"j1": 1, "j2": 1, "table": [[0, 1], [None, 1]]}]},
+                "window (1,1): table is not 3 rows of 3 entries",
+            ),
+            (
+                {"n": 2, "windows": [{"j1": 1, "j2": 1, "table": [[0, 1, 2], [None, 1], [None, None, 1]]}]},
+                "window (1,1): table is not 3 rows of 3 entries",
+            ),
+        ],
+    )
+    def test_malformed_array_refused(self, arr, message, tmp_path, capsys):
+        with pytest.raises(SizeMismatch, match=re.escape(message)):
+            sw_array_from_json(arr)
+        path = tmp_path / "arr.json"
+        path.write_text(json.dumps(arr))
+        assert main(["validate-array", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_decompose_and_canonical(self, diag011_file):
         code, out, _ = run_cli("decompose", diag011_file)
         assert code == 0
@@ -229,7 +255,6 @@ class TestCli:
         def enumerated(shape):
             raise AssertionError("the orbits were enumerated")
 
-        monkeypatch.setattr(cli, "enumerate_orbits", enumerated)
         monkeypatch.setattr(orbit_poset, "enumerate_orbits", enumerated)
         start = time.perf_counter()
         code = main(["hom-report", "--w", "2,3,4,5,1", "--orbit", "7"])
