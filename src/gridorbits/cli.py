@@ -220,7 +220,7 @@ def _cmd_hom_report(args):
     w, qs, budget = _experiment_flags(args)
     shape = GridShape(len(w) - 1)
     point = _orbit_by_id(shape, args.orbit)
-    report = hom_report(w, point, qs=qs, seed=args.seed, budget=budget)
+    report = hom_report(w, point, qs=qs, budget=budget)
     _emit(_dump(dataclasses.asdict(report)), args.out)
 
 
@@ -312,7 +312,6 @@ def build_parser():
     p.add_argument("--orbit", required=True, help="orbit id, or 'identity' / 'zero'")
     p.add_argument("--qs", default=None)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
     common(p, fmt=None)
     p.set_defaults(func=_cmd_hom_report)
 

@@ -6,7 +6,7 @@ over several finite fields and fitting one integer polynomial, an exact
 Vandermonde solve on :class:`~gridorbits.exact_linalg.Matrix`, validated
 on held-out field sizes.  The audit compares the codimension of the Hom scheme
 inside its ambient space against the rank of the defining bilinear system,
-computed exactly over Q at sampled points.  The ambient space contains the
+computed exactly over Q at coordinate subrepresentations.  The ambient space contains the
 variety of representations with one commutativity relation per square.
 Both are cut out by one list of equations over one index of unknowns (the
 arrow entries, horizontal before vertical, then the frame entries g), each
@@ -20,19 +20,17 @@ tuples over F_q.  All exact linear algebra runs on
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 
-from .decomposition import decompose
-from .exact_linalg import Matrix, inverse, principal_block, rank, solve_unique
+from .exact_linalg import Matrix, principal_block, rank, solve_unique
 from .fields import GF, QQ, is_prime_power
-from .grid_quiver import GridQuiverError, GridShape, InfeasibleSize, assemble_canonical
-from .orbit_poset import array_order, enumerate_orbits
-from .parametrizations import sw_array
+from .grid_quiver import GridQuiverError, GridShape, InfeasibleSize
+from .orbit_poset import array_order, orbit_nodes
+from .parametrizations import reconstruct, sw_array
 from .schubert import check_permutation, length, target_dims
 from .subspaces import chain_tests, column_chains, in_span
 
@@ -282,18 +280,15 @@ def flat_scan(w, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     """
     w = check_permutation(w)
     shape = GridShape(len(w) - 1)
-    if shape.n > 3:
-        raise InfeasibleSize("flat scan is limited to n <= 3")
     e = target_dims(w)
     target = length(w)
     rows = []
     arrays = []
-    for idx, dec in enumerate(enumerate_orbits(shape), start=1):
-        pt = assemble_canonical(dec)
-        table = point_counts(pt, e, qs, budget)
+    for node in orbit_nodes(shape):
+        table = point_counts(node.canonical, e, qs, budget)
         est = fit_dimension(table.counts, _degree_bound(shape, e))
-        rows.append(FlatScanRow(idx, dec, table, est, est.degree == target))
-        arrays.append(sw_array(pt))
+        rows.append(FlatScanRow(node.id, node.decomposition, table, est, est.degree == target))
+        arrays.append(node.sw)
     flat = np.array([r.flat_candidate for r in rows])
     upward_closed = not array_order(arrays)[flat][:, ~flat].any()
     return FlatScanResult(w, target, tuple(rows), upward_closed)
@@ -302,7 +297,7 @@ def flat_scan(w, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
 # ---------------------------------------------------------------------------
 # Hom-scheme audit
 
-SAMPLES = 5  # least number of exact points audited per report
+SAMPLES = 5  # least length of per_point_ranks; nothing is sampled
 MAX_BASE_POINTS = 8  # coordinate subrepresentations collected per report
 
 
@@ -508,34 +503,7 @@ def _values(keys, n_mats, g):
     return [mats[key].data[r][c] for key, r, c in keys]
 
 
-def _random_unimodular(size, rng):
-    upper = Matrix(QQ, [
-        [Fraction(1) if i == j else (Fraction(rng.randint(-2, 2)) if j > i else Fraction(0)) for j in range(size)]
-        for i in range(size)
-    ])
-    lower = Matrix(QQ, [
-        [Fraction(1) if i == j else (Fraction(rng.randint(-2, 2)) if j < i else Fraction(0)) for j in range(size)]
-        for i in range(size)
-    ])
-    return upper @ lower
-
-
-def _translate_point(shape, e, n_mats, g, rng):
-    """Base change of the subrepresentation by random invertible matrices:
-    another exact point of the same Hom scheme."""
-    a = {}
-    a_inv = {}
-    for i in range(1, shape.size + 1):
-        for j in range(1, shape.n + 1):
-            if e[i - 1][j - 1]:
-                a[(i, j)] = _random_unimodular(e[i - 1][j - 1], rng)
-                a_inv[(i, j)] = inverse(a[(i, j)])
-    new_n = {(s, t): a[t] @ (mat @ a_inv[s]) for (s, t), mat in n_mats.items()}
-    new_g = {v: mat @ a_inv[v] if v in a_inv else mat for v, mat in g.items()}
-    return new_n, new_g
-
-
-def hom_report(w, point, qs=DEFAULT_QS, seed=0, budget=DEFAULT_BUDGET):
+def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     """Complete-intersection audit of the Hom scheme for (w, point).
 
     All reported quantities are orbit invariants, so the audit runs on the
@@ -543,6 +511,12 @@ def hom_report(w, point, qs=DEFAULT_QS, seed=0, budget=DEFAULT_BUDGET):
     subrepresentations provide exact rational points of the scheme.  The
     representation variety is counted first, so a run whose q^nvars exceeds
     the budget is refused before the fibre is counted.
+
+    A base change a in GL(e) = prod_v GL(e_v), (N, g) -> (a_t N a_s^-1,
+    g_v a_v^-1), is a linear automorphism of the unknowns that multiplies
+    the residuals by invertible matrices, so both Jacobian ranks are GL(e)
+    invariant: ``per_point_ranks`` holds rank(J) - rank(J_squares) once per
+    base point, cycled to max(SAMPLES, number of base points) entries.
 
     Raises:
         InfeasibleSize: q^nvars exceeds the budget for some q (see
@@ -555,7 +529,7 @@ def hom_report(w, point, qs=DEFAULT_QS, seed=0, budget=DEFAULT_BUDGET):
     if len(w) != shape.size:
         raise ValueError("permutation size does not match the shape")
     e = target_dims(w)
-    canon = assemble_canonical(decompose(point))
+    canon = reconstruct(sw_array(point))
     dim_g = sum(x * x for row in e for x in row)
     total_e = sum(
         e[i - 1][j - 1] * i for i in range(1, shape.size + 1) for j in range(1, shape.n + 1)
@@ -576,27 +550,15 @@ def hom_report(w, point, qs=DEFAULT_QS, seed=0, budget=DEFAULT_BUDGET):
     index = {key: pos for pos, key in enumerate(keys)}
     hom = _hom_conditions(canon, e, index)
     equations = hom + _square_relations(shape, e, index)
-    rng = random.Random(seed)
     ranks = []
-    for idx in range(max(SAMPLES, len(base_points))):
-        assign = base_points[idx % len(base_points)]
-        n_mats, g = _hom_point_from_subrep(canon, e, assign)
-        if idx >= len(base_points):
-            n_mats, g = _translate_point(shape, e, n_mats, g, rng)
-        x = _values(keys, n_mats, g)
+    for assign in base_points:
+        x = _values(keys, *_hom_point_from_subrep(canon, e, assign))
         assert not any(_residuals(equations, x))
         jac = _jacobian(equations, x)
         # independent equations beyond the square relations
         ranks.append(rank(Matrix(QQ, jac)) - rank(Matrix(QQ, jac[len(hom):])))
+    ranks = [ranks[idx % len(ranks)] for idx in range(max(SAMPLES, len(ranks)))]
     indep = max(ranks)
     return HomReport(
-        dim_g,
-        est_gr.degree,
-        dim_hom0,
-        dim_v,
-        est_re.degree,
-        codim,
-        indep,
-        indep == codim,
-        tuple(ranks),
+        dim_g, est_gr.degree, dim_hom0, dim_v, est_re.degree, codim, indep, indep == codim, tuple(ranks)
     )

@@ -13,7 +13,7 @@ back-substitution reads solutions off its pivot rows:
 - :func:`inverse` sweeps [m | I] and back-substitutes all n right-hand
   sides at once; it inverts the Borel base changes of
   :func:`~gridorbits.grid_quiver.borel_act`, on which the sweep eliminates
-  nothing, and the audit's unimodular base changes.
+  nothing.
 
 :mod:`gridorbits.subspaces` keeps its own reduction of a vector against
 reduced row echelon rows: ``flat-scan --w 2,3,1`` with ``hom-report --w

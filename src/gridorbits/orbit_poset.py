@@ -228,7 +228,12 @@ class OrbitPoset:
 
 def orbit_nodes(shape):
     """Each decomposable orbit in id order, as an :class:`OrbitNode` with its
-    canonical representative and that point's south-west array."""
+    canonical representative and that point's south-west array.  Raises
+    InfeasibleSize on the first step for n >= 4 (b_6^3 = 8,365,427 nodes).
+    """
+    if shape.n >= 4:
+        raise InfeasibleSize(
+            f"n = {shape.n} has {orbit_count(shape)} orbit nodes; orbit listings stop at n = 3")
     for idx, dec in enumerate(enumerate_orbits(shape), start=1):
         point = assemble_canonical(dec)
         yield OrbitNode(idx, dec, point, sw_array(point))
@@ -252,18 +257,9 @@ def build_poset(shape):
     """Degeneration poset of all decomposable orbits: nodes carry the
     decomposition, the canonical representative and its array; edges are
     the covering pairs of the componentwise array order (transitive
-    reduction).
-
-    Raises:
-        InfeasibleSize: n >= 4, refused before anything is enumerated.  The
-            order is a dense node x node matrix, and n = 4 already has
-            b_6^3 = 8,365,427 nodes.
+    reduction).  The order is a dense node x node matrix, so the n >= 4
+    refusal of :func:`orbit_nodes` applies.
     """
-    if shape.n >= 4:
-        raise InfeasibleSize(
-            f"poset of n = {shape.n} has {orbit_count(shape)} orbit nodes; "
-            "poset construction is limited to n <= 3"
-        )
     nodes = tuple(orbit_nodes(shape))
     leq = array_order([node.sw for node in nodes])  # i degenerates below j
     less = leq & ~leq.T

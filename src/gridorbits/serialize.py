@@ -1,11 +1,13 @@
 """JSON (de)serialization of the domain types.
 
 Scalars travel as exact strings ("3/2", "0", "-1"); integers may omit the
-denominator.  All encoders produce deterministic key order.
+denominator.  All encoders produce deterministic key order.  The readers
+refuse missing keys, extra windows and mistyped values, naming the place.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from .decomposition import RankVector, flat_intersections, inter_order
@@ -13,6 +15,7 @@ from .exact_linalg import Matrix
 from .fields import QQ
 from .grid_quiver import (
     Decomposition,
+    GridQuiverError,
     GridShape,
     SizeMismatch,
     make_point,
@@ -39,11 +42,42 @@ def map_tuple_to_json(point):
     }
 
 
+def _checked(x, ok, where, what):
+    """x, or a GridQuiverError saying that ``where`` must be ``what``."""
+    if not ok:
+        shown = "an array" if type(x) is list else "an object" if type(x) is dict else json.dumps(x)
+        raise GridQuiverError(f"{where} must be {what}, got {shown}")
+    return x
+
+
+def _get(obj, key, where="input"):
+    return _checked(obj, type(obj) is dict and key in obj, where, f"an object with key {key!r}")[key]
+
+
+def _items(x, where):
+    return enumerate(_checked(x, type(x) is list, where, "an array"), start=1)
+
+
+def _int(x, where):
+    return _checked(x, type(x) is int, where, "an integer")  # JSON true is a bool, not an int
+
+
+def _scalar(x, where):
+    """A JSON integer, or a string that reads as an exact rational."""
+    try:
+        return scalar_from_str(_checked(x, type(x) in (int, str), where, "an integer or a string"))
+    except (ValueError, ZeroDivisionError):
+        return _checked(x, False, where, "an exact scalar string")
+
+
 def map_tuple_from_json(obj):
-    shape = GridShape(int(obj["n"]))
+    shape = GridShape(_int(_get(obj, "n"), "key 'n'"))
     mats = [
-        Matrix(QQ, [[scalar_from_str(x) for x in row] for row in rows])
-        for rows in obj["maps"]
+        Matrix(QQ, [
+            [_scalar(x, f"map {m}, entry ({r},{c})") for c, x in _items(row, f"map {m}, row {r}")]
+            for r, row in _items(rows, f"map {m}")
+        ])
+        for m, rows in _items(_get(obj, "maps"), "key 'maps'")
     ]
     return make_point(shape, mats)
 
@@ -104,19 +138,27 @@ def sw_array_to_json(s):
 
 
 def sw_array_from_json(obj):
-    """Inverse of :func:`sw_array_to_json`; raises SizeMismatch unless every
-    window of the shape has ``size`` rows of ``size`` entries, nulls included."""
-    shape = GridShape(int(obj["n"]))
+    """Inverse of :func:`sw_array_to_json`; raises SizeMismatch unless the windows
+    are the shape's, each once as ``size`` rows of ``size`` entries, nulls included."""
+    shape = GridShape(_int(_get(obj, "n"), "key 'n'"))
     size = shape.size
-    by_window = {(w["j1"], w["j2"]): w["table"] for w in obj["windows"]}
+    by_window = {}
+    for k, win in _items(_get(obj, "windows"), "key 'windows'"):
+        where = f"windows item {k}"
+        key = tuple(_int(_get(win, j, where), f"{where}, {j}") for j in ("j1", "j2"))
+        if key not in windows(shape) or key in by_window:
+            raise SizeMismatch(f"window ({key[0]},{key[1]}) is repeated or not in an array of n = {shape.n}")
+        by_window[key] = _get(win, "table", where)
     tables = []
     for (j1, j2) in windows(shape):
         padded = by_window.get((j1, j2))
         if padded is None:
             raise SizeMismatch(f"array of n = {shape.n} has no table for window ({j1},{j2})")
-        if len(padded) != size or any(len(row) != size for row in padded):
+        if type(padded) is not list or len(padded) != size or any(
+                type(row) is not list or len(row) != size for row in padded):
             raise SizeMismatch(f"window ({j1},{j2}): table is not {size} rows of {size} entries")
-        tables.append(
-            tuple(tuple(int(x) for x in row[p - 1:]) for p, row in enumerate(padded, start=1))
-        )
+        tables.append(tuple(
+            tuple(_int(x, f"window ({j1},{j2}), cell ({p},{q})") for q, x in enumerate(row[p - 1:], start=p))
+            for p, row in enumerate(padded, start=1)
+        ))
     return SWArray(shape, tuple(tables))

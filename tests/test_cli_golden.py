@@ -69,7 +69,7 @@ INPUTS = {
 }
 
 HOM_231 = ["hom-report", "--w", "2,3,1", "--orbit"]
-HOM_231_FLAGS = ["--qs", "2,3,4,5,7,8", "--seed", "3"]
+HOM_231_FLAGS = ["--qs", "2,3,4,5,7,8"]
 # 5^6 arrow tuples exceed the budget although 5^3 horizontal tuples do not
 HOM_REFUSED = HOM_231 + ["identity", "--qs", "2,3,4,5", "--budget", "1000"]
 

@@ -29,8 +29,8 @@ from gridorbits import (
 )
 from gridorbits import degeneration_lab
 from gridorbits.degeneration_lab import _poly_trim
-from gridorbits.exact_linalg import solve_unique
-from gridorbits.fields import _poly_mul_mod
+from gridorbits.exact_linalg import Matrix, inverse, rank, solve_unique
+from gridorbits.fields import QQ, _poly_mul_mod
 from gridorbits.subspaces import (
     chain_tests,
     column_chains,
@@ -43,6 +43,35 @@ from gridorbits.subspaces import (
 from conftest import CANONICAL_15
 
 W231 = (2, 3, 1)
+
+
+def reference_random_unimodular(size, rng):
+    """A random integer matrix of determinant 1, as upper @ lower unitriangular."""
+    upper = Matrix(QQ, [
+        [Fraction(1) if i == j else (Fraction(rng.randint(-2, 2)) if j > i else Fraction(0)) for j in range(size)]
+        for i in range(size)
+    ])
+    lower = Matrix(QQ, [
+        [Fraction(1) if i == j else (Fraction(rng.randint(-2, 2)) if j < i else Fraction(0)) for j in range(size)]
+        for i in range(size)
+    ])
+    return upper @ lower
+
+
+def reference_translate_point(shape, e, n_mats, g, rng):
+    """Base change of the subrepresentation by random invertible matrices
+    a in GL(e): (N, g) -> (a_t N a_s^-1, g_v a_v^-1), another exact point of
+    the same Hom scheme."""
+    a = {}
+    a_inv = {}
+    for i in range(1, shape.size + 1):
+        for j in range(1, shape.n + 1):
+            if e[i - 1][j - 1]:
+                a[(i, j)] = reference_random_unimodular(e[i - 1][j - 1], rng)
+                a_inv[(i, j)] = inverse(a[(i, j)])
+    new_n = {(s, t): a[t] @ (mat @ a_inv[s]) for (s, t), mat in n_mats.items()}
+    new_g = {v: mat @ a_inv[v] if v in a_inv else mat for v, mat in g.items()}
+    return new_n, new_g
 
 
 def reference_smallest_irreducible(p, k):
@@ -568,7 +597,6 @@ class TestHomReport:
             _jacobian,
             _residuals,
             _square_relations,
-            _translate_point,
             _unknowns,
             _values,
         )
@@ -587,9 +615,10 @@ class TestHomReport:
             rng = random.Random(0)
             for assign in _coordinate_subreps(canon, e):
                 n_mats, g = _hom_point_from_subrep(canon, e, assign)
+                # the translate is a dense point, off the coordinate base points
                 for x in (
                     _values(keys, n_mats, g),
-                    _values(keys, *_translate_point(shape2, e, n_mats, g, rng)),
+                    _values(keys, *reference_translate_point(shape2, e, n_mats, g, rng)),
                 ):
                     base = _residuals(equations, x)
                     assert not any(base)
@@ -601,3 +630,43 @@ class TestHomReport:
                         assert diff == [row[v] for row in jac]
                     checked += 1
         assert checked
+
+    def test_ranks_constant_on_gl_e_orbits(self, shape2):
+        # the audit ranks each coordinate base point once; a GL(e) base change
+        # of (N, g) is a linear automorphism of the unknowns, so neither rank
+        # may move: checked on every w of size 3, orbit and base point at n = 2
+        from gridorbits import assemble_canonical, enumerate_orbits
+        from gridorbits.degeneration_lab import (
+            _coordinate_subreps,
+            _hom_conditions,
+            _hom_point_from_subrep,
+            _jacobian,
+            _residuals,
+            _square_relations,
+            _unknowns,
+            _values,
+        )
+
+        def ranks(equations, split, x):
+            assert not any(_residuals(equations, x))
+            jac = _jacobian(equations, x)
+            return rank(Matrix(QQ, jac)), rank(Matrix(QQ, jac[split:]))
+
+        translates = 0
+        for w in permutations((1, 2, 3)):
+            e = target_dims(w)
+            arrows, frames = _unknowns(shape2, e)
+            keys = arrows + frames
+            index = {key: pos for pos, key in enumerate(keys)}
+            for dec in enumerate_orbits(shape2):
+                canon = assemble_canonical(dec)
+                hom = _hom_conditions(canon, e, index)
+                equations = hom + _square_relations(shape2, e, index)
+                for assign in _coordinate_subreps(canon, e):
+                    n_mats, g = _hom_point_from_subrep(canon, e, assign)
+                    base = ranks(equations, len(hom), _values(keys, n_mats, g))
+                    for seed in range(6):
+                        moved = reference_translate_point(shape2, e, n_mats, g, random.Random(seed))
+                        assert ranks(equations, len(hom), _values(keys, *moved)) == base
+                        translates += 1
+        assert translates == 2142

@@ -172,6 +172,8 @@ class TestPoset:
         monkeypatch.setattr(orbit_poset, "enumerate_orbits", enumerate_nothing)
         with pytest.raises(InfeasibleSize, match=f"has {nodes} orbit nodes"):
             build_poset(GridShape(n))
+        with pytest.raises(InfeasibleSize, match=f"has {nodes} orbit nodes"):
+            next(orbit_nodes(GridShape(n)))
         # one class, whichever module names it
         assert degeneration_lab.InfeasibleSize is InfeasibleSize
 

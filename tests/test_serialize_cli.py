@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import subprocess
@@ -21,7 +22,7 @@ from gridorbits import (
     validate_heights,
 )
 from gridorbits import orbit_poset
-from gridorbits.cli import _orbit_by_id, main
+from gridorbits.cli import _orbit_by_id, build_parser, main
 from gridorbits.serialize import (
     decomposition_from_json,
     decomposition_to_json,
@@ -38,6 +39,21 @@ from gridorbits.serialize import (
 from test_orbit_poset import parse_dot
 
 DIAG011_JSON = {"n": 2, "maps": [[["0", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]]}
+ZERO_TABLE = [[0, 0, 0], [None, 0, 0], [None, None, 0]]
+
+
+def zero_table_with(p, q, x):
+    """ZERO_TABLE with its cell (p, q) replaced by the JSON value x."""
+    table = [list(row) for row in ZERO_TABLE]
+    table[p - 1][q - 1] = x
+    return table
+
+
+def with_entry(x):
+    """DIAG011_JSON with its (2,2) entry replaced by the JSON value x."""
+    maps = json.loads(json.dumps(DIAG011_JSON["maps"]))
+    maps[0][1][1] = x
+    return {"n": 2, "maps": maps}
 
 
 class TestJsonRoundTrips:
@@ -152,15 +168,86 @@ class TestCli:
                 {"n": 2, "windows": [{"j1": 1, "j2": 1, "table": [[0, 1, 2], [None, 1], [None, None, 1]]}]},
                 "window (1,1): table is not 3 rows of 3 entries",
             ),
+            (
+                {"n": 2, "windows": [{"j1": 1, "j2": 1, "table": zero_table_with(2, 2, None)}]},
+                "window (1,1), cell (2,2) must be an integer, got null",
+            ),
+            (
+                {"n": 2, "windows": [{"j1": 1, "j2": 1, "table": zero_table_with(1, 3, 1.7)}]},
+                "window (1,1), cell (1,3) must be an integer, got 1.7",
+            ),
+            (
+                {"n": 2, "windows": [{"j1": 1, "j2": 1, "table": zero_table_with(1, 3, True)}]},
+                "window (1,1), cell (1,3) must be an integer, got true",
+            ),
+            (
+                {"n": 2, "windows": [{"j1": 1, "j2": j2, "table": ZERO_TABLE} for j2 in (1, 2)]},
+                "window (1,2) is repeated or not in an array of n = 2",
+            ),
+            (
+                {"n": 2, "windows": [{"j1": 1, "j2": 1, "table": ZERO_TABLE}] * 2},
+                "window (1,1) is repeated or not in an array of n = 2",
+            ),
+            (
+                {"n": 2, "windows": [{"j1": 1, "j2": 1, "table": None}]},
+                "array of n = 2 has no table for window (1,1)",
+            ),
+            (
+                {"n": 2, "windows": [{"j1": "1", "j2": 1, "table": ZERO_TABLE}]},
+                'windows item 1, j1 must be an integer, got "1"',
+            ),
+            (
+                {"n": 2, "windows": [{"j1": 1, "table": ZERO_TABLE}]},
+                "windows item 1 must be an object with key 'j2', got an object",
+            ),
+            ({"n": 2}, "input must be an object with key 'windows', got an object"),
+            ([1, 2], "input must be an object with key 'n', got an array"),
+            ({"n": 2.9, "windows": []}, "key 'n' must be an integer, got 2.9"),
+            ({"n": True, "windows": []}, "key 'n' must be an integer, got true"),
         ],
     )
     def test_malformed_array_refused(self, arr, message, tmp_path, capsys):
-        with pytest.raises(SizeMismatch, match=re.escape(message)):
+        # a window or table that does not fit the shape is a SizeMismatch,
+        # a value of the wrong JSON type a plain GridQuiverError
+        error = GridQuiverError if " must be " in message else SizeMismatch
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
             sw_array_from_json(arr)
+        assert type(info.value) is error
         path = tmp_path / "arr.json"
         path.write_text(json.dumps(arr))
         assert main(["validate-array", str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "point,message",
+        [
+            ({"n": 2}, "input must be an object with key 'maps', got an object"),
+            ([1, 2], "input must be an object with key 'n', got an array"),
+            ({**DIAG011_JSON, "n": 2.9}, "key 'n' must be an integer, got 2.9"),
+            ({**DIAG011_JSON, "n": True}, "key 'n' must be an integer, got true"),
+            ({"n": 2, "maps": "abc"}, "key 'maps' must be an array, got \"abc\""),
+            ({"n": 2, "maps": [[["0"] * 3, "x", ["0"] * 3]]}, "map 1, row 2 must be an array, got \"x\""),
+            (with_entry(0.1), "map 1, entry (2,2) must be an integer or a string, got 0.1"),
+            (with_entry(1.0), "map 1, entry (2,2) must be an integer or a string, got 1.0"),
+            (with_entry(True), "map 1, entry (2,2) must be an integer or a string, got true"),
+            (with_entry(None), "map 1, entry (2,2) must be an integer or a string, got null"),
+            (with_entry("abc"), "map 1, entry (2,2) must be an exact scalar string, got \"abc\""),
+            (with_entry("1/0"), "map 1, entry (2,2) must be an exact scalar string, got \"1/0\""),
+        ],
+    )
+    def test_malformed_point_refused(self, point, message, tmp_path, capsys):
+        with pytest.raises(GridQuiverError, match=f"^{re.escape(message)}$"):
+            map_tuple_from_json(point)
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(point))
+        assert main(["sw-array", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_exact_scalars_accepted(self):
+        # integers and exact strings, decimal ones included, read exactly
+        point = map_tuple_from_json({"n": 2, "maps": [[[0, "1/2", "0.1"], [0, 1, "-3"], [0, 0, "2"]]]})
+        assert point.maps[0].data[0] == (0, Fraction(1, 2), Fraction(1, 10))
+        assert point.maps[0].data[1] == (0, 1, -3)
 
     def test_decompose_and_canonical(self, diag011_file):
         code, out, _ = run_cli("decompose", diag011_file)
@@ -227,7 +314,14 @@ class TestCli:
         assert len(nodes) == 15 and len(edges) == 24
 
     @pytest.mark.parametrize(
-        "args", [("poset", "--n", "4"), ("orbits", "--n", "4", "--format", "dot")]
+        "args",
+        [
+            ("poset", "--n", "4"),
+            ("orbits", "--n", "4", "--format", "dot"),
+            ("orbits", "--n", "4", "--format", "json"),
+            ("orbits", "--n", "4", "--format", "csv"),
+            ("flat-scan", "--w", "2,3,4,5,1"),
+        ],
     )
     def test_poset_refused_past_n3(self, args, capsys):
         # n = 4 has 8,365,427 orbit nodes: refused before enumerating any
@@ -324,10 +418,37 @@ class TestCli:
         [
             ("schubert", "--w", "2,3,1", "--threads", "2"),
             ("flat-scan", "--w", "2,3,1", "--seed", "1"),
+            ("hom-report", "--w", "2,3,1", "--orbit", "zero", "--seed", "1"),
         ],
     )
     def test_removed_flags_are_usage_errors(self, args):
         assert run_cli(*args)[0] == 1
+
+    def test_flag_inventory(self):
+        # every option of every subcommand; a new flag must be added here
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        inventory = {
+            name: sorted(s for action in p._actions for s in action.option_strings)
+            for name, p in sub.choices.items()
+        }
+        point = ["--help", "--out", "-h"]
+        census = ["--format", "--help", "--n", "--out", "-h"]
+        assert inventory == {
+            "rank-vector": point,
+            "sw-array": point,
+            "decompose": point,
+            "canonical": point,
+            "same-orbit": point,
+            "degenerates": point,
+            "orbits": census,
+            "poset": census,
+            "schubert": ["--help", "--out", "--w", "-h"],
+            "flat-scan": ["--budget", "--help", "--out", "--qs", "--w", "-h"],
+            "hom-report": ["--budget", "--help", "--orbit", "--out", "--qs", "--w", "-h"],
+            "validate-array": point,
+            "count-report": ["--help", "--n", "--out", "-h"],
+        }
 
     def test_deterministic_output(self):
         a = run_cli("orbits", "--n", "2", "--format", "csv")
