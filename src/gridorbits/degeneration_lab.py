@@ -10,9 +10,11 @@ pair; :func:`flat_scan` builds the chains, which depend only on (column
 dims, q), once per scan.  Every count meters its budget in closed form.
 
 The audit compares the codimension of the Hom scheme inside its ambient
-space against the rank of the defining bilinear system,
-computed exactly over Q at coordinate subrepresentations.  The ambient space contains the
-variety of representations with one commutativity relation per square.
+space against the rank of the defining bilinear system, computed exactly
+over Q at the first ``MAX_BASE_POINTS`` items of the uncapped stream of
+coordinate subrepresentations (see :func:`_coordinate_subreps`).  The
+ambient space contains the variety of representations with one
+commutativity relation per square.
 Both are cut out by one list of equations over one index of unknowns (the
 arrow entries, horizontal before vertical, then the frame entries g), each
 a sum of terms coef·x_a·x_b where x_b may be absent.  The audit's Jacobian
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 
@@ -325,7 +327,7 @@ def flat_scan(w, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
 # Hom-scheme audit
 
 SAMPLES = 5  # least length of per_point_ranks; nothing is sampled
-MAX_BASE_POINTS = 8  # coordinate subrepresentations collected per report
+MAX_BASE_POINTS = 8  # the audit's cap: base points ranked per report
 
 
 def _grid_arrows(shape):
@@ -444,11 +446,11 @@ def rep_variety_count(shape, e, q, budget=DEFAULT_BUDGET):
         InfeasibleSize: q^nvars exceeds the budget, nvars being the number
             of entries of all arrow matrices (horizontal and vertical).
     """
-    field = GF(q)
     arrows, _frames = _unknowns(shape, e)
     nvars = len(arrows)
     if q ** nvars > budget:
         raise InfeasibleSize(f"representation variety has q^{nvars} candidate points")
+    field = GF(q)
     nh = sum(1 for (s, t), _r, _c in arrows if s[0] == t[0])
     nv = nvars - nh
     # With the horizontal entries fixed at H, the term coef·x_a·x_b puts
@@ -470,48 +472,37 @@ def rep_variety_count(shape, e, q, budget=DEFAULT_BUDGET):
 
 
 def _coordinate_subreps(point, e):
-    """Subrepresentations spanned by standard basis vectors: the torus-fixed
-    points of the fibre over a canonical representative, at most
-    MAX_BASE_POINTS of them."""
-    shape = point.shape
-    found = []
-    cells = [(j, i) for j in range(1, shape.n + 1) for i in range(1, shape.size + 1)]
+    """Every subrepresentation spanned by standard basis vectors: the
+    torus-fixed points of the fibre over a canonical representative.
 
-    def column_support(mat, t, i):
-        return {r for r in range(1, i + 1) if mat.entry(r, t) != QQ.zero}
+    Yields each as a dict from vertex to the sorted tuple of basis indices
+    spanning it, depth first: column by column, the bottom cell last.
+    """
+    shape = point.shape
+    cells = [(i, j) for j in range(1, shape.n + 1) for i in range(1, shape.size + 1)]
 
     def extend(idx, assign):
-        if len(found) >= MAX_BASE_POINTS:
-            return
         if idx == len(cells):
-            found.append(dict(assign))
+            yield assign
             return
-        j, i = cells[idx]
-        k = e[i - 1][j - 1]
-        prev_up = assign.get((i - 1, j), frozenset())
-        for cand in combinations(range(1, i + 1), k):
-            s = frozenset(cand)
-            if not prev_up <= s:
-                continue
-            if j >= 2:
-                left = assign.get((i, j - 1), frozenset())
-                block = principal_block(point.maps[j - 2], i)
-                if any(not column_support(block, t, i) <= s for t in left):
-                    continue
-            assign[(i, j)] = s
-            extend(idx + 1, assign)
-            del assign[(i, j)]
+        i, j = cells[idx]
+        below = set(assign.get((i - 1, j), ()))
+        images = []
+        if j >= 2:
+            f = _arrow_map(point, (i, j - 1), (i, j))
+            images = [{r for r in range(1, i + 1) if f.entry(r, t)} for t in assign[(i, j - 1)]]
+        for cand in combinations(range(1, i + 1), _edim(e, (i, j))):
+            if below.union(*images) <= set(cand):
+                yield from extend(idx + 1, {**assign, (i, j): cand})
 
-    extend(0, {})
-    return found
+    yield from extend(0, {})
 
 
 def _hom_point_from_subrep(point, e, assign):
     """Exact (N, g) pair over Q for a coordinate subrepresentation."""
-    bases = {v: sorted(assign.get(v, frozenset())) for v in assign}
     g = {
         (i, j): Matrix(QQ, [[QQ.one if t == r else QQ.zero for t in basis] for r in range(1, i + 1)])
-        for (i, j), basis in bases.items()
+        for (i, j), basis in assign.items()
     }
     n_mats = {}
     for (s, t) in _grid_arrows(point.shape):
@@ -519,7 +510,7 @@ def _hom_point_from_subrep(point, e, assign):
             continue
         ambient = _arrow_map(point, s, t)
         n_mats[(s, t)] = Matrix(
-            QQ, [[ambient.entry(dst, src) for src in bases[s]] for dst in bases[t]]
+            QQ, [[ambient.entry(dst, src) for src in assign[s]] for dst in assign[t]]
         )
     return n_mats, g
 
@@ -543,7 +534,9 @@ def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     g_v a_v^-1), is a linear automorphism of the unknowns that multiplies
     the residuals by invertible matrices, so both Jacobian ranks are GL(e)
     invariant: ``per_point_ranks`` holds rank(J) - rank(J_squares) once per
-    base point, cycled to max(SAMPLES, number of base points) entries.
+    base point, the first MAX_BASE_POINTS items of
+    :func:`_coordinate_subreps`, cycled to max(SAMPLES, number of base
+    points) entries.
 
     Raises:
         InfeasibleSize: q^nvars exceeds the budget for some q (see
@@ -561,8 +554,6 @@ def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     total_e = sum(
         e[i - 1][j - 1] * i for i in range(1, shape.size + 1) for j in range(1, shape.n + 1)
     )
-    if all(x == 0 for row in e for x in row):
-        return HomReport(0, 0, 0, 0, 0, 0, 0, True, ())
     re_counts = tuple((q, rep_variety_count(shape, e, q, budget)) for q in qs)
     est_gr = estimate_dim(canon, e, qs, budget)
     arrows, frames = _unknowns(shape, e)
@@ -570,7 +561,7 @@ def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     dim_hom0 = est_gr.degree + dim_g
     dim_v = est_re.degree + total_e
     codim = dim_v - dim_hom0
-    base_points = _coordinate_subreps(canon, e)
+    base_points = list(islice(_coordinate_subreps(canon, e), MAX_BASE_POINTS))
     if not base_points:
         raise NoPointFound("no coordinate subrepresentation of the canonical point")
     keys = arrows + frames

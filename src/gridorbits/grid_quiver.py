@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 from .exact_linalg import Matrix, inverse, is_upper_triangular
 from .fields import QQ
@@ -97,11 +98,6 @@ class HeightVector:
 
     shape: GridShape
     h: tuple
-
-    @property
-    def support(self):
-        nz = [j for j, v in enumerate(self.h, start=1) if v]
-        return (nz[0], nz[-1])
 
 
 @dataclass(frozen=True)
@@ -234,24 +230,14 @@ def enumerate_indecomposables(shape):
     Generates, per support interval [a, b], every weakly increasing height
     sequence with values in 1..n+1.
     """
-    n, top = shape.n, shape.size
-    out = []
-
-    def grow(prefix, remaining):
-        if remaining == 0:
-            yield prefix
-            return
-        lo = prefix[-1] if prefix else 1
-        for v in range(lo, top + 1):
-            yield from grow(prefix + [v], remaining - 1)
-
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            for seg in grow([], b - a + 1):
-                h = [0] * (a - 1) + seg + [0] * (n - b)
-                out.append(HeightVector(shape, tuple(h)))
-    out.sort(key=lambda hv: hv.h)
-    return out
+    n = shape.n
+    heights = sorted(
+        (0,) * (a - 1) + seg + (0,) * (n - b)
+        for a in range(1, n + 1)
+        for b in range(a, n + 1)
+        for seg in combinations_with_replacement(range(1, shape.size + 1), b - a + 1)
+    )
+    return [HeightVector(shape, h) for h in heights]
 
 
 def column_heights(dec, j):

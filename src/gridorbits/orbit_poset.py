@@ -71,10 +71,19 @@ def orbit_count(shape):
     return bell(shape.size + 1) ** shape.num_maps
 
 
+def _refuse_past_n3(shape):
+    """Raise InfeasibleSize for n >= 4, where the orbit listings stop."""
+    if shape.n >= 4:
+        raise InfeasibleSize(
+            f"n = {shape.n} has {orbit_count(shape)} orbit nodes; orbit listings stop at n = 3")
+
+
 def enumerate_orbits(shape):
     """All decomposable orbits of the restricted space (those of points that
     are direct sums of thin summands), as decompositions, in a fixed order
-    (the product order of the per-pair matchings), orbit id k at k - 1."""
+    (the product order of the per-pair matchings), orbit id k at k - 1.
+    Raises InfeasibleSize for n >= 4 before it builds any."""
+    _refuse_past_n3(shape)
     per_pair = order_matchings(shape.size)
     out = []
     for combo in itertools.product(per_pair, repeat=shape.num_maps):
@@ -113,7 +122,11 @@ def f2_census(shape):
     representative has the array it is filed under, so F_2 tuples create
     no array without a rational counterpart; this is checked exhaustively
     for n <= 3 (acceptance criterion 6), not proven in general.
+
+    Raises InfeasibleSize for n >= 4 before it allocates.
     """
+    if shape.n > 3:
+        raise InfeasibleSize("exhaustive F_2 census implemented for n <= 3 only")
     size = shape.size
     positions = [(i, j) for i in range(size) for j in range(i, size)]
     nbits = len(positions)
@@ -135,7 +148,7 @@ def f2_census(shape):
     n_keys = ncodes ** shape.num_maps  # one key per tuple, in enumeration order
     if shape.num_maps == 1:
         keys = t_of_code
-    elif shape.num_maps == 2:
+    else:
         # window (1,2) is f2·f1; encode each product back to its code
         shifts = np.arange(nbits, dtype=np.int64)
         pos_i = np.array([i for (i, j) in positions])
@@ -147,8 +160,6 @@ def f2_census(shape):
             keys[a * ncodes:(a + 1) * ncodes] = (
                 (t_of_code[a] * ntab) + t_of_code
             ) * ntab + t_of_code[prod_codes]
-    else:
-        raise ValueError("exhaustive F_2 census implemented for n <= 3 only")
 
     # a key holds one table id per window, and ntab is the number of partial
     # permutation patterns of the ambient size (52 at size 4), so the key
@@ -231,9 +242,7 @@ def orbit_nodes(shape):
     canonical representative and that point's south-west array.  Raises
     InfeasibleSize on the first step for n >= 4 (b_6^3 = 8,365,427 nodes).
     """
-    if shape.n >= 4:
-        raise InfeasibleSize(
-            f"n = {shape.n} has {orbit_count(shape)} orbit nodes; orbit listings stop at n = 3")
+    _refuse_past_n3(shape)
     for idx, dec in enumerate(enumerate_orbits(shape), start=1):
         point = assemble_canonical(dec)
         yield OrbitNode(idx, dec, point, sw_array(point))

@@ -183,6 +183,10 @@ GOLDEN = {
     "hom-report-321-identity": (["hom-report", "--w", "3,2,1", "--orbit", "identity"], 0,
         "1d7884dbad07f54c1a5b455b5f7ec3fa407a0eed6340cac2340d4c10906d78bc",
     ),
+    # nine coordinate subrepresentations, the audit ranks the first eight
+    "hom-report-321-zero": (["hom-report", "--w", "3,2,1", "--orbit", "zero"], 0,
+        "df58ca213e41b9451058e78f5ae9df59b0d8d80d2fcf885c1592f49eb6fb86a2",
+    ),
     "hom-report-budget-refused": (HOM_REFUSED, 2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),

@@ -229,12 +229,27 @@ class TestSubspaces:
 
 
 def exhaustive_subrep_oracle(point, e, q):
-    """Independent brute force: every tuple of subspaces, all conditions."""
+    """Independent brute force: every tuple of subspaces, all conditions,
+    with membership decided on the listed vectors of each span."""
     field = GF(q)
     shape = point.shape
     size = shape.size
     verts = [(i, j) for i in range(1, size + 1) for j in range(1, shape.n + 1)]
     choices = [subspaces(i, e[i - 1][j - 1], q) for (i, j) in verts]
+    spans = {}
+
+    def span(rows, width):
+        # the q^k combinations of the RREF rows, as a set of vectors
+        if (rows, width) not in spans:
+            vecs = set()
+            for coefs in product(range(q), repeat=len(rows)):
+                v = [0] * width
+                for c, row in zip(coefs, rows):
+                    v = [field.add(x, field.mul(c, y)) for x, y in zip(v, row)]
+                vecs.add(tuple(v))
+            spans[(rows, width)] = vecs
+        return spans[(rows, width)]
+
     maps_q = [
         [[field.from_fraction(x) for x in row] for row in m.data] for m in point.maps
     ]
@@ -243,14 +258,16 @@ def exhaustive_subrep_oracle(point, e, q):
         sub = dict(zip(verts, pick))
         ok = True
         for (i, j) in verts:
-            if i < size and not contains(field, sub[(i + 1, j)], sub[(i, j)], i + 1):
+            if i < size and not all(
+                tuple(u) + (0,) in span(sub[(i + 1, j)], i + 1) for u in sub[(i, j)]
+            ):
                 ok = False
                 break
             if j < shape.n and ok:
                 block = [row[:i] for row in maps_q[j - 1][:i]]
                 for u in sub[(i, j)]:
                     img = tuple(_dotq(field, block[r], u) for r in range(i))
-                    if not in_span(field, sub[(i, j + 1)], img):
+                    if img not in span(sub[(i, j + 1)], i):
                         ok = False
                         break
             if not ok:
@@ -529,6 +546,15 @@ class TestRepVarietyCount:
         with pytest.raises(InfeasibleSize, match=r"q\^6 candidate points"):
             rep_variety_count(shape2, target_dims(W231), 5, budget=1000)
 
+    def test_budget_refused_before_the_field_is_built(self, shape2, monkeypatch):
+        # GF(256)'s tables take seconds to build; 256^6 is refused first
+        def built(q):
+            raise AssertionError(f"GF({q}) was built before the budget check")
+
+        monkeypatch.setattr(degeneration_lab, "GF", built)
+        with pytest.raises(InfeasibleSize, match=r"^representation variety has q\^6 candidate points$"):
+            rep_variety_count(shape2, target_dims(W231), 256)
+
 
 class TestFlatScan:
     def test_identity_permutation_trivial(self):
@@ -591,6 +617,20 @@ class TestOrbitInvariance:
         moved = borel_act(identity_tuple(shape2), [random_unimodular_ut(3, rng) for _ in range(2)])
         est = estimate_dim(moved, e, (2, 3, 5, 7))
         assert est.degree == 2 and est.coefficients == (1, 2, 1)
+
+
+class TestCoordinateSubreps:
+    def test_count_is_the_fit_at_one(self, shape2):
+        # the torus-fixed points of a fibre number P(1), P the fitted
+        # counting polynomial; the stream is not capped
+        from gridorbits.degeneration_lab import _coordinate_subreps
+
+        canon = {node.id: node.canonical for node in orbit_nodes(shape2)}
+        for w in permutations((1, 2, 3)):
+            e = target_dims(w)
+            for row in flat_scan(w).rows:
+                fixed = sum(1 for _ in _coordinate_subreps(canon[row.orbit_id], e))
+                assert sum(row.estimate.coefficients) == fixed
 
 
 class TestHomReport:
@@ -674,7 +714,8 @@ class TestHomReport:
     def test_ranks_constant_on_gl_e_orbits(self, shape2):
         # the audit ranks each coordinate base point once; a GL(e) base change
         # of (N, g) is a linear automorphism of the unknowns, so neither rank
-        # may move: checked on every w of size 3, orbit and base point at n = 2
+        # may move: checked on every w of size 3, orbit and coordinate
+        # subrepresentation at n = 2, the ninth of w = 321's zero orbit too
         from gridorbits import assemble_canonical, enumerate_orbits
         from gridorbits.degeneration_lab import (
             _coordinate_subreps,
@@ -709,4 +750,4 @@ class TestHomReport:
                         moved = reference_translate_point(shape2, e, n_mats, g, random.Random(seed))
                         assert ranks(equations, len(hom), _values(keys, *moved)) == base
                         translates += 1
-        assert translates == 2142
+        assert translates == 2148

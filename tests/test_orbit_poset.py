@@ -177,6 +177,19 @@ class TestPoset:
         # one class, whichever module names it
         assert degeneration_lab.InfeasibleSize is InfeasibleSize
 
+    def test_listings_refuse_before_building(self, monkeypatch):
+        # n = 4 would list 8,365,427 decompositions, or tabulate 32,768
+        # F_2 matrices before the census gave up
+        def built(*args):
+            raise AssertionError("built before refusing")
+
+        monkeypatch.setattr(orbit_poset, "matchings_to_decomposition", built)
+        monkeypatch.setattr(orbit_poset, "sw_table", built)
+        with pytest.raises(InfeasibleSize, match="has 8365427 orbit nodes"):
+            enumerate_orbits(GridShape(4))
+        with pytest.raises(InfeasibleSize, match="^exhaustive F_2 census implemented for n <= 3 only$"):
+            f2_census(GridShape(4))
+
     def test_larger_poset_extremes(self, shape3):
         poset = build_poset(shape3)
         assert len(poset.nodes) == 2704
