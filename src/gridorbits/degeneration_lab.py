@@ -108,6 +108,13 @@ def _check_dim_grid(shape, e):
                 raise ValueError(f"dimension grid entry ({i},{j}) out of range")
 
 
+def _check_field_sizes(qs):
+    """Refuse any q that is not a prime power <= 9, the fields counted here."""
+    for q in qs:
+        if q > 9 or not is_prime_power(q):
+            raise ValueError(f"q must be a prime power <= 9, got {q}")
+
+
 def _maps_over(point, field):
     """The stored maps with entries moved into the given finite field."""
     return [
@@ -137,8 +144,7 @@ def subrep_count(point, e, q, budget=DEFAULT_BUDGET, *, chains=None):
     shape = point.shape
     if shape.n > 3:
         raise InfeasibleSize("point counting is limited to n <= 3")
-    if q > 9 or not is_prime_power(q):
-        raise ValueError(f"q must be a prime power <= 9, got {q}")
+    _check_field_sizes((q,))
     _check_dim_grid(shape, e)
     col_dims = [tuple(e[i][j] for i in range(shape.size)) for j in range(shape.n)]
     used = sum(chain_tests(dims, q) for dims in col_dims)
@@ -305,8 +311,10 @@ def flat_scan(w, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     The scan builds each column's chains once per (column dims, q) and
     shares them across its :func:`subrep_count` calls, one per (orbit, q),
     each of which still meters the budget before it looks the chains up.
+    Every field size is checked before the first count.
     """
     w = check_permutation(w)
+    _check_field_sizes(qs)
     shape = GridShape(len(w) - 1)
     e = target_dims(w)
     target = length(w)
@@ -526,9 +534,10 @@ def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
 
     All reported quantities are orbit invariants, so the audit runs on the
     canonical representative of the point's orbit, where coordinate
-    subrepresentations provide exact rational points of the scheme.  The
-    representation variety is counted first, so a run whose q^nvars exceeds
-    the budget is refused before the fibre is counted.
+    subrepresentations provide exact rational points of the scheme.  Every
+    field size is checked before anything is counted; the representation
+    variety is counted first, so a run whose q^nvars exceeds the budget is
+    refused before the fibre is counted.
 
     A base change a in GL(e) = prod_v GL(e_v), (N, g) -> (a_t N a_s^-1,
     g_v a_v^-1), is a linear automorphism of the unknowns that multiplies
@@ -539,6 +548,7 @@ def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     points) entries.
 
     Raises:
+        ValueError: some q is not a prime power <= 9.
         InfeasibleSize: q^nvars exceeds the budget for some q (see
             :func:`rep_variety_count`), or the fibre's counts exceed it.
         NoPointFound: the canonical point has no coordinate
@@ -548,6 +558,7 @@ def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     shape = point.shape
     if len(w) != shape.size:
         raise ValueError("permutation size does not match the shape")
+    _check_field_sizes(qs)
     e = target_dims(w)
     canon = reconstruct(sw_array(point))
     dim_g = sum(x * x for row in e for x in row)

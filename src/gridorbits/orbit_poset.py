@@ -266,20 +266,38 @@ def build_poset(shape):
     """Degeneration poset of all decomposable orbits: nodes carry the
     decomposition, the canonical representative and its array; edges are
     the covering pairs of the componentwise array order (transitive
-    reduction).  The order is a dense node x node matrix, so the n >= 4
-    refusal of :func:`orbit_nodes` applies.
+    reduction), found by :func:`_covers` from bit-packed up-sets.  The order
+    is a dense node x node matrix, so the n >= 4 refusal of
+    :func:`orbit_nodes` applies.
     """
     nodes = tuple(orbit_nodes(shape))
     leq = array_order([node.sw for node in nodes])  # i degenerates below j
     less = leq & ~leq.T
-    # path counts are bounded by the node count << 2^24, so float32 matmul
-    # is exact here and much faster than integer matmul
-    two_step = (less.astype(np.float32) @ less.astype(np.float32)) > 0
-    cover = less & ~two_step
     edges = tuple(
-        (int(j + 1), int(i + 1)) for i, j in zip(*np.nonzero(cover))
+        (int(j + 1), int(i + 1)) for i, j in zip(*np.nonzero(_covers(less)))
     )
     return OrbitPoset(shape, nodes, tuple(sorted(edges)))
+
+
+def _covers(less):
+    """Covering pairs of a strict order given as a boolean matrix (less[i, j]
+    when i < j): the pairs i < j with no k between them.
+
+    Each row of ``less`` is packed into 64-bit words; i's reach row, the
+    nodes two steps above i, is the OR of the packed rows of the nodes above
+    i.  Exact boolean reachability, with no N x N array wider than a byte.
+    """
+    nn = len(less)
+    packed = np.zeros((nn, -(-nn // 64) * 8), dtype=np.uint8)
+    packed[:, :(nn + 7) // 8] = np.packbits(less, axis=1)
+    packed = packed.view(np.uint64)
+    reach = np.empty_like(packed)
+    for i in range(nn):
+        np.bitwise_or.reduce(packed[np.flatnonzero(less[i])], axis=0, out=reach[i])
+    cover = np.unpackbits(reach.view(np.uint8), axis=1, count=nn).view(bool)
+    np.invert(cover, out=cover)
+    cover &= less
+    return cover
 
 
 def export_dot(poset):

@@ -162,6 +162,10 @@ GOLDEN = {
     "poset-dot": (["poset", "--n", "2", "--format", "dot"], 0,
         "82cb41eca97792f671645a81ebdae0d33505d734c77193932ebb3f63bb87cf6d",
     ),
+    # the 2,704 orbits at n = 3 and their 13,080 covers
+    "poset-json-n3": (["poset", "--n", "3", "--format", "json"], 0,
+        "d1247b0b06dad3b6ad5102d4df8d6bd50357e205e563483b965554f82993d1d3",
+    ),
     "count-report": (["count-report", "--n", "2"], 0,
         "27061edac6a76f1d5e201f57b8ade8bd23bad2d010fafc96ca975a14ba904b43",
     ),

@@ -665,6 +665,20 @@ class TestHomReport:
         with pytest.raises(InfeasibleSize, match=r"q\^32 candidate points"):
             hom_report((2, 3, 4, 1), identity_tuple(GridShape(3)))
 
+    def test_field_sizes_checked_before_any_count(self, shape2, monkeypatch):
+        def counted(*args, **kwargs):
+            raise AssertionError("counted before the field sizes were checked")
+
+        monkeypatch.setattr(degeneration_lab, "rep_variety_count", counted)
+        monkeypatch.setattr(degeneration_lab, "column_chains", counted)
+        message = "^q must be a prime power <= 9, got 49$"
+        with pytest.raises(ValueError, match=message):
+            hom_report(W231, identity_tuple(shape2), qs=(2, 49))
+        with pytest.raises(ValueError, match=message):
+            flat_scan(W231, qs=(2, 49))
+        with pytest.raises(ValueError, match=message):
+            subrep_count(identity_tuple(shape2), target_dims(W231), 49)
+
     @pytest.mark.parametrize("w", [(2, 3, 1), (3, 1, 2), (3, 2, 1), (2, 1, 3), (1, 2, 3)])
     def test_jacobian_is_the_derivative(self, shape2, w):
         # every equation is affine in each single unknown, so a unit step

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,22 @@ import gridorbits.degeneration_lab as degeneration_lab
 import gridorbits.orbit_poset as orbit_poset
 
 from conftest import CANONICAL_15, HASSE_EDGES_15, RANK_VECTORS_15
+from reference_covers import reference_covers
+
+
+@pytest.fixture(scope="module")
+def poset3():
+    return build_poset(GridShape(3))
+
+
+def strict_order(nodes):
+    leq = array_order([node.sw for node in nodes])
+    return leq & ~leq.T
+
+
+@pytest.fixture(scope="module")
+def less3(poset3):
+    return strict_order(poset3.nodes)
 
 
 def paper_index_map(poset):
@@ -190,8 +207,8 @@ class TestPoset:
         with pytest.raises(InfeasibleSize, match="^exhaustive F_2 census implemented for n <= 3 only$"):
             f2_census(GridShape(4))
 
-    def test_larger_poset_extremes(self, shape3):
-        poset = build_poset(shape3)
+    def test_larger_poset_extremes(self, poset3):
+        poset = poset3
         assert len(poset.nodes) == 2704
         top = poset.maximal()
         bottom = poset.minimal()
@@ -214,6 +231,58 @@ class TestPoset:
                 for c in arrays:
                     if array_leq(a, b) and array_leq(b, c):
                         assert array_leq(a, c)
+
+
+def random_closed_order(nodes, rng):
+    """Transitive closure of a random DAG on ``nodes`` nodes, its
+    topological order shuffled so the matrix is not triangular."""
+    density = rng.uniform(0.02, 0.3)
+    less = np.triu(rng.random((nodes, nodes)) < density, k=1)
+    for k in range(nodes):  # Warshall: route every path through k
+        less |= less[:, k:k + 1] & less[k:k + 1, :]
+    perm = rng.permutation(nodes)
+    return less[perm][:, perm]
+
+
+class TestCovers:
+    def test_orbit_orders_match_reference(self, shape2, less3):
+        less2 = strict_order(tuple(orbit_nodes(shape2)))
+        for less, edges in ((less2, len(HASSE_EDGES_15)), (less3, 13080)):
+            cover = orbit_poset._covers(less)
+            assert cover.dtype == bool
+            assert np.array_equal(cover, reference_covers(less))
+            assert int(cover.sum()) == edges
+
+    @pytest.mark.parametrize("nodes", [1, 63, 64, 65, 129])
+    def test_random_orders_match_reference(self, nodes):
+        # 63..65 and 129 nodes put the last column on either side of a
+        # 64-bit word boundary
+        rng = np.random.default_rng(nodes)
+        for _ in range(4):
+            less = random_closed_order(nodes, rng)
+            assert np.array_equal(orbit_poset._covers(less), reference_covers(less))
+
+    @pytest.mark.parametrize("nodes", [0, 1, 70])
+    def test_empty_order(self, nodes):
+        less = np.zeros((nodes, nodes), dtype=bool)
+        assert not orbit_poset._covers(less).any()
+
+    def test_chain(self):
+        less = np.triu(np.ones((70, 70), dtype=bool), k=1)
+        cover = orbit_poset._covers(less)
+        assert np.array_equal(cover, np.eye(70, k=1, dtype=bool))
+        assert np.array_equal(cover, reference_covers(less))
+
+    def test_traced_peak_memory(self, less3):
+        # the dense float32 product peaks at 83.7 MB on the n = 3 order;
+        # the packed rows need about a tenth of that
+        tracemalloc.start()
+        try:
+            orbit_poset._covers(less3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20
 
 
 def reference_upward_closed(arrays, flat):
