@@ -21,6 +21,7 @@ from fractions import Fraction
 from .exact_linalg import rank
 from .grid_quiver import (
     GridQuiverError,
+    _thin_point,
     dims_of_heights,
     enumerate_indecomposables,
     full_dim_grid,
@@ -94,24 +95,11 @@ def rank_vector_from_sw(arr):
 
 
 def heights_rank_vector(hv):
-    """Rank vector of the thin indecomposable with height vector ``hv``.
-
-    All spaces are 0 or C, so each entry is 0 or 1: the windowed image at
-    row i is nonzero iff every column the window touches reaches row i,
-    and it meets the image of the vertical chain from row k iff column
-    j2+1 reaches row k.
-    """
-    shape = hv.shape
-    size = shape.size
-    h = hv.h
-    entries = []
-    for (j1, j2) in windows(shape):
-        for i in range(1, size + 1):
-            alive = all(h[j - 1] >= size + 1 - i for j in range(j1, j2 + 2))
-            for k in range(1, i + 1):
-                entries.append(1 if alive and h[j2] >= size + 1 - k else 0)
-            entries.append(1 if alive else 0)
-    return RankVector(shape, dims_of_heights(hv), tuple(entries))
+    """Rank vector of the thin indecomposable with height vector ``hv``: the
+    intersection part is :func:`rank_vector` of the 0/1 point carrying that
+    one summand, the dimension part its own grid."""
+    point = _thin_point(hv.shape, [hv.h])
+    return RankVector(hv.shape, dims_of_heights(hv), rank_vector(point).inter)
 
 
 def same_rank_vector(a, b):

@@ -261,24 +261,27 @@ def check_full_decomposition(dec):
 
 
 def assemble_canonical(dec):
-    """Canonical representative of the orbit with decomposition ``dec``.
+    """Canonical representative of the orbit with decomposition ``dec``:
+    the maps of :func:`_thin_point` on its summands, a tuple of
+    upper-triangular partial permutation matrices."""
+    check_full_decomposition(dec)
+    assert all(mult == 1 for _, mult in dec.summands)  # forced by the column-height invariant
+    return _thin_point(dec.shape, [h for h, _ in dec.summands])
+
+
+def _thin_point(shape, heights):
+    """The 0/1 point carrying one thin summand per height vector.
 
     The summand of height h in column j occupies the coordinate line
     e_(n+2-h); for each adjacent supported column pair (j, j+1) of a
-    summand, map j gets a 1 in row n+2-h_(j+1), column n+2-h_j.  The
-    result is a tuple of upper-triangular partial permutation matrices.
+    summand, map j gets a 1 in row n+2-h_(j+1), column n+2-h_j.
     """
-    check_full_decomposition(dec)
-    shape = dec.shape
     size = shape.size
     rows = [[[Fraction(0)] * size for _ in range(size)] for _ in range(shape.num_maps)]
-    for h, mult in dec.summands:
-        assert mult == 1  # forced by the column-height invariant
+    for h in heights:
         for j in range(1, shape.n):
             if h[j - 1] > 0 and h[j] > 0:
-                r = shape.n + 2 - h[j]
-                c = shape.n + 2 - h[j - 1]
-                rows[j - 1][r - 1][c - 1] = Fraction(1)
+                rows[j - 1][shape.n + 1 - h[j]][shape.n + 1 - h[j - 1]] = Fraction(1)
     return make_point(shape, [Matrix(QQ, m) for m in rows])
 
 

@@ -9,6 +9,9 @@ numbers the orbits 1..b_(n+2)^(n-1); these ids index the census, the poset
 and the experiment commands.  An exhaustive F_2 census of
 south-west arrays provides an independent check for n <= 3: it holds every
 enumerated orbit's array, plus those of tuples with no thin decomposition.
+It runs over the tuples whose first map is a rook (a partial permutation
+matrix), which over F_2 realise every array, and keeps one such tuple per
+array.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .grid_quiver import (
     InfeasibleSize,
     assemble_canonical,
     matchings_to_decomposition,
-    windows,
 )
 from .parametrizations import SWArray, sw_array, sw_table
 
@@ -71,11 +73,15 @@ def orbit_count(shape):
     return bell(shape.size + 1) ** shape.num_maps
 
 
-def _refuse_past_n3(shape):
-    """Raise InfeasibleSize for n >= 4, where the orbit listings stop."""
+def _decompositions(shape):
+    """Each decomposable orbit's decomposition in id order, built one at a
+    time.  Raises InfeasibleSize on its first step for n >= 4, where the
+    orbit listings stop."""
     if shape.n >= 4:
         raise InfeasibleSize(
             f"n = {shape.n} has {orbit_count(shape)} orbit nodes; orbit listings stop at n = 3")
+    for combo in itertools.product(order_matchings(shape.size), repeat=shape.num_maps):
+        yield matchings_to_decomposition(shape, list(combo))
 
 
 def enumerate_orbits(shape):
@@ -83,12 +89,7 @@ def enumerate_orbits(shape):
     are direct sums of thin summands), as decompositions, in a fixed order
     (the product order of the per-pair matchings), orbit id k at k - 1.
     Raises InfeasibleSize for n >= 4 before it builds any."""
-    _refuse_past_n3(shape)
-    per_pair = order_matchings(shape.size)
-    out = []
-    for combo in itertools.product(per_pair, repeat=shape.num_maps):
-        out.append(matchings_to_decomposition(shape, list(combo)))
-    return out
+    return list(_decompositions(shape))
 
 
 def orbit_by_id(shape, k):
@@ -110,12 +111,19 @@ def orbit_by_id(shape, k):
 def f2_census(shape):
     """Exhaustive F_2 census of south-west arrays (n <= 3).
 
-    Runs over every F_2 point (every tuple of 0/1 upper-triangular
-    matrices) and takes its south-west array with ranks over F_2.  Returns
-    a dict from each distinct array (an :class:`SWArray`) to the first
-    tuple realising it, as nested 0/1 tuples in map order (tuples run in
-    lexicographic order of their maps' bit codes).  Pass a representative
-    to :func:`make_point` to read it over Q.
+    Every tuple of 0/1 upper-triangular matrices is covered by the tuples
+    whose first map is a rook, an upper-triangular 0/1 matrix with at most
+    one 1 per row and column: over F_2, (h1, h2) in B x B takes f1 to its
+    rook r = h2 f1 h1^(-1) (:func:`~gridorbits.exact_linalg.b_reduce`), so
+    it takes (f1, f2) to (r, f2 h2^(-1)), a 0/1 tuple with the same array.
+    The rooks are the :func:`order_matchings` of the ambient size: the
+    matching a -> m(a) has a 1 at 0-based (size - m(a), size - a).  So
+    52 x 1024 tuples stand for all 2^20 at n = 3; at n = 2 the census is
+    the rooks' own tables.
+
+    Returns a dict from each distinct array (an :class:`SWArray`) to one
+    realising tuple whose first map is a rook, as nested 0/1 tuples in map
+    order.  Pass a representative to :func:`make_point` to read it over Q.
 
     Ranks of the canonical 0/1 representatives are field independent, so
     every decomposable orbit's array shows up.  Read over Q, each
@@ -129,59 +137,25 @@ def f2_census(shape):
         raise InfeasibleSize("exhaustive F_2 census implemented for n <= 3 only")
     size = shape.size
     positions = [(i, j) for i in range(size) for j in range(i, size)]
-    nbits = len(positions)
-    ncodes = 1 << nbits
-    mats = np.zeros((ncodes, size, size), dtype=np.uint8)
-    codes = np.arange(ncodes)
+    codes = np.arange(1 << len(positions))
+    mats = np.zeros((len(codes), size, size), dtype=np.uint8)
+    weights = np.zeros((size, size), dtype=np.int64)  # a 0/1 matrix's code is its dot with these
     for b, (i, j) in enumerate(positions):
         mats[:, i, j] = (codes >> b) & 1
-
+        weights[i, j] = 1 << b
     code_mats = [tuple(tuple(row) for row in m) for m in mats.tolist()]
-    tables = {}
-    t_of_code = np.empty(ncodes, dtype=np.int64)
-    for c, mat in enumerate(code_mats):
-        t = sw_table(Matrix(GF(2), mat))
-        t_of_code[c] = tables.setdefault(t, len(tables))
-    by_id = list(tables)
-    ntab = len(by_id)
-
-    n_keys = ncodes ** shape.num_maps  # one key per tuple, in enumeration order
+    tables = [sw_table(Matrix(GF(2), mat)) for mat in code_mats]
+    rooks = [sum(weights[size - b, size - a] for a, b in m.items()) for m in order_matchings(size)]
     if shape.num_maps == 1:
-        keys = t_of_code
-    else:
-        # window (1,2) is f2·f1; encode each product back to its code
-        shifts = np.arange(nbits, dtype=np.int64)
-        pos_i = np.array([i for (i, j) in positions])
-        pos_j = np.array([j for (i, j) in positions])
-        keys = np.empty(n_keys, dtype=np.int64)
-        for a in range(ncodes):
-            prod = (mats @ mats[a]) % 2  # prod[b] = f2(b) · f1(a)
-            prod_codes = (prod[:, pos_i, pos_j].astype(np.int64) << shifts).sum(axis=1)
-            keys[a * ncodes:(a + 1) * ncodes] = (
-                (t_of_code[a] * ntab) + t_of_code
-            ) * ntab + t_of_code[prod_codes]
-
-    # a key holds one table id per window, and ntab is the number of partial
-    # permutation patterns of the ambient size (52 at size 4), so the key
-    # space is small enough to index densely: first[key] is the index of
-    # the first tuple with that key
-    first = np.full(ntab ** len(windows(shape)), n_keys, dtype=np.int64)
-    np.minimum.at(first, keys, np.arange(n_keys, dtype=np.int64))
-    found = np.flatnonzero(first < n_keys)
-    idx = first[found]
-    if shape.num_maps == 1:
-        window_ids = [found]
-        map_codes = [idx]
-    else:
-        # keys are (f1, f2, f2·f1); windows run (1,1), (1,2), (2,2)
-        window_ids = [found // (ntab * ntab), found % ntab, (found // ntab) % ntab]
-        map_codes = [idx // ncodes, idx % ncodes]
-    return {
-        SWArray(shape, tuple(by_id[t] for t in ts)): tuple(code_mats[c] for c in cs)
-        for ts, cs in zip(
-            zip(*(w.tolist() for w in window_ids)), zip(*(m.tolist() for m in map_codes))
-        )
-    }
+        return {SWArray(shape, (tables[r],)): (code_mats[r],) for r in rooks}
+    census = {}
+    for r in rooks:
+        # windows run (1,1), (1,2), (2,2); window (1,2) is f2·r
+        prods = ((mats @ mats[r]) % 2).reshape(len(codes), -1) @ weights.ravel()
+        for f2, p in enumerate(prods.tolist()):
+            census.setdefault(
+                SWArray(shape, (tables[r], tables[p], tables[f2])), (code_mats[r], code_mats[f2]))
+    return census
 
 
 def f2_distinct_count(shape):
@@ -208,7 +182,9 @@ def count_report(shape):
     strictly more arrays than there are decompositions.  At n = 3 the
     census splits into the enumerated orbits' arrays and the arrays whose
     census representative :func:`decompose` rejects, 3402 = 2704 + 698
-    (acceptance criterion 6); the formula, 104, matches neither.
+    (acceptance criterion 6); the formula, 104, matches neither.  The
+    census visits only the tuples whose first map is a rook, which over F_2
+    realise every array, and files one of them per array (:func:`f2_census`).
     """
     f2 = f2_distinct_count(shape) if shape.n <= 3 else None
     return CountReport(orbit_count(shape), f2, (shape.n - 1) * bell(shape.n + 2))
@@ -242,8 +218,7 @@ def orbit_nodes(shape):
     canonical representative and that point's south-west array.  Raises
     InfeasibleSize on the first step for n >= 4 (b_6^3 = 8,365,427 nodes).
     """
-    _refuse_past_n3(shape)
-    for idx, dec in enumerate(enumerate_orbits(shape), start=1):
+    for idx, dec in enumerate(_decompositions(shape), start=1):
         point = assemble_canonical(dec)
         yield OrbitNode(idx, dec, point, sw_array(point))
 

@@ -2,7 +2,8 @@
 
 Scalars travel as exact strings ("3/2", "0", "-1"); integers may omit the
 denominator.  All encoders produce deterministic key order.  The readers
-refuse missing keys, extra windows and mistyped values, naming the place.
+refuse missing keys, extra windows or entries, mistyped values and invalid
+height vectors, naming the place.
 """
 
 from __future__ import annotations
@@ -87,7 +88,16 @@ def height_vector_to_json(hv):
 
 
 def height_vector_from_json(obj, shape):
-    return validate_heights(shape, obj["h"])
+    return _heights(_get(obj, "h"), shape, "key 'h'")
+
+
+def _heights(x, shape, where):
+    """A validated height vector; a refusal keeps its class and names ``where``."""
+    h = [_int(v, f"{where}, entry {k}") for k, v in _items(x, where)]
+    try:
+        return validate_heights(shape, h)
+    except GridQuiverError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def decomposition_to_json(dec):
@@ -98,10 +108,13 @@ def decomposition_to_json(dec):
 
 
 def decomposition_from_json(obj):
-    shape = GridShape(int(obj["n"]))
+    shape = GridShape(_int(_get(obj, "n"), "key 'n'"))
     heights = []
-    for s in obj["summands"]:
-        heights.extend([tuple(s["h"])] * int(s["mult"]))
+    for k, summand in _items(_get(obj, "summands"), "key 'summands'"):
+        where = f"summands item {k}"
+        mult = _int(_get(summand, "mult", where), f"{where}, mult")
+        _checked(mult, mult > 0, f"{where}, mult", "a positive integer")
+        heights.extend([_heights(_get(summand, "h", where), shape, f"{where}, h").h] * mult)
     return Decomposition.from_heights(shape, heights)
 
 
@@ -119,14 +132,28 @@ def rank_vector_to_json(rv):
 
 
 def rank_vector_from_json(obj):
-    shape = GridShape(int(obj["n"]))
+    """Inverse of :func:`rank_vector_to_json` (``flat`` is derived, not read);
+    raises SizeMismatch unless each (i, j1, j2, k) of the shape has one entry
+    and ``dims`` is size x n, and GridQuiverError unless each value is an int."""
+    shape = GridShape(_int(_get(obj, "n"), "key 'n'"))
     order = inter_order(shape)
-    by_key = {(e["i"], e["j1"], e["j2"], e["k"]): e["v"] for e in obj["entries"]}
-    return RankVector(
-        shape,
-        tuple(tuple(row) for row in obj["dims"]),
-        tuple(by_key[key] for key in order),
+    by_key = {}
+    for e, entry in _items(_get(obj, "entries"), "key 'entries'"):
+        where = f"entries item {e}"
+        key = tuple(_int(_get(entry, c, where), f"{where}, {c}") for c in ("i", "j1", "j2", "k"))
+        if key not in order or key in by_key:
+            raise SizeMismatch(f"entry {key} is repeated or not in a rank vector of n = {shape.n}")
+        by_key[key] = _int(_get(entry, "v", where), f"{where}, v")
+    if len(by_key) < len(order):
+        missing = next(key for key in order if key not in by_key)
+        raise SizeMismatch(f"rank vector of n = {shape.n} has no entry {missing}")
+    dims = tuple(
+        tuple(_int(x, f"dims row {r}, entry {c}") for c, x in _items(row, f"dims row {r}"))
+        for r, row in _items(_get(obj, "dims"), "key 'dims'")
     )
+    if len(dims) != shape.size or any(len(row) != shape.n for row in dims):
+        raise SizeMismatch(f"dims is not {shape.size} rows of {shape.n} entries")
+    return RankVector(shape, dims, tuple(by_key[key] for key in order))
 
 
 def sw_array_to_json(s):

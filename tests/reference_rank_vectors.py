@@ -1,0 +1,24 @@
+"""The rank vector :func:`gridorbits.decomposition.heights_rank_vector` of a
+thin indecomposable is tested against: its entries read off the height
+vector directly."""
+
+from gridorbits.decomposition import RankVector
+from gridorbits.grid_quiver import dims_of_heights, windows
+
+
+def reference_heights_rank_vector(hv):
+    """All spaces are 0 or C, so each entry is 0 or 1: the windowed image at
+    row i is nonzero iff every column the window touches reaches row i, and
+    it meets the image of the vertical chain from row k iff column j2+1
+    reaches row k."""
+    shape = hv.shape
+    size = shape.size
+    h = hv.h
+    entries = []
+    for (j1, j2) in windows(shape):
+        for i in range(1, size + 1):
+            alive = all(h[j - 1] >= size + 1 - i for j in range(j1, j2 + 2))
+            for k in range(1, i + 1):
+                entries.append(1 if alive and h[j2] >= size + 1 - k else 0)
+            entries.append(1 if alive else 0)
+    return RankVector(shape, dims_of_heights(hv), tuple(entries))

@@ -169,6 +169,10 @@ GOLDEN = {
     "count-report": (["count-report", "--n", "2"], 0,
         "27061edac6a76f1d5e201f57b8ade8bd23bad2d010fafc96ca975a14ba904b43",
     ),
+    # 2,704 enumerated orbits, 3,402 F_2 census arrays
+    "count-report-n3": (["count-report", "--n", "3"], 0,
+        "9f62e2809997304ed312b7d4c40189c99b097e7507d75a019aaee11906cf4f7f",
+    ),
     "flat-scan-231": (["flat-scan", "--w", "2,3,1", "--qs", "2,3,4,5,7"], 0,
         "b0062560b27227c2b5743921bf485f149bfac759e882463568980b4952c10180",
     ),

@@ -31,6 +31,7 @@ from gridorbits.exact_linalg import solve_unique
 from gridorbits.parametrizations import pivots
 
 from conftest import DECOMP_N3, INDECOMPOSABLE_VECTORS_12, random_borel, random_point
+from reference_rank_vectors import reference_heights_rank_vector
 
 
 class TestRankVector:
@@ -70,6 +71,14 @@ class TestHeightsRankVector:
         assert {hv.h for hv in enumerate_indecomposables(shape2)} == set(
             INDECOMPOSABLE_VECTORS_12
         )
+
+    @pytest.mark.parametrize("n,count", [(2, 12), (3, 52), (4, 205)])
+    def test_matches_reference(self, n, count):
+        # rank_vector of the one-summand point against the 0/1 formula
+        indecs = enumerate_indecomposables(GridShape(n))
+        assert len(indecs) == count
+        for hv in indecs:
+            assert heights_rank_vector(hv) == reference_heights_rank_vector(hv)
 
 
 def solve_decomposition(point):

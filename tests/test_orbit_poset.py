@@ -31,6 +31,7 @@ import gridorbits.degeneration_lab as degeneration_lab
 import gridorbits.orbit_poset as orbit_poset
 
 from conftest import CANONICAL_15, HASSE_EDGES_15, RANK_VECTORS_15
+from reference_census import reference_census
 from reference_covers import reference_covers
 
 
@@ -129,6 +130,22 @@ class TestCountReport:
         assert set(census) == canonical
 
     @pytest.mark.parametrize("n", [2, 3])
+    def test_f2_census_matches_reference(self, n):
+        # the rook slice finds every array of the walk over all 0/1 tuples
+        shape = GridShape(n)
+        census = f2_census(shape)
+        assert set(census) == set(reference_census(shape))
+        size = shape.size
+        rooks = set()
+        for m in order_matchings(size):
+            rook = [[0] * size for _ in range(size)]
+            for a, b in m.items():
+                rook[size - b][size - a] = 1
+            rooks.add(tuple(map(tuple, rook)))
+        assert len(rooks) == bell(size + 1)
+        assert all(maps[0] in rooks for maps in census.values())
+
+    @pytest.mark.parametrize("n", [2, 3])
     def test_closed_form_counts_the_enumeration(self, n):
         shape = GridShape(n)
         assert count_report(shape).enumerated == len(enumerate_orbits(shape))
@@ -183,16 +200,30 @@ class TestPoset:
 
     @pytest.mark.parametrize("n,nodes", [(4, 8365427), (5, 877 ** 4)])
     def test_refused_past_n3(self, n, nodes, monkeypatch):
-        def enumerate_nothing(shape):
+        def enumerate_nothing(*args):
             raise AssertionError("enumerated before refusing")
 
-        monkeypatch.setattr(orbit_poset, "enumerate_orbits", enumerate_nothing)
+        monkeypatch.setattr(orbit_poset, "matchings_to_decomposition", enumerate_nothing)
         with pytest.raises(InfeasibleSize, match=f"has {nodes} orbit nodes"):
             build_poset(GridShape(n))
         with pytest.raises(InfeasibleSize, match=f"has {nodes} orbit nodes"):
             next(orbit_nodes(GridShape(n)))
         # one class, whichever module names it
         assert degeneration_lab.InfeasibleSize is InfeasibleSize
+
+    def test_orbit_nodes_streams(self, monkeypatch):
+        # the first node is built from one decomposition, not from all 2,704
+        calls = []
+        built = orbit_poset.matchings_to_decomposition
+
+        def counted(*args):
+            calls.append(args)
+            return built(*args)
+
+        monkeypatch.setattr(orbit_poset, "matchings_to_decomposition", counted)
+        first = next(orbit_nodes(GridShape(3)))
+        assert len(calls) == 1
+        assert first.id == 1 and first.decomposition == enumerate_orbits(GridShape(3))[0]
 
     def test_listings_refuse_before_building(self, monkeypatch):
         # n = 4 would list 8,365,427 decompositions, or tabulate 32,768

@@ -10,8 +10,11 @@ import pytest
 
 from gridorbits import (
     Decomposition,
+    EmptySupport,
     GridQuiverError,
     GridShape,
+    HeightOutOfRange,
+    NonMonotone,
     SizeMismatch,
     assemble_canonical,
     decompose,
@@ -89,6 +92,122 @@ class TestJsonRoundTrips:
         assert rank_vector_from_json(json.loads(json.dumps(rank_vector_to_json(rv)))) == rv
         arr = sw_array(pair_n3)
         assert sw_array_from_json(json.loads(json.dumps(sw_array_to_json(arr)))) == arr
+
+
+RV_JSON = rank_vector_to_json(rank_vector(map_tuple_from_json(DIAG011_JSON)))
+
+
+def rv_with(**changes):
+    """RV_JSON with the given keys replaced; entries=k drops entry k (1-based)
+    and entries=(k, key, x) sets that entry's key to the JSON value x."""
+    obj = json.loads(json.dumps(RV_JSON))
+    if "entries" in changes:
+        change = changes.pop("entries")
+        if type(change) is int:
+            del obj["entries"][change - 1]
+        else:
+            k, key, x = change
+            obj["entries"][k - 1][key] = x
+    return {**obj, **changes}
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize(
+        "obj,error,message",
+        [
+            (
+                {"n": 2}, GridQuiverError,
+                "input must be an object with key 'entries', got an object",
+            ),
+            (
+                {**RV_JSON, "entries": {}}, GridQuiverError,
+                "key 'entries' must be an array, got an object",
+            ),
+            (
+                rv_with(entries=(2, "v", "1")), GridQuiverError,
+                'entries item 2, v must be an integer, got "1"',
+            ),
+            (
+                rv_with(entries=(2, "k", None)), GridQuiverError,
+                "entries item 2, k must be an integer, got null",
+            ),
+            (rv_with(entries=3), SizeMismatch, "rank vector of n = 2 has no entry (2, 1, 1, 1)"),
+            (
+                rv_with(entries=(1, "k", 3)), SizeMismatch,
+                "entry (1, 1, 1, 3) is repeated or not in a rank vector of n = 2",
+            ),
+            (
+                rv_with(entries=(2, "k", 1)), SizeMismatch,
+                "entry (1, 1, 1, 1) is repeated or not in a rank vector of n = 2",
+            ),
+            (rv_with(dims=[[1, 1], [2, 2]]), SizeMismatch, "dims is not 3 rows of 2 entries"),
+            (
+                rv_with(dims=[[1, 1], [2, 2], [3, 3.0]]), GridQuiverError,
+                "dims row 3, entry 2 must be an integer, got 3.0",
+            ),
+        ],
+    )
+    def test_rank_vector_refused(self, obj, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+            rank_vector_from_json(obj)
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize(
+        "summands,error,message",
+        [
+            (
+                [{"h": [1, 1]}], GridQuiverError,
+                "summands item 1 must be an object with key 'mult', got an object",
+            ),
+            (
+                [{"mult": 1}], GridQuiverError,
+                "summands item 1 must be an object with key 'h', got an object",
+            ),
+            (
+                [{"h": [1, 1], "mult": 0}], GridQuiverError,
+                "summands item 1, mult must be a positive integer, got 0",
+            ),
+            (
+                [{"h": [1, 1], "mult": "2"}], GridQuiverError,
+                'summands item 1, mult must be an integer, got "2"',
+            ),
+            (
+                [{"h": [1, 1], "mult": 1}, {"h": [9, 9], "mult": 1}], HeightOutOfRange,
+                "summands item 2, h: heights must lie in 0..3: (9, 9)",
+            ),
+            (
+                [{"h": [1, 1, 1], "mult": 1}], SizeMismatch,
+                "summands item 1, h: expected 2 heights, got 3",
+            ),
+            (
+                [{"h": [1, "1"], "mult": 1}], GridQuiverError,
+                'summands item 1, h, entry 2 must be an integer, got "1"',
+            ),
+            ("x", GridQuiverError, 'key \'summands\' must be an array, got "x"'),
+        ],
+    )
+    def test_decomposition_refused(self, summands, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+            decomposition_from_json({"n": 2, "summands": summands})
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize(
+        "obj,error,message",
+        [
+            ({"h": "ab"}, GridQuiverError, 'key \'h\' must be an array, got "ab"'),
+            ({"h": [1, True]}, GridQuiverError, "key 'h', entry 2 must be an integer, got true"),
+            ({}, GridQuiverError, "input must be an object with key 'h', got an object"),
+            (
+                {"h": [2, 1]}, NonMonotone,
+                "key 'h': heights (2, 1) are not weakly increasing on the support",
+            ),
+            ({"h": [0, 0]}, EmptySupport, "key 'h': height vector with empty support"),
+        ],
+    )
+    def test_height_vector_refused(self, shape2, obj, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
+            height_vector_from_json(obj, shape2)
+        assert type(info.value) is error
 
 
 def run_cli(*args, stdin=None):
