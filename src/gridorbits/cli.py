@@ -70,14 +70,17 @@ def _dump(obj):
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _parse_ints(text):
-    return tuple(int(x) for x in text.split(","))
+def _parse_ints(flag, text):
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
 def _experiment_flags(args):
     """The checked (w, qs, budget) flags of flat-scan and hom-report."""
-    w = _parse_ints(args.w)
-    qs = _parse_ints(args.qs) if args.qs else DEFAULT_QS
+    w = _parse_ints("--w", args.w)
+    qs = _parse_ints("--qs", args.qs) if args.qs else DEFAULT_QS
     if args.budget <= 0:
         raise ValueError("budget must be positive")
     if len(set(qs)) != len(qs) or not all(is_prime_power(q) for q in qs):
@@ -90,7 +93,11 @@ def _orbit_by_id(shape, token):
         return identity_tuple(shape)
     if token == "zero":
         return zero_tuple(shape)
-    return assemble_canonical(orbit_by_id(shape, int(token)))
+    try:
+        orbit_id = int(token)
+    except ValueError:
+        raise ValueError(f"--orbit must be an orbit id, 'identity' or 'zero', got {token!r}") from None
+    return assemble_canonical(orbit_by_id(shape, orbit_id))
 
 
 def _cmd_rank_vector(args):
@@ -184,7 +191,7 @@ def _cmd_poset(args):
 
 
 def _cmd_schubert(args):
-    w = _parse_ints(args.w)
+    w = _parse_ints("--w", args.w)
     obj = {
         "w": list(w),
         "length": length(w),

@@ -108,11 +108,21 @@ def _check_dim_grid(shape, e):
                 raise ValueError(f"dimension grid entry ({i},{j}) out of range")
 
 
+def _check_field_size(q):
+    """Refuse a q that is not a prime power <= 9, the fields counted here."""
+    if q > 9 or not is_prime_power(q):
+        raise ValueError(f"q must be a prime power <= 9, got {q}")
+
+
 def _check_field_sizes(qs):
-    """Refuse any q that is not a prime power <= 9, the fields counted here."""
-    for q in qs:
-        if q > 9 or not is_prime_power(q):
-            raise ValueError(f"q must be a prime power <= 9, got {q}")
+    """Refuse, before anything is counted, a schedule no fit can use: a q
+    :func:`_check_field_size` refuses, a repeated q or fewer than three q."""
+    for k, q in enumerate(qs):
+        _check_field_size(q)
+        if q in qs[:k]:
+            raise ValueError(f"field size q = {q} is repeated")
+    if len(qs) < 3:
+        raise ValueError("need at least 3 distinct field sizes")
 
 
 def _maps_over(point, field):
@@ -144,7 +154,7 @@ def subrep_count(point, e, q, budget=DEFAULT_BUDGET, *, chains=None):
     shape = point.shape
     if shape.n > 3:
         raise InfeasibleSize("point counting is limited to n <= 3")
-    _check_field_sizes((q,))
+    _check_field_size(q)
     _check_dim_grid(shape, e)
     col_dims = [tuple(e[i][j] for i in range(shape.size)) for j in range(shape.n)]
     used = sum(chain_tests(dims, q) for dims in col_dims)
@@ -279,8 +289,7 @@ def _degree_bound(shape, e):
 def estimate_dim(point, e, qs, budget=DEFAULT_BUDGET):
     """Dimension of the fibre with dimension grid e over the point, as the
     degree of the validated counting polynomial."""
-    if len(qs) < 3 or len(set(qs)) != len(qs):
-        raise ValueError("need at least 3 distinct field sizes")
+    _check_field_sizes(qs)
     table = point_counts(point, e, qs, budget)
     return fit_dimension(table.counts, _degree_bound(point.shape, e))
 
@@ -311,7 +320,7 @@ def flat_scan(w, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     The scan builds each column's chains once per (column dims, q) and
     shares them across its :func:`subrep_count` calls, one per (orbit, q),
     each of which still meters the budget before it looks the chains up.
-    Every field size is checked before the first count.
+    The field sizes are checked before the first count.
     """
     w = check_permutation(w)
     _check_field_sizes(qs)
@@ -534,8 +543,8 @@ def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
 
     All reported quantities are orbit invariants, so the audit runs on the
     canonical representative of the point's orbit, where coordinate
-    subrepresentations provide exact rational points of the scheme.  Every
-    field size is checked before anything is counted; the representation
+    subrepresentations provide exact rational points of the scheme.  The
+    field sizes are checked before anything is counted; the representation
     variety is counted first, so a run whose q^nvars exceeds the budget is
     refused before the fibre is counted.
 
@@ -548,7 +557,7 @@ def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     points) entries.
 
     Raises:
-        ValueError: some q is not a prime power <= 9.
+        ValueError: the field sizes are refused by :func:`_check_field_sizes`.
         InfeasibleSize: q^nvars exceeds the budget for some q (see
             :func:`rep_variety_count`), or the fibre's counts exceed it.
         NoPointFound: the canonical point has no coordinate

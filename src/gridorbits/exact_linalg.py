@@ -15,11 +15,10 @@ back-substitution reads solutions off its pivot rows:
   :func:`~gridorbits.grid_quiver.borel_act`, on which the sweep eliminates
   nothing.
 
-:mod:`gridorbits.subspaces` keeps its own reduction of a vector against
-reduced row echelon rows: ``flat-scan --w 2,3,1`` with ``hom-report --w
-2,3,1 --orbit identity --qs 2,3,4,5,7,8`` makes 17,070 span tests, each a
-reduction of a few microseconds, which a :class:`Matrix` and a sweep per
-test would multiply.
+The span tests of :mod:`gridorbits.subspaces` need no elimination: its
+subspaces are in reduced row echelon form, so the only combination of the
+rows that can equal a vector is read off the vector's entries at the
+pivots, and :func:`~gridorbits.subspaces.in_span` compares the two.
 
 Zero tests are truthiness tests: ``Fraction(0)`` and the GF(q) element
 ``0`` are both falsy and every other element is truthy, so ``if x:`` decides

@@ -63,6 +63,11 @@ def _int(x, where):
     return _checked(x, type(x) is int, where, "an integer")  # JSON true is a bool, not an int
 
 
+def _shape(obj):
+    n = _int(_get(obj, "n"), "key 'n'")
+    return GridShape(_checked(n, n >= 2, "key 'n'", "an integer >= 2"))
+
+
 def _scalar(x, where):
     """A JSON integer, or a string that reads as an exact rational."""
     try:
@@ -72,7 +77,7 @@ def _scalar(x, where):
 
 
 def map_tuple_from_json(obj):
-    shape = GridShape(_int(_get(obj, "n"), "key 'n'"))
+    shape = _shape(obj)
     mats = [
         Matrix(QQ, [
             [_scalar(x, f"map {m}, entry ({r},{c})") for c, x in _items(row, f"map {m}, row {r}")]
@@ -108,7 +113,7 @@ def decomposition_to_json(dec):
 
 
 def decomposition_from_json(obj):
-    shape = GridShape(_int(_get(obj, "n"), "key 'n'"))
+    shape = _shape(obj)
     heights = []
     for k, summand in _items(_get(obj, "summands"), "key 'summands'"):
         where = f"summands item {k}"
@@ -135,7 +140,7 @@ def rank_vector_from_json(obj):
     """Inverse of :func:`rank_vector_to_json` (``flat`` is derived, not read);
     raises SizeMismatch unless each (i, j1, j2, k) of the shape has one entry
     and ``dims`` is size x n, and GridQuiverError unless each value is an int."""
-    shape = GridShape(_int(_get(obj, "n"), "key 'n'"))
+    shape = _shape(obj)
     order = inter_order(shape)
     by_key = {}
     for e, entry in _items(_get(obj, "entries"), "key 'entries'"):
@@ -169,7 +174,7 @@ def sw_array_from_json(obj):
     are the shape's, each once as ``size`` rows of ``size`` entries, nulls included,
     and GridQuiverError unless every cell below the diagonal is null and every
     other cell an integer."""
-    shape = GridShape(_int(_get(obj, "n"), "key 'n'"))
+    shape = _shape(obj)
     size = shape.size
     by_window = {}
     for k, win in _items(_get(obj, "windows"), "key 'windows'"):

@@ -25,10 +25,6 @@ def gaussian_binomial(m, k, q):
 @lru_cache(maxsize=None)
 def subspaces(m, k, q):
     """All k-dimensional subspaces of F_q^m, as tuples of RREF rows."""
-    if k == 0:
-        return ((),)
-    if k > m:
-        return ()
     out = []
     for pivs in combinations(range(m), k):
         free_pos = [
@@ -48,30 +44,16 @@ def subspaces(m, k, q):
     return tuple(out)
 
 
-def reduce_vector(field, rows, vec):
-    """Reduce a vector against RREF rows; result is zero iff it lies in
-    their span."""
-    v = list(vec)
-    for row in rows:
-        p = next(i for i, x in enumerate(row) if x)
-        c = v[p]
-        if c:
-            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, row)]
-    return v
-
-
 def in_span(field, rows, vec):
-    return all(x == 0 for x in reduce_vector(field, rows, vec))
-
-
-def contains(field, big_rows, small_rows, width):
-    """Whether span(small) sits inside span(big) in F^width; small rows may
-    be shorter than width and are right-padded with zeros."""
-    for row in small_rows:
-        padded = tuple(row) + (0,) * (width - len(row))
-        if not in_span(field, big_rows, padded):
-            return False
-    return True
+    """Whether vec lies in the span of the RREF rows.  Each row is 1 at its
+    pivot, its first nonzero entry, and 0 at every other row's pivot, so vec
+    lies in the span exactly when it equals the sum of vec[pivot]·row."""
+    comb = [field.zero] * len(vec)
+    for row in rows:
+        c = vec[row.index(field.one)]
+        if c:
+            comb = [field.add(x, field.mul(c, y)) for x, y in zip(comb, row)]
+    return comb == list(vec)
 
 
 def chain_tests(col_dims, q):
@@ -94,16 +76,13 @@ def column_chains(col_dims, q):
     inclusion.  Returns tuples of subspaces (rows of length i at level i).
     """
     field = GF(q)
-    levels = len(col_dims)
     chains = [()]
-    for i in range(1, levels + 1):
-        options = subspaces(i, col_dims[i - 1], q)
+    for i, d in enumerate(col_dims, start=1):
+        options = subspaces(i, d, q)
         new_chains = []
         for chain in chains:
-            prev = chain[-1] if chain else ()
-            for cand in options:
-                if i == 1 or contains(field, cand, prev, i):
-                    new_chains.append(chain + (cand,))
+            below = [row + (0,) for row in (chain[-1] if chain else ())]
+            new_chains += [chain + (u,) for u in options if all(in_span(field, u, v) for v in below)]
         chains = new_chains
         if not chains:
             break

@@ -36,13 +36,13 @@ from gridorbits.fields import QQ, _poly_mul_mod
 from gridorbits.subspaces import (
     chain_tests,
     column_chains,
-    contains,
     gaussian_binomial,
     in_span,
     subspaces,
 )
 
 from conftest import CANONICAL_15
+from reference_subspaces import reference_in_span
 
 W231 = (2, 3, 1)
 
@@ -225,7 +225,32 @@ class TestSubspaces:
         rows = ((1, 0, 2),)
         assert in_span(f, rows, (2, 0, 1))
         assert not in_span(f, rows, (1, 1, 0))
-        assert contains(f, ((1, 0, 0), (0, 1, 0)), ((1, 2),), 3)
+
+    @pytest.mark.parametrize("q,max_m", [(2, 4), (3, 4), (4, 3), (5, 3)])
+    def test_span_test_matches_elimination(self, q, max_m):
+        # every (subspace, vector) pair of F_q^m for m <= max_m
+        f = GF(q)
+        pairs = [
+            (rows, v)
+            for m in range(1, max_m + 1)
+            for k in range(m + 1)
+            for rows in subspaces(m, k, q)
+            for v in product(range(q), repeat=m)
+        ]
+        wrong = [(rows, v) for rows, v in pairs if in_span(f, rows, v) != reference_in_span(f, rows, v)]
+        assert wrong == []
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_chain_count_is_the_gaussian_product(self, q):
+        # each chain ending at level i - 1 in dimension d_(i-1) extends in
+        # [i - d_(i-1), d_i - d_(i-1)]_q ways, in none when d drops
+        for size in range(1, 5):
+            for dims in product(*(range(i + 1) for i in range(1, size + 1))):
+                expected, prev = 1, 0
+                for i, d in enumerate(dims, start=1):
+                    expected *= gaussian_binomial(i - prev, d - prev, q) if d >= prev else 0
+                    prev = d
+                assert len(column_chains(dims, q)) == expected, dims
 
 
 def exhaustive_subrep_oracle(point, e, q):
@@ -678,6 +703,23 @@ class TestHomReport:
             flat_scan(W231, qs=(2, 49))
         with pytest.raises(ValueError, match=message):
             subrep_count(identity_tuple(shape2), target_dims(W231), 49)
+
+    def test_short_schedule_refused_before_any_count(self, shape2, monkeypatch):
+        # a fit with a holdout needs three field sizes, so nothing is counted
+        def counted(*args, **kwargs):
+            raise AssertionError("counted before the schedule was checked")
+
+        monkeypatch.setattr(degeneration_lab, "rep_variety_count", counted)
+        monkeypatch.setattr(degeneration_lab, "subrep_count", counted)
+        message = "^need at least 3 distinct field sizes$"
+        with pytest.raises(ValueError, match=message):
+            hom_report(W231, identity_tuple(shape2), qs=(2, 3))
+        with pytest.raises(ValueError, match=message):
+            flat_scan(W231, qs=(8, 9))
+        with pytest.raises(ValueError, match=message):
+            estimate_dim(identity_tuple(shape2), target_dims(W231), (2, 3))
+        with pytest.raises(ValueError, match="^field size q = 2 is repeated$"):
+            flat_scan(W231, qs=(2, 3, 2, 4))
 
     @pytest.mark.parametrize("w", [(2, 3, 1), (3, 1, 2), (3, 2, 1), (2, 1, 3), (1, 2, 3)])
     def test_jacobian_is_the_derivative(self, shape2, w):

@@ -145,6 +145,10 @@ class TestMalformedJson:
                 rv_with(dims=[[1, 1], [2, 2], [3, 3.0]]), GridQuiverError,
                 "dims row 3, entry 2 must be an integer, got 3.0",
             ),
+            (
+                {"n": 0, "entries": [], "dims": []}, GridQuiverError,
+                "key 'n' must be an integer >= 2, got 0",
+            ),
         ],
     )
     def test_rank_vector_refused(self, obj, error, message):
@@ -190,6 +194,12 @@ class TestMalformedJson:
         with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
             decomposition_from_json({"n": 2, "summands": summands})
         assert type(info.value) is error
+
+    def test_decomposition_shape_refused(self):
+        message = "key 'n' must be an integer >= 2, got 1"
+        with pytest.raises(GridQuiverError, match=f"^{re.escape(message)}$") as info:
+            decomposition_from_json({"n": 1, "summands": []})
+        assert type(info.value) is GridQuiverError
 
     @pytest.mark.parametrize(
         "obj,error,message",
@@ -334,6 +344,7 @@ class TestCli:
                 {"n": 2, "windows": [{"j1": 1, "j2": 1, "table": zero_table_with(3, 2, 0)}]},
                 "window (1,1), cell (3,2) must be null, got 0",
             ),
+            ({"n": 1, "windows": []}, "key 'n' must be an integer >= 2, got 1"),
         ],
     )
     def test_malformed_array_refused(self, arr, message, tmp_path, capsys):
@@ -363,6 +374,7 @@ class TestCli:
             (with_entry(None), "map 1, entry (2,2) must be an integer or a string, got null"),
             (with_entry("abc"), "map 1, entry (2,2) must be an exact scalar string, got \"abc\""),
             (with_entry("1/0"), "map 1, entry (2,2) must be an exact scalar string, got \"1/0\""),
+            ({"n": 1, "maps": []}, "key 'n' must be an integer >= 2, got 1"),
         ],
     )
     def test_malformed_point_refused(self, point, message, tmp_path, capsys):
@@ -536,6 +548,19 @@ class TestCli:
             (
                 ("hom-report", "--w", "2,3,1", "--orbit", "zero", "--budget", "0"),
                 "budget must be positive",
+            ),
+            (("flat-scan", "--w", "2,3,4,1", "--qs", "8,9"), "need at least 3 distinct field sizes"),
+            (
+                ("hom-report", "--w", "2,3,1", "--orbit", "abc"),
+                "--orbit must be an orbit id, 'identity' or 'zero', got 'abc'",
+            ),
+            (
+                ("hom-report", "--w", "2,x,1", "--orbit", "zero"),
+                "--w must be comma-separated integers, got '2,x,1'",
+            ),
+            (
+                ("flat-scan", "--w", "2,3,1", "--qs", "2,a"),
+                "--qs must be comma-separated integers, got '2,a'",
             ),
         ],
     )
