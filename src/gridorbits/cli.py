@@ -17,7 +17,6 @@ import sys
 
 from .decomposition import decompose, flat_intersections, rank_vector, rank_vector_from_sw
 from .degeneration_lab import DEFAULT_BUDGET, DEFAULT_QS, flat_scan, hom_report
-from .fields import is_prime_power
 from .grid_quiver import GridQuiverError, GridShape, assemble_canonical, identity_tuple, zero_tuple
 from .orbit_poset import build_poset, count_report, export_dot, orbit_by_id, orbit_nodes
 from .parametrizations import (
@@ -78,13 +77,13 @@ def _parse_ints(flag, text):
 
 
 def _experiment_flags(args):
-    """The checked (w, qs, budget) flags of flat-scan and hom-report."""
+    """The parsed (w, qs, budget) flags of flat-scan and hom-report.  The
+    budget is checked here; the library refuses a bad qs schedule before
+    it counts anything."""
     w = _parse_ints("--w", args.w)
     qs = _parse_ints("--qs", args.qs) if args.qs else DEFAULT_QS
     if args.budget <= 0:
         raise ValueError("budget must be positive")
-    if len(set(qs)) != len(qs) or not all(is_prime_power(q) for q in qs):
-        raise ValueError("qs must be distinct prime powers")
     return w, qs, args.budget
 
 

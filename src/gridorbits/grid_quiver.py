@@ -168,9 +168,10 @@ def zero_tuple(shape):
 
 # Points whose window products stay cached.  Hits come only from repeated
 # south-west arrays of one point inside a single query; the census and scan
-# commands never revisit a point.  Measured hits / misses per command:
-# `orbits --n 3` and `poset --n 3` 0 / 2,704 each, `count-report` 0 / 0,
-# `flat-scan --w 2,3,1` 0 / 15, `hom-report --w 2,3,1 --orbit identity` 1 / 1.
+# commands read each orbit's array off its matchings and multiply nothing.
+# Measured hits / misses per command: `orbits --n 3`, `poset --n 3`,
+# `count-report` and `flat-scan --w 2,3,1` 0 / 0 each,
+# `hom-report --w 2,3,1 --orbit identity` 1 / 1.
 WINDOW_PRODUCTS_CACHE_SIZE = 64
 
 

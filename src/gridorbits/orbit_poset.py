@@ -4,9 +4,14 @@ Decomposable orbits are enumerated combinatorially: between each pair of
 adjacent columns, the heights 1..n+1 are partially matched with every
 matched pair weakly increasing, and matchings of different column pairs are
 independent.  Chaining the matchings yields the decomposition; assembling
-it yields the canonical representative.  The product order of the matchings
-numbers the orbits 1..b_(n+2)^(n-1); these ids index the census, the poset
-and the experiment commands.  An exhaustive F_2 census of
+it yields the canonical representative, a tuple of rooks (0/1 partial
+permutation matrices).  Its south-west array is read off the matchings:
+each window's product is the rook of the composed matching, and each rank
+is a count of that rook's 1s, so no Fraction matrix is multiplied or
+reduced.  The array order compares arrays as packed thermometer bits.  The
+product order of the matchings numbers the orbits 1..b_(n+2)^(n-1); these
+ids index the census, the poset and the experiment commands.  An
+exhaustive F_2 census of
 south-west arrays provides an independent check for n <= 3: it holds every
 enumerated orbit's array, plus those of tuples with no thin decomposition.
 It runs over the tuples whose first map is a rook (a partial permutation
@@ -31,7 +36,9 @@ from .grid_quiver import (
     assemble_canonical,
     matchings_to_decomposition,
 )
-from .parametrizations import SWArray, sw_array, sw_table
+# sw_array is no longer called here; it stays bound because the benchmark's
+# self-test (bench/selftest.py) lists orbit_poset among its binders.
+from .parametrizations import SWArray, rook_table, sw_array, sw_table  # noqa: F401
 
 
 def bell(m):
@@ -73,15 +80,14 @@ def orbit_count(shape):
     return bell(shape.size + 1) ** shape.num_maps
 
 
-def _decompositions(shape):
-    """Each decomposable orbit's decomposition in id order, built one at a
-    time.  Raises InfeasibleSize on its first step for n >= 4, where the
-    orbit listings stop."""
+def _matching_tuples(shape):
+    """Each decomposable orbit's per-pair matchings in id order.  Raises
+    InfeasibleSize on its first step for n >= 4, where the orbit listings
+    stop."""
     if shape.n >= 4:
         raise InfeasibleSize(
             f"n = {shape.n} has {orbit_count(shape)} orbit nodes; orbit listings stop at n = 3")
-    for combo in itertools.product(order_matchings(shape.size), repeat=shape.num_maps):
-        yield matchings_to_decomposition(shape, list(combo))
+    yield from itertools.product(order_matchings(shape.size), repeat=shape.num_maps)
 
 
 def enumerate_orbits(shape):
@@ -89,7 +95,7 @@ def enumerate_orbits(shape):
     are direct sums of thin summands), as decompositions, in a fixed order
     (the product order of the per-pair matchings), orbit id k at k - 1.
     Raises InfeasibleSize for n >= 4 before it builds any."""
-    return list(_decompositions(shape))
+    return [matchings_to_decomposition(shape, combo) for combo in _matching_tuples(shape)]
 
 
 def orbit_by_id(shape, k):
@@ -213,27 +219,84 @@ class OrbitPoset:
         return sorted(n.id for n in self.nodes if n.id not in above_something)
 
 
+def matchings_sw_array(shape, matchings, tables=None):
+    """South-west array of the canonical representative of the orbit with
+    these per-pair matchings, read off the matchings without a matrix.
+
+    The representative's map j is the rook of ``matchings[j-1]``, with a 1
+    at 0-based (size - m(a), size - a) for each matched a -> m(a); window
+    (j1, j2) is the rook of the composed matching m_j2 ∘ ... ∘ m_j1, again
+    an :func:`order_matchings` of the ambient size, and its table is the
+    count of that rook's 1s (:func:`~gridorbits.parametrizations.rook_table`).
+    ``tables`` memoises the table per composed matching across calls.
+    """
+    if tables is None:
+        tables = {}
+    size = shape.size
+    out = []
+    for j1 in range(shape.num_maps):
+        composed = matchings[j1]
+        for j2 in range(j1, shape.num_maps):
+            if j2 > j1:
+                step = matchings[j2]
+                composed = {a: step[b] for a, b in composed.items() if b in step}
+            key = tuple(sorted(composed.items()))
+            table = tables.get(key)
+            if table is None:
+                rows = [[0] * size for _ in range(size)]
+                for a, b in key:
+                    rows[size - b][size - a] = 1
+                table = tables[key] = rook_table(rows)
+            out.append(table)
+    return SWArray(shape, tuple(out))
+
+
 def orbit_nodes(shape):
     """Each decomposable orbit in id order, as an :class:`OrbitNode` with its
-    canonical representative and that point's south-west array.  Raises
-    InfeasibleSize on the first step for n >= 4 (b_6^3 = 8,365,427 nodes).
+    canonical representative and that point's south-west array.
+
+    The array is read off the orbit's matchings by
+    :func:`matchings_sw_array`, with one table per composed matching shared
+    by every node (52 rooks at n = 3), so no window is multiplied or
+    reduced.  Nodes are built one at a time; raises InfeasibleSize on the
+    first step for n >= 4 (b_6^3 = 8,365,427 nodes).
     """
-    for idx, dec in enumerate(_decompositions(shape), start=1):
-        point = assemble_canonical(dec)
-        yield OrbitNode(idx, dec, point, sw_array(point))
+    tables = {}
+    for idx, combo in enumerate(_matching_tuples(shape), start=1):
+        dec = matchings_to_decomposition(shape, combo)
+        yield OrbitNode(idx, dec, assemble_canonical(dec), matchings_sw_array(shape, combo, tables))
 
 
 def array_order(arrays):
     """All-pairs componentwise order of equal-shape south-west arrays, as a
     boolean matrix: leq[i, j] holds when arrays[i] <= arrays[j] in every
-    entry (:func:`~gridorbits.parametrizations.array_leq`)."""
+    entry (:func:`~gridorbits.parametrizations.array_leq`).
+
+    Each entry v is written as v thermometer bits (bit t set when v > t, up
+    to the largest entry), so a <= b in every entry exactly when
+    ``bits_a & ~bits_b`` is zero.  The bits are packed into 64-bit words,
+    two per array at n = 3, and ``leq`` is filled in row chunks, one word
+    at a time, with a (chunk x N) temporary of about 4 MB.
+    """
+    nn = len(arrays)
+    if not nn:
+        return np.zeros((0, 0), dtype=bool)
     a = np.array([arr.flat() for arr in arrays], dtype=np.int16)
-    nn = len(a)
-    leq = np.empty((nn, nn), dtype=bool)
-    chunk = max(1, (1 << 24) // max(1, a.size))
+    therm = (a[:, :, None] > np.arange(a.max())).reshape(nn, -1)
+    words = -(-therm.shape[1] // 64)
+    packed = np.zeros((nn, words * 8), dtype=np.uint8)
+    packed[:, :(therm.shape[1] + 7) // 8] = np.packbits(therm, axis=1)
+    bits = packed.view(np.uint64)
+    missing = np.ascontiguousarray((~bits).T)  # missing[w, j]: bits array j lacks in word w
+    leq = np.ones((nn, nn), dtype=bool)
+    chunk = min(nn, max(1, (1 << 22) // (8 * nn)))
+    scratch = np.empty((chunk, nn), dtype=np.uint64)
     for lo in range(0, nn, chunk):
         hi = min(nn, lo + chunk)
-        leq[lo:hi] = (a[lo:hi, None, :] <= a[None, :, :]).all(axis=2)
+        tmp = scratch[:hi - lo]
+        for w in range(words):
+            np.bitwise_and(bits[lo:hi, w, None], missing[w], out=tmp)
+            leq[lo:hi] &= tmp == 0
     return leq
 
 

@@ -74,12 +74,17 @@ def sw_table(mat):
     """South-west rank table of one upper-triangular matrix.
 
     :func:`b_reduce` keeps every south-west rank and leaves a partial
-    permutation matrix, whose rank on rows p..size and columns 1..q is the
-    number of its 1s there; one reduction plus 2-D prefix sums of those 1s
-    gives the whole table.
+    permutation matrix, whose table :func:`rook_table` counts.
     """
-    size = mat.rows
-    rows = b_reduce(mat).data
+    return rook_table(b_reduce(mat).data)
+
+
+def rook_table(rows):
+    """South-west rank table of a partial permutation matrix, given as rows
+    whose nonzero entries are its 1s: the rank on rows p..size and columns
+    1..q is the number of 1s there, so 2-D prefix sums give the whole
+    table."""
+    size = len(rows)
     below = [0] * (size + 1)  # below[q]: 1s in rows p..size, columns 1..q
     table = [None] * size
     for p in range(size, 0, -1):

@@ -1,5 +1,7 @@
+import itertools
 import random
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +11,7 @@ from gridorbits import (
     GridShape,
     InfeasibleSize,
     OrbitPoset,
+    SWArray,
     array_leq,
     array_order,
     assemble_canonical,
@@ -21,16 +24,23 @@ from gridorbits import (
     f2_distinct_count,
     flat_intersections,
     make_point,
+    matchings_sw_array,
+    matchings_to_decomposition,
+    orbit_by_id,
+    orbit_count,
     orbit_nodes,
     order_matchings,
     rank_vector,
     sw_array,
+    windows,
 )
 
+import gridorbits.cli as cli
 import gridorbits.degeneration_lab as degeneration_lab
 import gridorbits.orbit_poset as orbit_poset
 
 from conftest import CANONICAL_15, HASSE_EDGES_15, RANK_VECTORS_15
+from reference_array_order import reference_array_order
 from reference_census import reference_census
 from reference_covers import reference_covers
 
@@ -264,6 +274,79 @@ class TestPoset:
                         assert array_leq(a, c)
 
 
+def matchings_of(dec):
+    """The per-pair height matchings a decomposition chains: summand h
+    matches h_j to h_(j+1) wherever both columns carry it."""
+    out = [{} for _ in range(dec.shape.num_maps)]
+    for h in dec.heights():
+        for j, m in enumerate(out):
+            if h[j] and h[j + 1]:
+                m[h[j]] = h[j + 1]
+    return [dict(sorted(m.items())) for m in out]
+
+
+class TestClosedFormArrays:
+    def test_orbit_nodes_small(self, shape2):
+        for node in orbit_nodes(shape2):
+            assert node.canonical == assemble_canonical(node.decomposition)
+            assert node.sw == sw_array(node.canonical)
+
+    def test_orbit_nodes_n3(self, poset3):
+        assert len(poset3.nodes) == 2704
+        for node in poset3.nodes:
+            assert node.sw == sw_array(assemble_canonical(node.decomposition))
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_sampled_orbits_past_the_listing(self, n):
+        # orbit_by_id decodes ids the listings refuse; the closed form
+        # needs no listing
+        shape = GridShape(n)
+        rng = random.Random(n)
+        ids = [1, orbit_count(shape)] + rng.sample(range(2, orbit_count(shape)), 12)
+        for k in ids:
+            dec = orbit_by_id(shape, k)
+            matchings = matchings_of(dec)
+            assert matchings_to_decomposition(shape, matchings) == dec
+            assert matchings_sw_array(shape, matchings) == sw_array(assemble_canonical(dec))
+
+    def test_compositions_are_rooks(self, shape3):
+        # every window of every n = 3 orbit is one of the 52 rooks of size 4,
+        # so a shared memo counts 52 tables for all 2,704 x 3 windows
+        tables = {}
+        combos = list(itertools.product(order_matchings(4), repeat=2))
+        arrays = [matchings_sw_array(shape3, combo, tables) for combo in combos]
+        assert set(tables) == {tuple(sorted(m.items())) for m in order_matchings(4)}
+        assert arrays == [matchings_sw_array(shape3, combo) for combo in combos]
+
+    def test_census_commands_neither_multiply_nor_reduce(self, monkeypatch, capsys):
+        # wrap every module-level binding of each function, as the
+        # benchmark's tracer does, so an import by name is counted too
+        from gridorbits import exact_linalg, grid_quiver, parametrizations
+
+        calls = {}
+        for module, attr in (
+            (parametrizations, "sw_array"),
+            (exact_linalg, "b_reduce"),
+            (grid_quiver, "window_products"),
+        ):
+            original = getattr(module, attr)
+            calls[attr] = 0
+
+            def counted(*args, _attr=attr, _original=original):
+                calls[_attr] += 1
+                return _original(*args)
+
+            for name, mod in list(sys.modules.items()):
+                if name.split(".")[0] == "gridorbits":
+                    for key, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, key, counted)
+        for command in ("orbits", "poset"):
+            assert cli.main([command, "--n", "3"]) == 0
+        assert capsys.readouterr().out
+        assert calls == {"sw_array": 0, "b_reduce": 0, "window_products": 0}
+
+
 def random_closed_order(nodes, rng):
     """Transitive closure of a random DAG on ``nodes`` nodes, its
     topological order shuffled so the matrix is not triangular."""
@@ -335,6 +418,52 @@ class TestArrayOrder:
         leq = array_order(arrays)
         assert leq.tolist() == [[array_leq(a, b) for b in arrays] for a in arrays]
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_orbit_arrays_match_reference(self, n, poset3):
+        nodes = poset3.nodes if n == 3 else tuple(orbit_nodes(GridShape(n)))
+        arrays = [node.sw for node in nodes]
+        leq = array_order(arrays)
+        assert leq.dtype == bool
+        assert np.array_equal(leq, reference_array_order(arrays))
+
+    @pytest.mark.parametrize("n,count", [(3, 40), (4, 70), (5, 70)])
+    def test_random_arrays_match_reference(self, n, count):
+        # n = 4 and 5 write 5 and 6 bits per entry, so some entries
+        # straddle a 64-bit word boundary (450 and 1,260 bits in all)
+        shape = GridShape(n)
+        rng = np.random.default_rng(n)
+        arrays = random_arrays(shape, count, rng)
+        leq = array_order(arrays)
+        assert np.array_equal(leq, reference_array_order(arrays))
+        off_diagonal = leq & ~np.eye(count, dtype=bool)
+        assert off_diagonal.any() and not leq.all()
+
+    def test_equal_arrays_at_distinct_indices(self, shape3):
+        rng = np.random.default_rng(7)
+        arrays = random_arrays(shape3, 20, rng)
+        arrays = arrays + arrays[::2]
+        leq = array_order(arrays)
+        assert np.array_equal(leq, reference_array_order(arrays))
+        for k in range(10):
+            assert leq[2 * k, 20 + k] and leq[20 + k, 2 * k]
+
+    def test_zero_arrays_and_no_arrays(self, shape2):
+        zero = sw_array(make_point(shape2, [[[0] * 3] * 3]))
+        assert array_order([zero, zero]).all()
+        assert array_order([]).shape == (0, 0)
+
+    def test_traced_peak_memory(self, poset3):
+        # the int16 broadcast of the reference peaks at 23.6 MB on the n = 3
+        # arrays; the packed words need the 7.3 MB answer plus a 4 MB chunk
+        arrays = [node.sw for node in poset3.nodes]
+        tracemalloc.start()
+        try:
+            array_order(arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
     @pytest.mark.parametrize("n,sample", [(2, 15), (3, 80)])
     def test_upward_closure_matches_loop(self, n, sample):
         rng = random.Random(n)
@@ -356,6 +485,31 @@ class TestArrayOrder:
             assert (not leq[mask][:, ~mask].any()) == closed
             outcomes.add(closed)
         assert outcomes == {True, False}
+
+
+def random_arrays(shape, count, rng):
+    """``count`` random arrays of the shape's table layout, entries 0..size,
+    each after the first lowered from an earlier one in a few entries on
+    every other draw, so that many pairs are comparable."""
+    rows = [(w, p) for w in range(len(windows(shape))) for p in range(shape.size)]
+    entries = sum(shape.size - p for _w, p in rows)
+    flats = []
+    for k in range(count):
+        if k and k % 2:
+            base = np.array(flats[rng.integers(len(flats))])
+            drop = rng.random(entries) < 0.1
+            flat = np.maximum(base - drop * rng.integers(1, shape.size + 1, entries), 0)
+        else:
+            flat = rng.integers(0, shape.size + 1, entries)
+        flats.append(flat.tolist())
+    out = []
+    for flat in flats:
+        it = iter(flat)
+        tables = [[] for _ in windows(shape)]
+        for w, p in rows:
+            tables[w].append(tuple(next(it) for _ in range(shape.size - p)))
+        out.append(SWArray(shape, tuple(tuple(t) for t in tables)))
+    return out
 
 
 DOT_NODE = re.compile(r'^  (o\d+) \[label="[^"]*"\];$')

@@ -428,20 +428,23 @@ class TestCli:
         assert len(lines) == 16
 
     def test_orbit_records_compute_one_array_per_orbit(self, monkeypatch):
-        from gridorbits import GridShape, parametrizations
+        # each array is read off the orbit's matchings, none off its point
+        from gridorbits import GridShape, orbit_poset, parametrizations
         from gridorbits.cli import _orbit_records
 
-        original = parametrizations.sw_array
-        calls = []
+        calls = {"matchings_sw_array": [], "sw_array": []}
+        for defined, attr in ((orbit_poset, "matchings_sw_array"), (parametrizations, "sw_array")):
+            original = getattr(defined, attr)
 
-        def counted(point):
-            calls.append(point)
-            return original(point)
+            def counted(*args, _calls=calls[attr], _original=original):
+                _calls.append(args)
+                return _original(*args)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "gridorbits" and getattr(module, "sw_array", None) is original:
-                monkeypatch.setattr(module, "sw_array", counted)
-        assert len(_orbit_records(GridShape(2))) == len(calls) == 15
+            for name, module in list(sys.modules.items()):
+                if name.split(".")[0] == "gridorbits" and getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, counted)
+        assert len(_orbit_records(GridShape(2))) == len(calls["matchings_sw_array"]) == 15
+        assert calls["sw_array"] == []
 
     def test_poset_dot(self):
         code, out, _ = run_cli("poset", "--n", "2", "--format", "dot")
@@ -542,8 +545,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "args,message",
         [
-            (("flat-scan", "--w", "2,3,1", "--qs", "2,2,3"), "qs must be distinct prime powers"),
-            (("flat-scan", "--w", "2,3,1", "--qs", "2,3,6"), "qs must be distinct prime powers"),
+            (("flat-scan", "--w", "2,3,1", "--qs", "2,2,3"), "field size q = 2 is repeated"),
+            (("flat-scan", "--w", "2,3,1", "--qs", "2,3,6"), "q must be a prime power <= 9, got 6"),
             (("flat-scan", "--w", "2,3,1", "--budget", "0"), "budget must be positive"),
             (
                 ("hom-report", "--w", "2,3,1", "--orbit", "zero", "--budget", "0"),
