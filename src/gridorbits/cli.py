@@ -148,7 +148,7 @@ def _orbit_records(shape):
                 "decomposition": str(node.decomposition),
                 "rank_vector": list(flat_intersections(rank_vector_from_sw(node.sw))),
                 "sw_array_hash": digest,
-                "maps": map_tuple_to_json(node.canonical)["maps"],
+                "maps": map_tuple_to_json(assemble_canonical(node.decomposition))["maps"],
             }
         )
     return records

@@ -7,10 +7,10 @@ products are upper-triangular, so each entry is a difference of two
 south-west ranks and the rank vector is a reindexing of the south-west
 array: it is an orbit invariant, complete for n = 2 and not for n >= 3 (see
 :mod:`gridorbits.parametrizations`).  Points are decomposed into thin
-indecomposables by :func:`~gridorbits.parametrizations.reconstruct` of
-their south-west array, which builds each map's partial permutation form
-from its single-map table and accepts only if that canonical point has
-the same array; the summands are read off the canonical maps.
+indecomposables by :func:`~gridorbits.parametrizations.reconstruct_matchings`
+of their south-west array, one height matching per single-map table,
+accepted only if their rook point has the same array; the matchings chain
+into the summands.
 """
 
 from __future__ import annotations
@@ -21,14 +21,15 @@ from fractions import Fraction
 from .exact_linalg import rank
 from .grid_quiver import (
     GridQuiverError,
-    _thin_point,
     dims_of_heights,
     enumerate_indecomposables,
     full_dim_grid,
+    height_matchings,
     matchings_to_decomposition,
     windows,
 )
-from .parametrizations import ReconstructInvalid, reconstruct, sw_array, table_entry
+from .parametrizations import ReconstructInvalid, reconstruct_matchings, sw_array, table_entry
+from .parametrizations import matchings_sw_array
 
 
 class SolveFailure(GridQuiverError):
@@ -96,10 +97,10 @@ def rank_vector_from_sw(arr):
 
 def heights_rank_vector(hv):
     """Rank vector of the thin indecomposable with height vector ``hv``: the
-    intersection part is :func:`rank_vector` of the 0/1 point carrying that
-    one summand, the dimension part its own grid."""
-    point = _thin_point(hv.shape, [hv.h])
-    return RankVector(hv.shape, dims_of_heights(hv), rank_vector(point).inter)
+    intersection part is read off the summand's matchings, the dimension
+    part is its own grid."""
+    arr = matchings_sw_array(hv.shape, height_matchings(hv.shape, [hv.h]))
+    return RankVector(hv.shape, dims_of_heights(hv), rank_vector_from_sw(arr).inter)
 
 
 def same_rank_vector(a, b):
@@ -147,13 +148,11 @@ def independence_check(shape):
 def decompose(point):
     """Unique decomposition of a point into thin indecomposables.
 
-    :func:`~gridorbits.parametrizations.reconstruct` of the point's
-    south-west array builds the canonical maps, whose 1s are the pivots of
-    the single-map tables, and accepts them only if they have the point's
-    array, which decides the same as comparing rank vectors, an injective
-    reindexing of the arrays.  A 1 of map j at 0-based (r, c) links height
-    size-c of column j to height size-r of column j+1; the per-pair height
-    matchings chain into summands.
+    :func:`~gridorbits.parametrizations.reconstruct_matchings` of the
+    point's south-west array reads the per-pair height matchings off the
+    single-map tables and accepts them only if their rook point has the
+    point's array, which decides the same as comparing rank vectors, an
+    injective reindexing of the arrays; the matchings chain into summands.
 
     Raises:
         SolveFailure: no multiset of thin summands reproduces the point's
@@ -161,16 +160,11 @@ def decompose(point):
             exist (see :class:`SolveFailure`).
     """
     try:
-        canon = reconstruct(sw_array(point))
+        matchings = reconstruct_matchings(sw_array(point))
     except ReconstructInvalid as exc:
         raise SolveFailure(
             "no multiset of thin summands reproduces the rank vector: the "
             "point's maps cannot be reduced to partial permutation form "
             "simultaneously"
         ) from exc
-    size = point.shape.size
-    matchings = [
-        {size - c: size - r for r, row in enumerate(m.data) for c, x in enumerate(row) if x}
-        for m in canon.maps
-    ]
     return matchings_to_decomposition(point.shape, matchings)

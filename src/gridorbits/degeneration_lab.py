@@ -35,7 +35,7 @@ import numpy as np
 
 from .exact_linalg import Matrix, principal_block, rank, solve_unique
 from .fields import GF, QQ, is_prime_power
-from .grid_quiver import GridQuiverError, GridShape, InfeasibleSize
+from .grid_quiver import GridQuiverError, GridShape, InfeasibleSize, assemble_canonical
 from .orbit_poset import array_order, orbit_nodes
 from .parametrizations import reconstruct, sw_array
 from .schubert import check_permutation, length, target_dims
@@ -331,7 +331,7 @@ def flat_scan(w, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     arrays = []
     chains = {}
     for node in orbit_nodes(shape):
-        table = point_counts(node.canonical, e, qs, budget, chains=chains)
+        table = point_counts(assemble_canonical(node.decomposition), e, qs, budget, chains=chains)
         est = fit_dimension(table.counts, _degree_bound(shape, e))
         rows.append(FlatScanRow(node.id, node.decomposition, table, est, est.degree == target))
         arrays.append(node.sw)

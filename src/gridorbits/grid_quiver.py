@@ -166,12 +166,12 @@ def zero_tuple(shape):
     return make_point(shape, [Matrix.zeros(QQ, shape.size)] * shape.num_maps)
 
 
-# Points whose window products stay cached.  Hits come only from repeated
-# south-west arrays of one point inside a single query; the census and scan
-# commands read each orbit's array off its matchings and multiply nothing.
+# Points whose window products stay cached.  Hits come only from library
+# callers asking several invariants of one point (sw_array, rank_vector,
+# decompose, same_orbit, degenerates); no CLI command reads an array twice.
 # Measured hits / misses per command: `orbits --n 3`, `poset --n 3`,
 # `count-report` and `flat-scan --w 2,3,1` 0 / 0 each,
-# `hom-report --w 2,3,1 --orbit identity` 1 / 1.
+# `hom-report --w 2,3,1 --orbit identity` 0 / 1.
 WINDOW_PRODUCTS_CACHE_SIZE = 64
 
 
@@ -263,27 +263,44 @@ def check_full_decomposition(dec):
 
 def assemble_canonical(dec):
     """Canonical representative of the orbit with decomposition ``dec``:
-    the maps of :func:`_thin_point` on its summands, a tuple of
-    upper-triangular partial permutation matrices."""
+    the :func:`rook_point` of its summands' :func:`height_matchings`."""
     check_full_decomposition(dec)
-    assert all(mult == 1 for _, mult in dec.summands)  # forced by the column-height invariant
-    return _thin_point(dec.shape, [h for h, _ in dec.summands])
+    return rook_point(dec.shape, height_matchings(dec.shape, dec.heights()))
 
 
-def _thin_point(shape, heights):
-    """The 0/1 point carrying one thin summand per height vector.
-
-    The summand of height h in column j occupies the coordinate line
-    e_(n+2-h); for each adjacent supported column pair (j, j+1) of a
-    summand, map j gets a 1 in row n+2-h_(j+1), column n+2-h_j.
-    """
-    size = shape.size
-    rows = [[[Fraction(0)] * size for _ in range(size)] for _ in range(shape.num_maps)]
+def height_matchings(shape, heights):
+    """Per-pair matchings of thin summands with these height vectors: h_j
+    to h_(j+1) wherever both are nonzero (inverse of
+    :func:`matchings_to_decomposition` on full decompositions)."""
+    out = [{} for _ in range(shape.num_maps)]
     for h in heights:
-        for j in range(1, shape.n):
-            if h[j - 1] > 0 and h[j] > 0:
-                rows[j - 1][shape.n + 1 - h[j]][shape.n + 1 - h[j - 1]] = Fraction(1)
-    return make_point(shape, [Matrix(QQ, m) for m in rows])
+        for j, m in enumerate(out):
+            if h[j] and h[j + 1]:
+                m[h[j]] = h[j + 1]
+    return out
+
+
+def rook_point(shape, matchings):
+    """The 0/1 point over Q whose map j is the rook of ``matchings[j-1]``."""
+    rows = [[[QQ.one if x else QQ.zero for x in row] for row in rook_of_matching(shape.size, m)]
+            for m in matchings]
+    return make_point(shape, [Matrix(QQ, r) for r in rows])
+
+
+def rook_of_matching(size, matching):
+    """The rook (0/1 partial permutation matrix, as int rows) of a height
+    matching: a -> b is the 1 in 1-based row size+1-b, column size+1-a, so
+    e_(size+1-a), the line of height a in one column, goes to e_(size+1-b)."""
+    rows = [[0] * size for _ in range(size)]
+    for a, b in matching.items():
+        rows[size - b][size - a] = 1
+    return rows
+
+
+def matching_of_rook(size, cells):
+    """Inverse of :func:`rook_of_matching`, from the 1-based (row, column)
+    cells of the rook's 1s, such as a rank table's pivots."""
+    return {size + 1 - q: size + 1 - p for p, q in cells}
 
 
 def matchings_to_decomposition(shape, matchings):

@@ -3,13 +3,11 @@
 Decomposable orbits are enumerated combinatorially: between each pair of
 adjacent columns, the heights 1..n+1 are partially matched with every
 matched pair weakly increasing, and matchings of different column pairs are
-independent.  Chaining the matchings yields the decomposition; assembling
-it yields the canonical representative, a tuple of rooks (0/1 partial
-permutation matrices).  Its south-west array is read off the matchings:
-each window's product is the rook of the composed matching, and each rank
-is a count of that rook's 1s, so no Fraction matrix is multiplied or
-reduced.  The array order compares arrays as packed thermometer bits.  The
-product order of the matchings numbers the orbits 1..b_(n+2)^(n-1); these
+independent.  Chaining the matchings yields the decomposition; their rooks
+(0/1 partial permutation matrices) form the canonical representative, whose
+south-west array is read off the matchings, so no Fraction matrix is built,
+multiplied or reduced.  The array order compares arrays as packed
+thermometer bits.  The product order of the matchings numbers the orbits 1..b_(n+2)^(n-1); these
 ids index the census, the poset and the experiment commands.  An
 exhaustive F_2 census of
 south-west arrays provides an independent check for n <= 3: it holds every
@@ -33,12 +31,12 @@ from .grid_quiver import (
     Decomposition,
     GridQuiverError,
     InfeasibleSize,
-    assemble_canonical,
     matchings_to_decomposition,
+    rook_of_matching,
 )
 # sw_array is no longer called here; it stays bound because the benchmark's
 # self-test (bench/selftest.py) lists orbit_poset among its binders.
-from .parametrizations import SWArray, rook_table, sw_array, sw_table  # noqa: F401
+from .parametrizations import SWArray, matchings_sw_array, sw_array, sw_table  # noqa: F401
 
 
 def bell(m):
@@ -122,10 +120,10 @@ def f2_census(shape):
     one 1 per row and column: over F_2, (h1, h2) in B x B takes f1 to its
     rook r = h2 f1 h1^(-1) (:func:`~gridorbits.exact_linalg.b_reduce`), so
     it takes (f1, f2) to (r, f2 h2^(-1)), a 0/1 tuple with the same array.
-    The rooks are the :func:`order_matchings` of the ambient size: the
-    matching a -> m(a) has a 1 at 0-based (size - m(a), size - a).  So
-    52 x 1024 tuples stand for all 2^20 at n = 3; at n = 2 the census is
-    the rooks' own tables.
+    The rooks are the :func:`~gridorbits.grid_quiver.rook_of_matching` of
+    the :func:`order_matchings` of the ambient size.  So 52 x 1024 tuples
+    stand for all 2^20 at n = 3; at n = 2 the census is the rooks' own
+    tables.
 
     Returns a dict from each distinct array (an :class:`SWArray`) to one
     realising tuple whose first map is a rook, as nested 0/1 tuples in map
@@ -151,7 +149,7 @@ def f2_census(shape):
         weights[i, j] = 1 << b
     code_mats = [tuple(tuple(row) for row in m) for m in mats.tolist()]
     tables = [sw_table(Matrix(GF(2), mat)) for mat in code_mats]
-    rooks = [sum(weights[size - b, size - a] for a, b in m.items()) for m in order_matchings(size)]
+    rooks = [int((weights * rook_of_matching(size, m)).sum()) for m in order_matchings(size)]
     if shape.num_maps == 1:
         return {SWArray(shape, (tables[r],)): (code_mats[r],) for r in rooks}
     census = {}
@@ -200,7 +198,6 @@ def count_report(shape):
 class OrbitNode:
     id: int
     decomposition: Decomposition
-    canonical: object
     sw: object
 
 
@@ -219,41 +216,9 @@ class OrbitPoset:
         return sorted(n.id for n in self.nodes if n.id not in above_something)
 
 
-def matchings_sw_array(shape, matchings, tables=None):
-    """South-west array of the canonical representative of the orbit with
-    these per-pair matchings, read off the matchings without a matrix.
-
-    The representative's map j is the rook of ``matchings[j-1]``, with a 1
-    at 0-based (size - m(a), size - a) for each matched a -> m(a); window
-    (j1, j2) is the rook of the composed matching m_j2 ∘ ... ∘ m_j1, again
-    an :func:`order_matchings` of the ambient size, and its table is the
-    count of that rook's 1s (:func:`~gridorbits.parametrizations.rook_table`).
-    ``tables`` memoises the table per composed matching across calls.
-    """
-    if tables is None:
-        tables = {}
-    size = shape.size
-    out = []
-    for j1 in range(shape.num_maps):
-        composed = matchings[j1]
-        for j2 in range(j1, shape.num_maps):
-            if j2 > j1:
-                step = matchings[j2]
-                composed = {a: step[b] for a, b in composed.items() if b in step}
-            key = tuple(sorted(composed.items()))
-            table = tables.get(key)
-            if table is None:
-                rows = [[0] * size for _ in range(size)]
-                for a, b in key:
-                    rows[size - b][size - a] = 1
-                table = tables[key] = rook_table(rows)
-            out.append(table)
-    return SWArray(shape, tuple(out))
-
-
 def orbit_nodes(shape):
     """Each decomposable orbit in id order, as an :class:`OrbitNode` with its
-    canonical representative and that point's south-west array.
+    decomposition and its canonical representative's south-west array.
 
     The array is read off the orbit's matchings by
     :func:`matchings_sw_array`, with one table per composed matching shared
@@ -264,7 +229,7 @@ def orbit_nodes(shape):
     tables = {}
     for idx, combo in enumerate(_matching_tuples(shape), start=1):
         dec = matchings_to_decomposition(shape, combo)
-        yield OrbitNode(idx, dec, assemble_canonical(dec), matchings_sw_array(shape, combo, tables))
+        yield OrbitNode(idx, dec, matchings_sw_array(shape, combo, tables))
 
 
 def array_order(arrays):
@@ -302,7 +267,7 @@ def array_order(arrays):
 
 def build_poset(shape):
     """Degeneration poset of all decomposable orbits: nodes carry the
-    decomposition, the canonical representative and its array; edges are
+    decomposition and the canonical representative's array; edges are
     the covering pairs of the componentwise array order (transitive
     reduction), found by :func:`_covers` from bit-packed up-sets.  The order
     is a dense node x node matrix, so the n >= 4 refusal of

@@ -15,13 +15,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .exact_linalg import Matrix, b_reduce
-from .fields import QQ
-from .grid_quiver import GridQuiverError, SizeMismatch, make_point, window_products, windows
+from .exact_linalg import b_reduce
+from .grid_quiver import GridQuiverError, SizeMismatch, window_products, windows
+from .grid_quiver import matching_of_rook, rook_of_matching, rook_point
 
 
 class InvalidTable(GridQuiverError):
-    """A candidate table whose double differences are not all 0 or 1."""
+    """A candidate table that is not the south-west rank table of a rook."""
 
 
 class ReconstructInvalid(GridQuiverError):
@@ -97,6 +97,29 @@ def rook_table(rows):
     return tuple(table)
 
 
+def matchings_sw_array(shape, matchings, tables=None):
+    """South-west array of the rook point of these per-pair matchings
+    (:func:`~gridorbits.grid_quiver.rook_point`), read off the matchings.
+
+    Window (j1, j2) of that point is the rook of the composed matching
+    m_j2 ∘ ... ∘ m_j1, and its table is that rook's :func:`rook_table`, so
+    no matrix is multiplied or reduced.  ``tables`` memoises the table per
+    composed matching across calls.
+    """
+    if tables is None:
+        tables = {}
+    out = []
+    for j1 in range(shape.num_maps):
+        composed = {a: a for a in range(1, shape.size + 1)}
+        for step in matchings[j1:]:
+            composed = {a: step[b] for a, b in composed.items() if b in step}
+            key = tuple(sorted(composed.items()))
+            if key not in tables:
+                tables[key] = rook_table(rook_of_matching(shape.size, composed))
+            out.append(tables[key])
+    return SWArray(shape, tuple(out))
+
+
 def sw_array(point):
     """South-west array of a point: one table per window composition."""
     prods = window_products(point)
@@ -152,7 +175,8 @@ def pivots(table):
     s(p,q) - s(p+1,q) - s(p,q-1) + s(p+1,q-1) equals 1.
 
     Raises:
-        InvalidTable: some double difference is not 0 or 1.
+        InvalidTable: a double difference is not 0 or 1, or pivots share a
+            row or column.
     """
     size = len(table)
     out = set()
@@ -168,39 +192,41 @@ def pivots(table):
                 raise InvalidTable(f"double difference at ({p},{q}) is {d}")
             if d == 1:
                 out.add((p, q))
+    if len({p for p, _q in out}) < len(out) or len({q for _p, q in out}) < len(out):
+        raise InvalidTable(f"pivots {sorted(out)} reuse a row or column")
     return out
 
 
-def reconstruct(s):
-    """Rebuild the canonical point from a candidate array, or fail.
+def reconstruct_matchings(s):
+    """Per-pair height matchings of the canonical point with array ``s``.
 
-    Each single-map window's table yields a pivot set, hence a partial
-    permutation matrix; the candidate is accepted only if the assembled
-    tuple reproduces the claimed table on every window, compositions
-    included.  This decides whether a direct sum of thin summands realises
-    the array; for n >= 3 a point without one may realise a rejected array.
+    Each single-map table's pivots are a rook, hence a matching; the
+    candidate is accepted only if :func:`matchings_sw_array` of those
+    matchings reproduces it on every window, compositions included.  This
+    decides whether a direct sum of thin summands realises the array; for
+    n >= 3 a point without one may realise a rejected array.
 
     Raises:
-        InvalidTable: a single-map table is not a valid rank table.
-        ReconstructInvalid: some window of the assembled point disagrees
-            with the candidate (first failing entry reported).
+        InvalidTable: a single-map table is not the rank table of a rook.
+        ReconstructInvalid: the first entry where the rook point's array
+            disagrees with the candidate.
     """
     shape = s.shape
-    size = shape.size
-    mats = []
-    for j in range(1, shape.num_maps + 1):
-        rows = [[QQ.zero] * size for _ in range(size)]
-        for (p, q) in pivots(s.table(j, j)):
-            rows[p - 1][q - 1] = QQ.one
-        mats.append(Matrix(QQ, rows))
-    point = make_point(shape, mats)
-    realised = sw_array(point)
+    matchings = [matching_of_rook(shape.size, pivots(s.table(j, j)))
+                 for j in range(1, shape.num_maps + 1)]
+    realised = matchings_sw_array(shape, matchings)
     for w, got_t, want_t in zip(windows(shape), realised.tables, s.tables):
         for p, (got_row, want_row) in enumerate(zip(got_t, want_t), start=1):
             for off, (got, want) in enumerate(zip(got_row, want_row)):
                 if got != want:
                     raise ReconstructInvalid(w, (p, p + off), want, got)
-    return point
+    return matchings
+
+
+def reconstruct(s):
+    """The canonical point with array ``s``, the rook point of
+    :func:`reconstruct_matchings` (whose errors it raises)."""
+    return rook_point(s.shape, reconstruct_matchings(s))
 
 
 def validate_array_inequalities(s):
@@ -231,14 +257,9 @@ def validate_array_inequalities(s):
                         f"window ({j1},{j2}): entry ({p},{q})={v} exceeds min({q - p + 1},{q})"
                     )
         try:
-            piv = pivots(table)
+            pivots(table)
         except InvalidTable as exc:
             violations.append(f"window ({j1},{j2}): {exc}")
-            continue
-        rows_used = [p for (p, _q) in piv]
-        cols_used = [q for (_p, q) in piv]
-        if len(set(rows_used)) != len(rows_used) or len(set(cols_used)) != len(cols_used):
-            violations.append(f"window ({j1},{j2}): pivots {sorted(piv)} reuse a row or column")
     for (j1, j2) in windows(shape):
         if j1 == j2:
             continue

@@ -57,6 +57,11 @@ BAD_ARRAY = {
     "n": 2,
     "windows": [{"j1": 1, "j2": 1, "table": [[2, 2, 2], [None, 0, 0], [None, None, 0]]}],
 }
+# every double difference is 0 or 1, yet the pivots (1,1) and (1,2) share a row
+REUSED_PIVOTS = {
+    "n": 2,
+    "windows": [{"j1": 1, "j2": 1, "table": [[1, 2, 2], [None, 0, 0], [None, None, 0]]}],
+}
 
 INPUTS = {
     "n2_messy": N2_MESSY,
@@ -66,6 +71,7 @@ INPUTS = {
     "n3_dense": N3_DENSE,
     "n3_rejected": N3_REJECTED,
     "bad_array": BAD_ARRAY,
+    "reused_pivots": REUSED_PIVOTS,
 }
 
 HOM_231 = ["hom-report", "--w", "2,3,1", "--orbit"]
@@ -143,6 +149,9 @@ GOLDEN = {
     ),
     "validate-array-bad": (["validate-array", "{bad_array}"], 0,
         "5e80c668ae53b93465143cbfb8fa54591709086c511fc7221b6427df8c182a55",
+    ),
+    "validate-array-reused-pivots": (["validate-array", "{reused_pivots}"], 0,
+        "7720279850d51438f7f75e3d3bf63c0cffe0e92eb85932036494b0337df6cdd5",
     ),
     "schubert": (["schubert", "--w", "2,3,1"], 0,
         "53b32f49a0d1801e9d4c6c2dc95c8a2db57276e6fcc5ba2dd8fa2e5e19955e4a",

@@ -20,6 +20,7 @@ from gridorbits import (
     matchings_to_decomposition,
     order_matchings,
     rank_vector,
+    reconstruct,
     same_rank_vector,
     sw_array,
     validate_heights,
@@ -200,9 +201,9 @@ class TestDecompose:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_one_reduction_per_window_product(self, n, rng, monkeypatch):
-        # the maps' forms are read off the point's array, so decompose
-        # reduces each window product of the point and of its
-        # reconstruction once, and no map a second time
+        # the maps' forms are read off the point's array and checked on
+        # their matchings, so decompose reduces each window product of the
+        # point once and nothing else
         from gridorbits import exact_linalg
 
         shape = GridShape(n)
@@ -220,7 +221,41 @@ class TestDecompose:
             if name.split(".")[0] == "gridorbits" and getattr(module, "b_reduce", None) is original:
                 monkeypatch.setattr(module, "b_reduce", counted)
         assert decompose(point) == dec
-        assert len(calls) == 2 * len(windows(shape))
+        assert len(calls) == len(windows(shape))
+
+    def test_arrays_read_off_matchings(self, rng, monkeypatch):
+        # decompose computes the point's array once; reconstruct and the
+        # summands' rank vectors read theirs off matchings, so they call no
+        # sw_array, multiply no window and reduce no matrix
+        from gridorbits import exact_linalg, grid_quiver, parametrizations
+
+        shape = GridShape(3)
+        dec = matchings_to_decomposition(shape, [rng.choice(order_matchings(4)) for _ in range(2)])
+        arr = sw_array(assemble_canonical(dec))
+        point = borel_act(assemble_canonical(dec), random_borel(shape, rng))
+        calls = {}
+        for module, attr in (
+            (parametrizations, "sw_array"),
+            (grid_quiver, "window_products"),
+            (exact_linalg, "b_reduce"),
+        ):
+            original = getattr(module, attr)
+
+            def counted(*args, _calls=calls.setdefault(attr, []), _original=original):
+                _calls.append(args)
+                return _original(*args)
+
+            for name, bound in list(sys.modules.items()):
+                if name.split(".")[0] == "gridorbits" and getattr(bound, attr, None) is original:
+                    monkeypatch.setattr(bound, attr, counted)
+        assert decompose(point) == dec
+        assert len(calls["sw_array"]) == 1
+        for made in calls.values():
+            made.clear()
+        assert reconstruct(arr) == assemble_canonical(dec)
+        for hv in enumerate_indecomposables(shape):
+            heights_rank_vector(hv)
+        assert calls == {"sw_array": [], "window_products": [], "b_reduce": []}
 
 
 class TestIndependence:

@@ -12,6 +12,7 @@ from gridorbits import (
     FitFailure,
     GridShape,
     InfeasibleSize,
+    assemble_canonical,
     e_grid,
     estimate_dim,
     euler_form,
@@ -360,8 +361,9 @@ class TestSubrepCount:
         for w in permutations((1, 2, 3)):
             e = target_dims(w)
             for node in orbit_nodes(shape2):
-                shared = point_counts(node.canonical, e, qs, chains=chains)
-                assert shared.counts == tuple((q, subrep_count(node.canonical, e, q)) for q in qs)
+                canon = assemble_canonical(node.decomposition)
+                shared = point_counts(canon, e, qs, chains=chains)
+                assert shared.counts == tuple((q, subrep_count(canon, e, q)) for q in qs)
         col_dims = {tuple(row[j] for row in target_dims(w)) for w in permutations((1, 2, 3)) for j in range(2)}
         assert set(chains) == {(dims, q) for dims in col_dims for q in qs}
 
@@ -650,7 +652,7 @@ class TestCoordinateSubreps:
         # counting polynomial; the stream is not capped
         from gridorbits.degeneration_lab import _coordinate_subreps
 
-        canon = {node.id: node.canonical for node in orbit_nodes(shape2)}
+        canon = {node.id: assemble_canonical(node.decomposition) for node in orbit_nodes(shape2)}
         for w in permutations((1, 2, 3)):
             e = target_dims(w)
             for row in flat_scan(w).rows:

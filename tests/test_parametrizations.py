@@ -5,6 +5,7 @@ import pytest
 from gridorbits import (
     GF,
     QQ,
+    GridQuiverError,
     GridShape,
     InvalidTable,
     Matrix,
@@ -16,7 +17,10 @@ from gridorbits import (
     compare,
     degenerates,
     enumerate_orbits,
+    f2_census,
     make_point,
+    orbit_by_id,
+    orbit_count,
     pivots,
     rank_vector,
     reconstruct,
@@ -32,6 +36,7 @@ from gridorbits.grid_quiver import matchings_to_decomposition, windows
 from gridorbits.orbit_poset import order_matchings
 
 from conftest import random_borel, random_point, random_unimodular_ut, random_ut
+from reference_reconstruct import reference_pivots, reference_reconstruct
 from reference_windows import reference_compose_window, reference_image_meet_coord_dim, reference_sw_rank
 
 
@@ -104,6 +109,55 @@ class TestPivots:
         with pytest.raises(InvalidTable):
             pivots(((2, 2, 2), (0, 0), (0,)))
 
+    def test_pivots_sharing_a_row(self):
+        # every double difference is 0 or 1, yet no rook has these ranks
+        with pytest.raises(InvalidTable, match=r"^pivots \[\(1, 1\), \(1, 2\)\] reuse a row or column$"):
+            pivots(((1, 2, 2), (0, 0), (0,)))
+
+
+def _outcome(fn, arr):
+    try:
+        return fn(arr)
+    except GridQuiverError as exc:
+        return type(exc), str(exc)
+
+
+def _reuses_pivots(arr):
+    """Whether some single-map table's pivots share a row or column."""
+    for j in range(1, arr.shape.num_maps + 1):
+        try:
+            piv = reference_pivots(arr.table(j, j))
+        except InvalidTable:
+            continue
+        if len({p for p, _q in piv}) < len(piv) or len({q for _p, q in piv}) < len(piv):
+            return True
+    return False
+
+
+def _perturbations(arr):
+    """The arrays that differ from ``arr`` by +-1 in one entry."""
+    for w, table in enumerate(arr.tables):
+        for p, row in enumerate(table):
+            for off in range(len(row)):
+                for delta in (-1, 1):
+                    bent = table[:p] + (row[:off] + (row[off] + delta,) + row[off + 1:],) + table[p + 1:]
+                    yield SWArray(arr.shape, arr.tables[:w] + (bent,) + arr.tables[w + 1:])
+
+
+@pytest.fixture(scope="module")
+def reconstruct_inputs():
+    """Every F_2 census array at n = 2 and 3, the +-1 perturbations of the
+    first 100 at n = 3, and the canonical arrays of 14 fixed orbit ids at
+    each n = 4, 5, 6."""
+    census3 = list(f2_census(GridShape(3)))
+    arrays = list(f2_census(GridShape(2))) + census3
+    arrays += [bent for arr in census3[:100] for bent in _perturbations(arr)]
+    for n in (4, 5, 6):
+        shape = GridShape(n)
+        ids = [1, orbit_count(shape)] + random.Random(n).sample(range(2, orbit_count(shape)), 12)
+        arrays += [sw_array(assemble_canonical(orbit_by_id(shape, k))) for k in ids]
+    return arrays
+
 
 class TestReconstruct:
     @pytest.mark.parametrize("n", [2])
@@ -127,6 +181,23 @@ class TestReconstruct:
             reconstruct(bad)
         ok, violations = validate_array_inequalities(bad)
         assert not ok and violations
+
+    def test_matches_reference(self, reconstruct_inputs):
+        # the rook point's array, read off its matchings, decides as the
+        # multiplied and reduced Fraction point did: the same point or the
+        # same error, except that a table with no rook is refused up front
+        outcomes = {"point": 0, "refused": 0, "reused": 0}
+        for arr in reconstruct_inputs:
+            got = _outcome(reconstruct, arr)
+            if _reuses_pivots(arr):
+                assert isinstance(got, tuple) and got[0] is InvalidTable
+                outcomes["reused"] += 1
+            else:
+                assert got == _outcome(reference_reconstruct, arr)
+                outcomes["point" if not isinstance(got, tuple) else "refused"] += 1
+        # 15 + 2704 + 42 canonical arrays and 228 perturbations rebuilt;
+        # 698 census arrays and 5562 perturbations refused
+        assert outcomes == {"point": 2989, "refused": 6260, "reused": 210}
 
 
 class TestValidateArrayInequalities:
