@@ -17,7 +17,14 @@ import sys
 
 from .decomposition import decompose, flat_intersections, rank_vector, rank_vector_from_sw
 from .degeneration_lab import DEFAULT_BUDGET, DEFAULT_QS, flat_scan, hom_report
-from .grid_quiver import GridQuiverError, GridShape, assemble_canonical, identity_tuple, zero_tuple
+from .grid_quiver import (
+    GridQuiverError,
+    GridShape,
+    assemble_canonical,
+    identity_tuple,
+    rook_of_matching,
+    zero_tuple,
+)
 from .orbit_poset import build_poset, count_report, export_dot, orbit_by_id, orbit_nodes
 from .parametrizations import (
     degenerates,
@@ -137,18 +144,29 @@ def _cmd_degenerates(args):
 
 
 def _orbit_records(shape):
+    """One record per orbit.  Its ``maps`` are the rooks of its matchings,
+    written as the strings of their 0/1 entries, which is what
+    :func:`map_tuple_to_json` writes for the canonical point; each
+    matching's rows are made once per listing (52 at n = 3)."""
+    rows = {}
     records = []
     for node in orbit_nodes(shape):
         digest = hashlib.sha256(
             json.dumps(sw_array_to_json(node.sw), sort_keys=True).encode()
         ).hexdigest()
+        maps = []
+        for m in node.matchings:
+            key = tuple(sorted(m.items()))
+            if key not in rows:
+                rows[key] = [[str(x) for x in row] for row in rook_of_matching(shape.size, m)]
+            maps.append(rows[key])
         records.append(
             {
                 "id": node.id,
                 "decomposition": str(node.decomposition),
                 "rank_vector": list(flat_intersections(rank_vector_from_sw(node.sw))),
                 "sw_array_hash": digest,
-                "maps": map_tuple_to_json(assemble_canonical(node.decomposition))["maps"],
+                "maps": maps,
             }
         )
     return records

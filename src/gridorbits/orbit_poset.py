@@ -20,7 +20,7 @@ array.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -152,14 +152,13 @@ def f2_census(shape):
     rooks = [int((weights * rook_of_matching(size, m)).sum()) for m in order_matchings(size)]
     if shape.num_maps == 1:
         return {SWArray(shape, (tables[r],)): (code_mats[r],) for r in rooks}
-    census = {}
+    census = {}  # keyed by the table triple; each distinct one is wrapped once
     for r in rooks:
         # windows run (1,1), (1,2), (2,2); window (1,2) is f2·r
         prods = ((mats @ mats[r]) % 2).reshape(len(codes), -1) @ weights.ravel()
         for f2, p in enumerate(prods.tolist()):
-            census.setdefault(
-                SWArray(shape, (tables[r], tables[p], tables[f2])), (code_mats[r], code_mats[f2]))
-    return census
+            census.setdefault((tables[r], tables[p], tables[f2]), (code_mats[r], code_mats[f2]))
+    return {SWArray(shape, key): rep for key, rep in census.items()}
 
 
 def f2_distinct_count(shape):
@@ -196,9 +195,16 @@ def count_report(shape):
 
 @dataclass(frozen=True)
 class OrbitNode:
+    """One decomposable orbit: its id, its decomposition, the per-pair
+    height matchings whose rooks are its canonical representative's maps
+    (:func:`~gridorbits.grid_quiver.rook_of_matching`), and that
+    representative's south-west array."""
+
     id: int
     decomposition: Decomposition
     sw: object
+    # dicts, determined by the decomposition, so left out of == and hash
+    matchings: tuple = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -218,18 +224,20 @@ class OrbitPoset:
 
 def orbit_nodes(shape):
     """Each decomposable orbit in id order, as an :class:`OrbitNode` with its
-    decomposition and its canonical representative's south-west array.
+    decomposition, its per-pair ``matchings`` and its canonical
+    representative's south-west array.
 
     The array is read off the orbit's matchings by
     :func:`matchings_sw_array`, with one table per composed matching shared
     by every node (52 rooks at n = 3), so no window is multiplied or
-    reduced.  Nodes are built one at a time; raises InfeasibleSize on the
-    first step for n >= 4 (b_6^3 = 8,365,427 nodes).
+    reduced.  The matchings are the dicts of :func:`order_matchings`,
+    shared between nodes.  Nodes are built one at a time; raises
+    InfeasibleSize on the first step for n >= 4 (b_6^3 = 8,365,427 nodes).
     """
     tables = {}
     for idx, combo in enumerate(_matching_tuples(shape), start=1):
         dec = matchings_to_decomposition(shape, combo)
-        yield OrbitNode(idx, dec, matchings_sw_array(shape, combo, tables))
+        yield OrbitNode(idx, dec, matchings_sw_array(shape, combo, tables), combo)
 
 
 def array_order(arrays):

@@ -207,13 +207,19 @@ def reconstruct_matchings(s):
     n >= 3 a point without one may realise a rejected array.
 
     Raises:
-        InvalidTable: a single-map table is not the rank table of a rook.
+        InvalidTable: a single-map table is not the rank table of a rook;
+            the message starts with its window, as ReconstructInvalid's does.
         ReconstructInvalid: the first entry where the rook point's array
             disagrees with the candidate.
     """
     shape = s.shape
-    matchings = [matching_of_rook(shape.size, pivots(s.table(j, j)))
-                 for j in range(1, shape.num_maps + 1)]
+    matchings = []
+    for j in range(1, shape.num_maps + 1):
+        try:
+            cells = pivots(s.table(j, j))
+        except InvalidTable as exc:
+            raise InvalidTable(f"window {(j, j)}: {exc}") from exc
+        matchings.append(matching_of_rook(shape.size, cells))
     realised = matchings_sw_array(shape, matchings)
     for w, got_t, want_t in zip(windows(shape), realised.tables, s.tables):
         for p, (got_row, want_row) in enumerate(zip(got_t, want_t), start=1):

@@ -148,10 +148,10 @@ GOLDEN = {
         "2a9a637a2c44d63fc72e73a69ad91bb1992841951c395e00dca1b3ed045e8f26",
     ),
     "validate-array-bad": (["validate-array", "{bad_array}"], 0,
-        "5e80c668ae53b93465143cbfb8fa54591709086c511fc7221b6427df8c182a55",
+        "555cf556f4e08c4ac364bc4593ffcbc054cf9c159c4faa0cc8cbe68fd93f13e9",
     ),
     "validate-array-reused-pivots": (["validate-array", "{reused_pivots}"], 0,
-        "7720279850d51438f7f75e3d3bf63c0cffe0e92eb85932036494b0337df6cdd5",
+        "19b7a6015432db560b784132e30b9cc045f61d6b7f236ca288a6714a4df21aee",
     ),
     "schubert": (["schubert", "--w", "2,3,1"], 0,
         "53b32f49a0d1801e9d4c6c2dc95c8a2db57276e6fcc5ba2dd8fa2e5e19955e4a",
@@ -206,6 +206,13 @@ GOLDEN = {
     ),
     "hom-report-budget-refused": (HOM_REFUSED, 2,
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    # the listing the census benchmark checks: 2,704 records with their maps
+    "orbits-json-n3": (["orbits", "--n", "3", "--format", "json"], 0,
+        "104fe6082a74102bbb17dd526d70e47fb9713060e06f9432208681fdc36ab910",
+    ),
+    "orbits-csv-n3": (["orbits", "--n", "3", "--format", "csv"], 0,
+        "2e08079579b720f7e6426902e3730ea15bb3fb422dbb427009607b07ad9abf38",
     ),
 }
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 import sys
@@ -38,6 +39,8 @@ from gridorbits import (
 import gridorbits.cli as cli
 import gridorbits.degeneration_lab as degeneration_lab
 import gridorbits.orbit_poset as orbit_poset
+from gridorbits.grid_quiver import rook_point
+from gridorbits.serialize import map_tuple_to_json
 
 from conftest import CANONICAL_15, HASSE_EDGES_15, RANK_VECTORS_15
 from reference_array_order import reference_array_order
@@ -285,6 +288,27 @@ def matchings_of(dec):
     return [dict(sorted(m.items())) for m in out]
 
 
+def count_calls(monkeypatch, targets):
+    """Count the calls of each (module, attr) function by wrapping every
+    module-level binding of it, as the benchmark's tracer does, so an
+    import by name is counted too.  Returns the live counts by attr."""
+    calls = {}
+    for module, attr in targets:
+        original = getattr(module, attr)
+        calls[attr] = 0
+
+        def counted(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "gridorbits":
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
 class TestClosedFormArrays:
     def test_orbit_nodes_small(self, shape2):
         for node in orbit_nodes(shape2):
@@ -318,32 +342,51 @@ class TestClosedFormArrays:
         assert arrays == [matchings_sw_array(shape3, combo) for combo in combos]
 
     def test_census_commands_neither_multiply_nor_reduce(self, monkeypatch, capsys):
-        # wrap every module-level binding of each function, as the
-        # benchmark's tracer does, so an import by name is counted too
         from gridorbits import exact_linalg, grid_quiver, parametrizations
 
-        calls = {}
-        for module, attr in (
+        calls = count_calls(monkeypatch, (
             (parametrizations, "sw_array"),
             (exact_linalg, "b_reduce"),
             (grid_quiver, "window_products"),
-        ):
-            original = getattr(module, attr)
-            calls[attr] = 0
-
-            def counted(*args, _attr=attr, _original=original):
-                calls[_attr] += 1
-                return _original(*args)
-
-            for name, mod in list(sys.modules.items()):
-                if name.split(".")[0] == "gridorbits":
-                    for key, value in list(vars(mod).items()):
-                        if value is original:
-                            monkeypatch.setattr(mod, key, counted)
+        ))
         for command in ("orbits", "poset"):
             assert cli.main([command, "--n", "3"]) == 0
         assert capsys.readouterr().out
         assert calls == {"sw_array": 0, "b_reduce": 0, "window_products": 0}
+
+    def test_orbits_listing_builds_no_point(self, monkeypatch, capsys):
+        # each record's maps are written off its matchings' rooks
+        from gridorbits import grid_quiver, serialize
+
+        calls = count_calls(monkeypatch, (
+            (grid_quiver, "assemble_canonical"),
+            (grid_quiver, "make_point"),
+            (serialize, "map_tuple_to_json"),
+            (serialize, "scalar_to_str"),
+        ))
+        assert cli.main(["orbits", "--n", "3", "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 2704
+        assert calls == {
+            "assemble_canonical": 0, "make_point": 0, "map_tuple_to_json": 0, "scalar_to_str": 0,
+        }
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_node_matchings_give_the_canonical_point(self, n, poset3):
+        shape = GridShape(n)
+        nodes = poset3.nodes if n == 3 else tuple(orbit_nodes(shape))
+        assert len(nodes) == orbit_count(shape)
+        for node in nodes:
+            assert rook_point(shape, node.matchings) == assemble_canonical(node.decomposition)
+            assert matchings_to_decomposition(shape, node.matchings) == node.decomposition
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_record_maps_are_the_canonical_points(self, n):
+        shape = GridShape(n)
+        records = cli._orbit_records(shape)
+        assert len(records) == orbit_count(shape)
+        for record, dec in zip(records, enumerate_orbits(shape)):
+            assert record["decomposition"] == str(dec)
+            assert record["maps"] == map_tuple_to_json(assemble_canonical(dec))["maps"]
 
 
 def random_closed_order(nodes, rng):

@@ -134,6 +134,17 @@ def _reuses_pivots(arr):
     return False
 
 
+def _first_rookless_window(arr):
+    """The window (j, j) of the first single-map table that the reference
+    refuses for a double difference outside 0 and 1."""
+    for j in range(1, arr.shape.num_maps + 1):
+        try:
+            reference_pivots(arr.table(j, j))
+        except InvalidTable:
+            return (j, j)
+    return None
+
+
 def _perturbations(arr):
     """The arrays that differ from ``arr`` by +-1 in one entry."""
     for w, table in enumerate(arr.tables):
@@ -185,15 +196,20 @@ class TestReconstruct:
     def test_matches_reference(self, reconstruct_inputs):
         # the rook point's array, read off its matchings, decides as the
         # multiplied and reduced Fraction point did: the same point or the
-        # same error, except that a table with no rook is refused up front
+        # same error, except that a table with no rook is refused up front;
+        # a refused table's message starts with its window
         outcomes = {"point": 0, "refused": 0, "reused": 0}
         for arr in reconstruct_inputs:
             got = _outcome(reconstruct, arr)
             if _reuses_pivots(arr):
                 assert isinstance(got, tuple) and got[0] is InvalidTable
+                assert got[1].startswith("window (")
                 outcomes["reused"] += 1
             else:
-                assert got == _outcome(reference_reconstruct, arr)
+                want = _outcome(reference_reconstruct, arr)
+                if isinstance(want, tuple) and want[0] is InvalidTable:
+                    want = (InvalidTable, f"window {_first_rookless_window(arr)}: {want[1]}")
+                assert got == want
                 outcomes["point" if not isinstance(got, tuple) else "refused"] += 1
         # 15 + 2704 + 42 canonical arrays and 228 perturbations rebuilt;
         # 698 census arrays and 5562 perturbations refused
