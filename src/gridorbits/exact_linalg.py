@@ -51,6 +51,9 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        return Matrix, (self.field, self.data)  # rebuilt by __init__, as __setattr__ refuses
+
     @classmethod
     def identity(cls, field, n):
         one, zero = field.one, field.zero

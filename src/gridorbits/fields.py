@@ -57,6 +57,9 @@ class RationalField:
     def __repr__(self):
         return "QQ"
 
+    def __reduce__(self):
+        return "QQ"  # the singleton, so ``field is QQ`` survives pickling
+
 
 QQ = RationalField()
 
@@ -176,6 +179,9 @@ class GaloisField:
 
     def __repr__(self):
         return f"GF({self.q})"
+
+    def __reduce__(self):
+        return GF, (self.q,)  # the cached instance, as for QQ
 
 
 @lru_cache(maxsize=None)

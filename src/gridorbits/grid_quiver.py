@@ -9,7 +9,7 @@ coordinate inclusions, so they are never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -85,10 +85,19 @@ class GridShape:
 @dataclass(frozen=True)
 class MapTuple:
     """A point of the restricted representation space: n-1 upper-triangular
-    matrices of size n+1 (validated; build through :func:`make_point`)."""
+    matrices of size n+1 (validated; build through :func:`make_point`).
+
+    ``_sw`` keeps the point's south-west array once
+    :func:`~gridorbits.parametrizations.sw_array` has computed it; it takes
+    no part in equality, hashing or ``repr``.
+    """
 
     shape: GridShape
     maps: tuple
+    _sw: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __reduce__(self):
+        return MapTuple, (self.shape, self.maps)  # without the array
 
 
 @dataclass(frozen=True)
@@ -166,12 +175,13 @@ def zero_tuple(shape):
     return make_point(shape, [Matrix.zeros(QQ, shape.size)] * shape.num_maps)
 
 
-# Points whose window products stay cached.  Hits come only from library
-# callers asking several invariants of one point (sw_array, rank_vector,
-# decompose, same_orbit, degenerates); no CLI command reads an array twice.
-# Measured hits / misses per command: `orbits --n 3`, `poset --n 3`,
+# Points whose window products stay cached.  ``sw_array`` keeps each point's
+# array on the point and calls this once per point object, so a hit needs an
+# equal but distinct point; the benchmark's tracer still reports the hit
+# ratio.  Measured hits / misses per command: `orbits --n 3`, `poset --n 3`,
 # `count-report` and `flat-scan --w 2,3,1` 0 / 0 each,
-# `hom-report --w 2,3,1 --orbit identity` 0 / 1.
+# `hom-report --w 2,3,1 --orbit identity` 0 / 1; one invariants benchmark job
+# (seed 1, job 0: set-up and 40 ops) 0 / 84.
 WINDOW_PRODUCTS_CACHE_SIZE = 64
 
 

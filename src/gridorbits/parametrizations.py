@@ -32,8 +32,9 @@ class ReconstructInvalid(GridQuiverError):
         self.position = position
         self.expected = expected
         self.got = got
+        (j1, j2), (p, q) = window, position
         super().__init__(
-            f"window {window}: south-west rank at {position} is {got}, array claims {expected}"
+            f"window ({j1},{j2}): south-west rank at ({p},{q}) is {got}, array claims {expected}"
         )
 
 
@@ -121,12 +122,22 @@ def matchings_sw_array(shape, matchings, tables=None):
 
 
 def sw_array(point):
-    """South-west array of a point: one table per window composition."""
-    prods = window_products(point)
-    return SWArray(
-        point.shape,
-        tuple(sw_table(prods[w]) for w in windows(point.shape)),
-    )
+    """South-west array of a point: one table per window composition.
+
+    The array is computed once per point and kept on it, so every later
+    query on the same point object (:func:`same_orbit`, :func:`degenerates`,
+    ``rank_vector``, ``decompose``) reads that array.  This is sound because
+    a point cannot change: :func:`~gridorbits.grid_quiver.make_point` is its
+    only constructor, and it stores a tuple of immutable ``Matrix`` values.
+    The memo is freed with its point; an equal but distinct point computes
+    its own array.
+    """
+    arr = point._sw
+    if arr is None:
+        prods = window_products(point)
+        arr = SWArray(point.shape, tuple(sw_table(prods[w]) for w in windows(point.shape)))
+        object.__setattr__(point, "_sw", arr)
+    return arr
 
 
 def same_orbit(f, g):
@@ -153,6 +164,8 @@ def degenerates(f, g):
     necessary for the orbit of g to lie in the closure of the orbit of f,
     and for n >= 3 (where arrays do not separate orbits) not sufficient.
     """
+    if f.shape != g.shape:
+        raise SizeMismatch("points have different shapes")
     return array_leq(sw_array(g), sw_array(f))
 
 
@@ -179,21 +192,23 @@ def pivots(table):
             row or column.
     """
     size = len(table)
+    # ranks[p][q] = s(p, q) for p in 1..size+1 and q in 0..size, with the zero
+    # extension; below the diagonal every double difference is 0
+    ranks = [[0] * (size + 1) for _ in range(size + 2)]
+    for p, row in enumerate(table, start=1):
+        ranks[p][p:] = row
     out = set()
     for p in range(1, size + 1):
-        for q in range(1, size + 1):
-            d = (
-                table_entry(table, p, q)
-                - table_entry(table, p + 1, q)
-                - table_entry(table, p, q - 1)
-                + table_entry(table, p + 1, q - 1)
-            )
+        here, below = ranks[p], ranks[p + 1]
+        for q in range(p, size + 1):
+            d = here[q] - below[q] - here[q - 1] + below[q - 1]
             if d not in (0, 1):
                 raise InvalidTable(f"double difference at ({p},{q}) is {d}")
             if d == 1:
                 out.add((p, q))
     if len({p for p, _q in out}) < len(out) or len({q for _p, q in out}) < len(out):
-        raise InvalidTable(f"pivots {sorted(out)} reuse a row or column")
+        cells = ", ".join(f"({p},{q})" for p, q in sorted(out))
+        raise InvalidTable(f"pivots [{cells}] reuse a row or column")
     return out
 
 
@@ -218,14 +233,15 @@ def reconstruct_matchings(s):
         try:
             cells = pivots(s.table(j, j))
         except InvalidTable as exc:
-            raise InvalidTable(f"window {(j, j)}: {exc}") from exc
+            raise InvalidTable(f"window ({j},{j}): {exc}") from exc
         matchings.append(matching_of_rook(shape.size, cells))
     realised = matchings_sw_array(shape, matchings)
-    for w, got_t, want_t in zip(windows(shape), realised.tables, s.tables):
-        for p, (got_row, want_row) in enumerate(zip(got_t, want_t), start=1):
-            for off, (got, want) in enumerate(zip(got_row, want_row)):
-                if got != want:
-                    raise ReconstructInvalid(w, (p, p + off), want, got)
+    if realised.tables != s.tables:  # walk the entries only to name the first
+        for w, got_t, want_t in zip(windows(shape), realised.tables, s.tables):
+            for p, (got_row, want_row) in enumerate(zip(got_t, want_t), start=1):
+                for off, (got, want) in enumerate(zip(got_row, want_row)):
+                    if got != want:
+                        raise ReconstructInvalid(w, (p, p + off), want, got)
     return matchings
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -146,3 +147,24 @@ def random_borel(shape, rng):
 @pytest.fixture
 def rng():
     return random.Random(20240809)
+
+
+def count_calls(monkeypatch, targets):
+    """Count the calls of each (module, attr) function by wrapping every
+    module-level binding of it, as the benchmark's tracer does, so an
+    import by name is counted too.  Returns the live counts by attr."""
+    calls = {}
+    for module, attr in targets:
+        original = getattr(module, attr)
+        calls[attr] = 0
+
+        def counted(*args, _attr=attr, _original=original, **kwargs):
+            calls[_attr] += 1
+            return _original(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "gridorbits":
+                for key, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, key, counted)
+    return calls

@@ -145,13 +145,13 @@ GOLDEN = {
         "a0e3c4460b5fe3a7c4e1f870498bd323f656529245edd421178be5b4b4fa9976",
     ),
     "validate-array-n3-rejected": (["validate-array", "{n3_rejected_array}"], 0,
-        "2a9a637a2c44d63fc72e73a69ad91bb1992841951c395e00dca1b3ed045e8f26",
+        "bb14f0e5a0fd00a18800001269c17088296085ca053f8764bf80d18f86c86cb3",
     ),
     "validate-array-bad": (["validate-array", "{bad_array}"], 0,
-        "555cf556f4e08c4ac364bc4593ffcbc054cf9c159c4faa0cc8cbe68fd93f13e9",
+        "3ec512ae26c5e4956ee8938683d57ccb484b436ca1609b1ffc4fb9a0f93c56fb",
     ),
     "validate-array-reused-pivots": (["validate-array", "{reused_pivots}"], 0,
-        "19b7a6015432db560b784132e30b9cc045f61d6b7f236ca288a6714a4df21aee",
+        "daea2af915c82239b25a418582849f74a9ede027383c80227638dd8bd1e481d8",
     ),
     "schubert": (["schubert", "--w", "2,3,1"], 0,
         "53b32f49a0d1801e9d4c6c2dc95c8a2db57276e6fcc5ba2dd8fa2e5e19955e4a",

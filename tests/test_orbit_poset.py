@@ -2,7 +2,6 @@ import itertools
 import json
 import random
 import re
-import sys
 import tracemalloc
 
 import numpy as np
@@ -42,7 +41,7 @@ import gridorbits.orbit_poset as orbit_poset
 from gridorbits.grid_quiver import rook_point
 from gridorbits.serialize import map_tuple_to_json
 
-from conftest import CANONICAL_15, HASSE_EDGES_15, RANK_VECTORS_15
+from conftest import CANONICAL_15, HASSE_EDGES_15, RANK_VECTORS_15, count_calls
 from reference_array_order import reference_array_order
 from reference_census import reference_census
 from reference_covers import reference_covers
@@ -286,27 +285,6 @@ def matchings_of(dec):
             if h[j] and h[j + 1]:
                 m[h[j]] = h[j + 1]
     return [dict(sorted(m.items())) for m in out]
-
-
-def count_calls(monkeypatch, targets):
-    """Count the calls of each (module, attr) function by wrapping every
-    module-level binding of it, as the benchmark's tracer does, so an
-    import by name is counted too.  Returns the live counts by attr."""
-    calls = {}
-    for module, attr in targets:
-        original = getattr(module, attr)
-        calls[attr] = 0
-
-        def counted(*args, _attr=attr, _original=original, **kwargs):
-            calls[_attr] += 1
-            return _original(*args, **kwargs)
-
-        for name, mod in list(sys.modules.items()):
-            if name.split(".")[0] == "gridorbits":
-                for key, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, key, counted)
-    return calls
 
 
 class TestClosedFormArrays:

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -12,9 +13,11 @@ from gridorbits import (
     Order,
     ReconstructInvalid,
     SWArray,
+    SizeMismatch,
     assemble_canonical,
     borel_act,
     compare,
+    decompose,
     degenerates,
     enumerate_orbits,
     f2_census,
@@ -35,7 +38,7 @@ from gridorbits.exact_linalg import principal_block
 from gridorbits.grid_quiver import matchings_to_decomposition, windows
 from gridorbits.orbit_poset import order_matchings
 
-from conftest import random_borel, random_point, random_unimodular_ut, random_ut
+from conftest import count_calls, random_borel, random_point, random_unimodular_ut, random_ut
 from reference_reconstruct import reference_pivots, reference_reconstruct
 from reference_windows import reference_compose_window, reference_image_meet_coord_dim, reference_sw_rank
 
@@ -61,7 +64,58 @@ class TestSwArray:
         assert sw_array(zero_tuple(shape2)).tables[0] == ((0, 0, 0), (0, 0), (0,))
 
 
+class TestArrayMemo:
+    def test_one_array_per_point(self, pair_n3):
+        assert sw_array(pair_n3) is sw_array(pair_n3)
+
+    def test_array_leaves_the_point_as_it_was(self, shape3, pair_n3):
+        fresh = make_point(shape3, pair_n3.maps)
+        sw_array(pair_n3)
+        assert pair_n3 == fresh and hash(pair_n3) == hash(fresh)
+        assert repr(pair_n3) == repr(fresh)
+        assert pickle.dumps(pair_n3) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(pair_n3)) == fresh
+
+    def test_equal_point_computes_its_own(self, shape3, pair_n3, monkeypatch):
+        from gridorbits import exact_linalg
+
+        arr = sw_array(pair_n3)
+        twin = make_point(shape3, pair_n3.maps)
+        calls = count_calls(monkeypatch, [(exact_linalg, "b_reduce")])
+        assert sw_array(twin) == arr and sw_array(twin) is not arr
+        assert calls == {"b_reduce": len(windows(shape3))}
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_invariants_query_reads_one_array(self, n, rng, monkeypatch):
+        # every query of the invariants workload on one fresh point reads
+        # the same array: its window products are formed and reduced once
+        from gridorbits import exact_linalg, grid_quiver
+
+        shape = GridShape(n)
+        dec = matchings_to_decomposition(shape, [rng.choice(order_matchings(n + 1)) for _ in range(n - 1)])
+        canon = assemble_canonical(dec)
+        point = borel_act(canon, random_borel(shape, rng))
+        zero = zero_tuple(shape)
+        sw_array(canon)
+        sw_array(zero)
+        calls = count_calls(monkeypatch, [(exact_linalg, "b_reduce"), (grid_quiver, "window_products")])
+        assert sw_array(point) == sw_array(canon)
+        assert rank_vector(point) == rank_vector(canon)
+        assert decompose(point) == dec
+        assert same_orbit(point, canon)
+        assert degenerates(point, zero)
+        assert calls == {"b_reduce": len(windows(shape)), "window_products": 1}
+
+
 class TestSameOrbit:
+    def test_refuses_points_of_different_shapes(self, diag011, pair_n3, monkeypatch):
+        from gridorbits import exact_linalg
+
+        calls = count_calls(monkeypatch, [(exact_linalg, "b_reduce")])
+        with pytest.raises(SizeMismatch, match="^points have different shapes$"):
+            same_orbit(diag011, pair_n3)
+        assert calls == {"b_reduce": 0}
+
     def test_borel_translates(self, rng, shape2):
         f = random_point(shape2, rng)
         assert same_orbit(f, borel_act(f, random_borel(shape2, rng)))
@@ -74,6 +128,15 @@ class TestSameOrbit:
 
 
 class TestDegenerates:
+    def test_refuses_points_of_different_shapes(self, diag011, pair_n3, monkeypatch):
+        # refused as same_orbit refuses them, before either array is computed
+        from gridorbits import exact_linalg
+
+        calls = count_calls(monkeypatch, [(exact_linalg, "b_reduce")])
+        with pytest.raises(SizeMismatch, match="^points have different shapes$"):
+            degenerates(pair_n3, diag011)
+        assert calls == {"b_reduce": 0}
+
     def test_worked_direction(self, diag011, single_one_12):
         # the rank-1 point lies in the closure of the rank-2 orbit
         assert degenerates(diag011, single_one_12)
@@ -111,7 +174,7 @@ class TestPivots:
 
     def test_pivots_sharing_a_row(self):
         # every double difference is 0 or 1, yet no rook has these ranks
-        with pytest.raises(InvalidTable, match=r"^pivots \[\(1, 1\), \(1, 2\)\] reuse a row or column$"):
+        with pytest.raises(InvalidTable, match=r"^pivots \[\(1,1\), \(1,2\)\] reuse a row or column$"):
             pivots(((1, 2, 2), (0, 0), (0,)))
 
 
@@ -208,7 +271,8 @@ class TestReconstruct:
             else:
                 want = _outcome(reference_reconstruct, arr)
                 if isinstance(want, tuple) and want[0] is InvalidTable:
-                    want = (InvalidTable, f"window {_first_rookless_window(arr)}: {want[1]}")
+                    j1, j2 = _first_rookless_window(arr)
+                    want = (InvalidTable, f"window ({j1},{j2}): {want[1]}")
                 assert got == want
                 outcomes["point" if not isinstance(got, tuple) else "refused"] += 1
         # 15 + 2704 + 42 canonical arrays and 228 perturbations rebuilt;
