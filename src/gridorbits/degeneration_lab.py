@@ -31,8 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
 
-import numpy as np
-
 from .exact_linalg import Matrix, principal_block, rank, solve_unique
 from .fields import GF, QQ, is_prime_power
 from .grid_quiver import GridQuiverError, GridShape, InfeasibleSize, assemble_canonical
@@ -315,7 +313,9 @@ def flat_scan(w, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
 
     The flat-candidate set is reported raw; whether it is upward closed
     under the componentwise array order (no orbit above a candidate is
-    left out) is attached as a diagnostic only.
+    left out) is attached as a diagnostic only: each candidate's up-set
+    from :func:`~gridorbits.orbit_poset.array_order` must lie inside the
+    candidate set, ``up & ~flat == 0``.
 
     The scan builds each column's chains once per (column dims, q) and
     shares them across its :func:`subrep_count` calls, one per (orbit, q),
@@ -335,8 +335,8 @@ def flat_scan(w, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
         est = fit_dimension(table.counts, _degree_bound(shape, e))
         rows.append(FlatScanRow(node.id, node.decomposition, table, est, est.degree == target))
         arrays.append(node.sw)
-    flat = np.array([r.flat_candidate for r in rows])
-    upward_closed = not array_order(arrays)[flat][:, ~flat].any()
+    flat = sum(1 << i for i, r in enumerate(rows) if r.flat_candidate)
+    upward_closed = all(up & ~flat == 0 for up, r in zip(array_order(arrays), rows) if r.flat_candidate)
     return FlatScanResult(w, target, tuple(rows), upward_closed)
 
 

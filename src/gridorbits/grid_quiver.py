@@ -175,17 +175,10 @@ def zero_tuple(shape):
     return make_point(shape, [Matrix.zeros(QQ, shape.size)] * shape.num_maps)
 
 
-# Points whose window products stay cached.  ``sw_array`` keeps each point's
-# array on the point and calls this once per point object, so a hit needs an
-# equal but distinct point; the benchmark's tracer still reports the hit
-# ratio.  Measured hits / misses per command: `orbits --n 3`, `poset --n 3`,
-# `count-report` and `flat-scan --w 2,3,1` 0 / 0 each,
-# `hom-report --w 2,3,1 --orbit identity` 0 / 1; one invariants benchmark job
-# (seed 1, job 0: set-up and 40 ops) 0 / 84.
-WINDOW_PRODUCTS_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=WINDOW_PRODUCTS_CACHE_SIZE)
+# Caches nothing: ``sw_array`` keeps each point's array on the point, so a
+# point's products are asked for once.  The wrapper stays for its
+# ``cache_info``, which the benchmark's tracer reads.
+@lru_cache(maxsize=0)
 def window_products(point):
     """All window compositions of a point, keyed by 1-based (j1, j2).
 

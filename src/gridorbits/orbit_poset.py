@@ -6,8 +6,9 @@ matched pair weakly increasing, and matchings of different column pairs are
 independent.  Chaining the matchings yields the decomposition; their rooks
 (0/1 partial permutation matrices) form the canonical representative, whose
 south-west array is read off the matchings, so no Fraction matrix is built,
-multiplied or reduced.  The array order compares arrays as packed
-thermometer bits.  The product order of the matchings numbers the orbits 1..b_(n+2)^(n-1); these
+multiplied or reduced.  The array order is one up-set per array, a Python
+int used as a bitset, and the poset's covers are read off the up-sets.  The
+product order of the matchings numbers the orbits 1..b_(n+2)^(n-1); these
 ids index the census, the poset and the experiment commands.  An
 exhaustive F_2 census of
 south-west arrays provides an independent check for n <= 3: it holds every
@@ -22,8 +23,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-
-import numpy as np
 
 from .exact_linalg import Matrix
 from .fields import GF
@@ -140,23 +139,34 @@ def f2_census(shape):
     if shape.n > 3:
         raise InfeasibleSize("exhaustive F_2 census implemented for n <= 3 only")
     size = shape.size
+    # a 0/1 matrix's code has bit b set when its entry at positions[b] is 1
     positions = [(i, j) for i in range(size) for j in range(i, size)]
-    codes = np.arange(1 << len(positions))
-    mats = np.zeros((len(codes), size, size), dtype=np.uint8)
-    weights = np.zeros((size, size), dtype=np.int64)  # a 0/1 matrix's code is its dot with these
-    for b, (i, j) in enumerate(positions):
-        mats[:, i, j] = (codes >> b) & 1
-        weights[i, j] = 1 << b
-    code_mats = [tuple(tuple(row) for row in m) for m in mats.tolist()]
+    bit = {cell: 1 << b for b, cell in enumerate(positions)}
+    codes = range(1 << len(positions))
+    code_mats = [
+        tuple(tuple(1 if code & bit.get((i, j), 0) else 0 for j in range(size)) for i in range(size))
+        for code in codes
+    ]
     tables = [sw_table(Matrix(GF(2), mat)) for mat in code_mats]
-    rooks = [int((weights * rook_of_matching(size, m)).sum()) for m in order_matchings(size)]
+    rooks = [rook_of_matching(size, m) for m in order_matchings(size)]
+    rook_codes = [sum(bit[i, j] for i, j in positions if rook[i][j]) for rook in rooks]
     if shape.num_maps == 1:
-        return {SWArray(shape, (tables[r],)): (code_mats[r],) for r in rooks}
+        return {SWArray(shape, (tables[r],)): (code_mats[r],) for r in rook_codes}
     census = {}  # keyed by the table triple; each distinct one is wrapped once
-    for r in rooks:
-        # windows run (1,1), (1,2), (2,2); window (1,2) is f2·r
-        prods = ((mats @ mats[r]) % 2).reshape(len(codes), -1) @ weights.ravel()
-        for f2, p in enumerate(prods.tolist()):
+    for rook, r in zip(rooks, rook_codes):
+        # windows run (1,1), (1,2), (2,2); window (1,2) is f2·r, whose column
+        # k is f2's column j when r has its 1 in row j at column k, so each
+        # bit of f2 moves to one place or drops, and f2·r is the OR of its
+        # bits' images
+        moved = {
+            bit[i, j]: next((bit[i, k] for k in range(size) if rook[j][k]), 0)
+            for i, j in positions
+        }
+        prods = [0] * len(codes)
+        for f2 in codes[1:]:
+            low = f2 & -f2
+            prods[f2] = prods[f2 ^ low] | moved[low]
+        for f2, p in enumerate(prods):
             census.setdefault((tables[r], tables[p], tables[f2]), (code_mats[r], code_mats[f2]))
     return {SWArray(shape, key): rep for key, rep in census.items()}
 
@@ -241,74 +251,66 @@ def orbit_nodes(shape):
 
 
 def array_order(arrays):
-    """All-pairs componentwise order of equal-shape south-west arrays, as a
-    boolean matrix: leq[i, j] holds when arrays[i] <= arrays[j] in every
+    """All-pairs componentwise order of equal-shape south-west arrays, as
+    up-sets: bit j of ``ups[i]`` is set when arrays[i] <= arrays[j] in every
     entry (:func:`~gridorbits.parametrizations.array_leq`).
 
-    Each entry v is written as v thermometer bits (bit t set when v > t, up
-    to the largest entry), so a <= b in every entry exactly when
-    ``bits_a & ~bits_b`` is zero.  The bits are packed into 64-bit words,
-    two per array at n = 3, and ``leq`` is filled in row chunks, one word
-    at a time, with a (chunk x N) temporary of about 4 MB.
+    For each entry and value v, ``at_least[v]`` holds the arrays whose entry
+    there is at least v; an array's up-set is the AND of these sets over its
+    entries.  Python ints are the bitsets, N ints of N bits for N arrays.
     """
-    nn = len(arrays)
-    if not nn:
-        return np.zeros((0, 0), dtype=bool)
-    a = np.array([arr.flat() for arr in arrays], dtype=np.int16)
-    therm = (a[:, :, None] > np.arange(a.max())).reshape(nn, -1)
-    words = -(-therm.shape[1] // 64)
-    packed = np.zeros((nn, words * 8), dtype=np.uint8)
-    packed[:, :(therm.shape[1] + 7) // 8] = np.packbits(therm, axis=1)
-    bits = packed.view(np.uint64)
-    missing = np.ascontiguousarray((~bits).T)  # missing[w, j]: bits array j lacks in word w
-    leq = np.ones((nn, nn), dtype=bool)
-    chunk = min(nn, max(1, (1 << 22) // (8 * nn)))
-    scratch = np.empty((chunk, nn), dtype=np.uint64)
-    for lo in range(0, nn, chunk):
-        hi = min(nn, lo + chunk)
-        tmp = scratch[:hi - lo]
-        for w in range(words):
-            np.bitwise_and(bits[lo:hi, w, None], missing[w], out=tmp)
-            leq[lo:hi] &= tmp == 0
-    return leq
+    ups = [(1 << len(arrays)) - 1] * len(arrays)
+    for column in zip(*(arr.flat() for arr in arrays)):
+        at_least = [0] * (max(column) + 1)
+        for j, v in enumerate(column):
+            at_least[v] |= 1 << j
+        for v in range(len(at_least) - 1, 0, -1):
+            at_least[v - 1] |= at_least[v]
+        ups = [up & at_least[v] for up, v in zip(ups, column)]
+    return ups
 
 
 def build_poset(shape):
     """Degeneration poset of all decomposable orbits: nodes carry the
     decomposition and the canonical representative's array; edges are
     the covering pairs of the componentwise array order (transitive
-    reduction), found by :func:`_covers` from bit-packed up-sets.  The order
-    is a dense node x node matrix, so the n >= 4 refusal of
-    :func:`orbit_nodes` applies.
+    reduction), found by :func:`_covers` from the up-sets of
+    :func:`array_order`.  The nodes are ordered by entry sum, a linear
+    extension since a strictly larger array has a strictly larger sum, and
+    equal arrays are taken out of each other's up-sets.  The up-sets are
+    N ints of N bits, so the n >= 4 refusal of :func:`orbit_nodes` applies.
     """
     nodes = tuple(orbit_nodes(shape))
-    leq = array_order([node.sw for node in nodes])  # i degenerates below j
-    less = leq & ~leq.T
-    edges = tuple(
-        (int(j + 1), int(i + 1)) for i, j in zip(*np.nonzero(_covers(less)))
-    )
+    ranked = sorted(nodes, key=lambda node: sum(node.sw.flat()))
+    ups = array_order([node.sw for node in ranked])  # bit j: ranked[j] at or above
+    same = {}
+    for i, node in enumerate(ranked):
+        same[node.sw] = same.get(node.sw, 0) | 1 << i
+    strict = [up & ~same[node.sw] for up, node in zip(ups, ranked)]
+    edges = [(ranked[j].id, ranked[i].id) for i, found in enumerate(_covers(strict)) for j in found]
     return OrbitPoset(shape, nodes, tuple(sorted(edges)))
 
 
-def _covers(less):
-    """Covering pairs of a strict order given as a boolean matrix (less[i, j]
-    when i < j): the pairs i < j with no k between them.
+def _covers(ups):
+    """Covering pairs of a strict order given as up-sets over a linear
+    extension: bit j of ``ups[i]`` is set when i < j, which implies i < j as
+    indices.  Returns the indices of each node's covers, lowest first.
 
-    Each row of ``less`` is packed into 64-bit words; i's reach row, the
-    nodes two steps above i, is the OR of the packed rows of the nodes above
-    i.  Exact boolean reachability, with no N x N array wider than a byte.
+    The lowest bit of i's up-set that is above no cover found so far is a
+    cover: anything between i and it would have a lower index, so it would
+    be above a found cover, and so would the bit.  Each cover found takes
+    itself and its up-set out of what is left with one OR; no N x N matrix
+    is built.
     """
-    nn = len(less)
-    packed = np.zeros((nn, -(-nn // 64) * 8), dtype=np.uint8)
-    packed[:, :(nn + 7) // 8] = np.packbits(less, axis=1)
-    packed = packed.view(np.uint64)
-    reach = np.empty_like(packed)
-    for i in range(nn):
-        np.bitwise_or.reduce(packed[np.flatnonzero(less[i])], axis=0, out=reach[i])
-    cover = np.unpackbits(reach.view(np.uint8), axis=1, count=nn).view(bool)
-    np.invert(cover, out=cover)
-    cover &= less
-    return cover
+    out = []
+    for rest in ups:
+        found = []
+        while rest:
+            low = rest & -rest
+            found.append(low.bit_length() - 1)
+            rest &= ~(ups[found[-1]] | low)
+        out.append(found)
+    return out
 
 
 def export_dot(poset):

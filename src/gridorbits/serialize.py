@@ -147,11 +147,12 @@ def rank_vector_from_json(obj):
         where = f"entries item {e}"
         key = tuple(_int(_get(entry, c, where), f"{where}, {c}") for c in ("i", "j1", "j2", "k"))
         if key not in order or key in by_key:
-            raise SizeMismatch(f"entry {key} is repeated or not in a rank vector of n = {shape.n}")
+            cell = ",".join(map(str, key))
+            raise SizeMismatch(f"entry ({cell}) is repeated or not in a rank vector of n = {shape.n}")
         by_key[key] = _int(_get(entry, "v", where), f"{where}, v")
     if len(by_key) < len(order):
         missing = next(key for key in order if key not in by_key)
-        raise SizeMismatch(f"rank vector of n = {shape.n} has no entry {missing}")
+        raise SizeMismatch(f"rank vector of n = {shape.n} has no entry ({','.join(map(str, missing))})")
     dims = tuple(
         tuple(_int(x, f"dims row {r}, entry {c}") for c, x in _items(row, f"dims row {r}"))
         for r, row in _items(_get(obj, "dims"), "key 'dims'")

@@ -52,9 +52,41 @@ def poset3():
     return build_poset(GridShape(3))
 
 
+def as_matrix(ups):
+    """Bool matrix of up-set ints: m[i, j] when bit j of ups[i] is set."""
+    nn = len(ups)
+    nbytes = (nn + 7) // 8
+    raw = np.frombuffer(b"".join(up.to_bytes(nbytes, "little") for up in ups), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(nn, nbytes), axis=1, count=nn, bitorder="little").astype(bool)
+
+
+def as_upsets(matrix):
+    """Inverse of :func:`as_matrix`."""
+    return [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little") for row in matrix]
+
+
 def strict_order(nodes):
-    leq = array_order([node.sw for node in nodes])
+    leq = as_matrix(array_order([node.sw for node in nodes]))
     return leq & ~leq.T
+
+
+def extension(less):
+    """The nodes of a strict order in a linear extension, by up-set size,
+    largest first: i < j makes j's up-set a proper part of i's."""
+    return np.argsort(-less.sum(axis=1), kind="stable")
+
+
+def covers(less):
+    """:func:`orbit_poset._covers` of a strict order given as a bool matrix:
+    its nodes are relabelled into a linear extension and the covers mapped
+    back into a bool matrix."""
+    order = extension(less)
+    found = orbit_poset._covers(as_upsets(less[order][:, order]))
+    assert all(js == sorted(set(js)) and all(type(j) is int for j in js) for js in found)
+    cover = np.zeros_like(less)
+    for i, js in zip(order, found):
+        cover[i, order[js]] = True
+    return cover
 
 
 @pytest.fixture(scope="module")
@@ -382,37 +414,38 @@ class TestCovers:
     def test_orbit_orders_match_reference(self, shape2, less3):
         less2 = strict_order(tuple(orbit_nodes(shape2)))
         for less, edges in ((less2, len(HASSE_EDGES_15)), (less3, 13080)):
-            cover = orbit_poset._covers(less)
-            assert cover.dtype == bool
+            cover = covers(less)
             assert np.array_equal(cover, reference_covers(less))
             assert int(cover.sum()) == edges
 
     @pytest.mark.parametrize("nodes", [1, 63, 64, 65, 129])
     def test_random_orders_match_reference(self, nodes):
         # 63..65 and 129 nodes put the last column on either side of a
-        # 64-bit word boundary
+        # 64-bit word boundary, where a word-packed order would slip
         rng = np.random.default_rng(nodes)
         for _ in range(4):
             less = random_closed_order(nodes, rng)
-            assert np.array_equal(orbit_poset._covers(less), reference_covers(less))
+            assert np.array_equal(covers(less), reference_covers(less))
 
     @pytest.mark.parametrize("nodes", [0, 1, 70])
     def test_empty_order(self, nodes):
         less = np.zeros((nodes, nodes), dtype=bool)
-        assert not orbit_poset._covers(less).any()
+        assert not covers(less).any()
 
     def test_chain(self):
         less = np.triu(np.ones((70, 70), dtype=bool), k=1)
-        cover = orbit_poset._covers(less)
+        cover = covers(less)
         assert np.array_equal(cover, np.eye(70, k=1, dtype=bool))
         assert np.array_equal(cover, reference_covers(less))
 
     def test_traced_peak_memory(self, less3):
         # the dense float32 product peaks at 83.7 MB on the n = 3 order;
-        # the packed rows need about a tenth of that
+        # the walk over up-set ints peaks under 1 MB
+        order = extension(less3)
+        ups = as_upsets(less3[order][:, order])
         tracemalloc.start()
         try:
-            orbit_poset._covers(less3)
+            orbit_poset._covers(ups)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -435,25 +468,25 @@ def reference_upward_closed(arrays, flat):
 class TestArrayOrder:
     def test_matches_array_leq(self, shape2):
         arrays = [node.sw for node in orbit_nodes(shape2)]
-        leq = array_order(arrays)
+        leq = as_matrix(array_order(arrays))
         assert leq.tolist() == [[array_leq(a, b) for b in arrays] for a in arrays]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_orbit_arrays_match_reference(self, n, poset3):
         nodes = poset3.nodes if n == 3 else tuple(orbit_nodes(GridShape(n)))
         arrays = [node.sw for node in nodes]
-        leq = array_order(arrays)
-        assert leq.dtype == bool
-        assert np.array_equal(leq, reference_array_order(arrays))
+        ups = array_order(arrays)
+        assert all(type(up) is int for up in ups)
+        assert np.array_equal(as_matrix(ups), reference_array_order(arrays))
 
     @pytest.mark.parametrize("n,count", [(3, 40), (4, 70), (5, 70)])
     def test_random_arrays_match_reference(self, n, count):
-        # n = 4 and 5 write 5 and 6 bits per entry, so some entries
-        # straddle a 64-bit word boundary (450 and 1,260 bits in all)
+        # n = 4 and 5 have entries up to 5 and 6 and 90 and 210 entries
+        # per array, more values and entries than any orbit array
         shape = GridShape(n)
         rng = np.random.default_rng(n)
         arrays = random_arrays(shape, count, rng)
-        leq = array_order(arrays)
+        leq = as_matrix(array_order(arrays))
         assert np.array_equal(leq, reference_array_order(arrays))
         off_diagonal = leq & ~np.eye(count, dtype=bool)
         assert off_diagonal.any() and not leq.all()
@@ -462,19 +495,19 @@ class TestArrayOrder:
         rng = np.random.default_rng(7)
         arrays = random_arrays(shape3, 20, rng)
         arrays = arrays + arrays[::2]
-        leq = array_order(arrays)
+        leq = as_matrix(array_order(arrays))
         assert np.array_equal(leq, reference_array_order(arrays))
         for k in range(10):
             assert leq[2 * k, 20 + k] and leq[20 + k, 2 * k]
 
     def test_zero_arrays_and_no_arrays(self, shape2):
         zero = sw_array(make_point(shape2, [[[0] * 3] * 3]))
-        assert array_order([zero, zero]).all()
-        assert array_order([]).shape == (0, 0)
+        assert array_order([zero, zero]) == [0b11, 0b11]
+        assert array_order([]) == []
 
     def test_traced_peak_memory(self, poset3):
         # the int16 broadcast of the reference peaks at 23.6 MB on the n = 3
-        # arrays; the packed words need the 7.3 MB answer plus a 4 MB chunk
+        # arrays; the up-set ints peak under 3 MB
         arrays = [node.sw for node in poset3.nodes]
         tracemalloc.start()
         try:
@@ -489,7 +522,7 @@ class TestArrayOrder:
         rng = random.Random(n)
         arrays = rng.sample([node.sw for node in orbit_nodes(GridShape(n))], sample)
         arrays += rng.sample(arrays, 5)  # equal arrays at distinct indices
-        leq = array_order(arrays)
+        leq = as_matrix(array_order(arrays))
         outcomes = set()
         for trial in range(30):
             if trial % 3 == 0:  # a random candidate set

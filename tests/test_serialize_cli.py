@@ -1,13 +1,16 @@
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import gridorbits
 from gridorbits import (
     Decomposition,
     EmptySupport,
@@ -131,14 +134,14 @@ class TestMalformedJson:
                 rv_with(entries=(2, "k", None)), GridQuiverError,
                 "entries item 2, k must be an integer, got null",
             ),
-            (rv_with(entries=3), SizeMismatch, "rank vector of n = 2 has no entry (2, 1, 1, 1)"),
+            (rv_with(entries=3), SizeMismatch, "rank vector of n = 2 has no entry (2,1,1,1)"),
             (
                 rv_with(entries=(1, "k", 3)), SizeMismatch,
-                "entry (1, 1, 1, 3) is repeated or not in a rank vector of n = 2",
+                "entry (1,1,1,3) is repeated or not in a rank vector of n = 2",
             ),
             (
                 rv_with(entries=(2, "k", 1)), SizeMismatch,
-                "entry (1, 1, 1, 1) is repeated or not in a rank vector of n = 2",
+                "entry (1,1,1,1) is repeated or not in a rank vector of n = 2",
             ),
             (rv_with(dims=[[1, 1], [2, 2]]), SizeMismatch, "dims is not 3 rows of 2 entries"),
             (
@@ -228,6 +231,28 @@ def run_cli(*args, stdin=None):
         input=stdin,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_engine_runs_without_numpy():
+    # numpy is a test dependency only: a fresh interpreter runs the order,
+    # the census and the flat scan without importing it
+    script = """
+import contextlib, io, sys
+import gridorbits
+import gridorbits.cli as cli
+for argv in (["poset", "--n", "2"], ["count-report", "--n", "2"],
+             ["flat-scan", "--w", "2,3,1", "--qs", "2,3,4,5,7"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+    src = str(Path(gridorbits.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.fixture
