@@ -31,7 +31,7 @@ result = flat_scan(w)
 print(f"\nscan over all {len(result.rows)} orbits (target dimension {result.target_dim}):")
 print(f"{'id':>3} {'fibre dim':>9} {'flat?':>6}  counts (q=2,3,4,5,7,8,9)")
 for row in result.rows:
-    counts = [c for _q, c in row.counts.counts]
+    counts = [c for _q, c in row.counts]
     flag = "yes" if row.flat_candidate else "no"
     print(f"{row.orbit_id:>3} {row.estimate.degree:>9} {flag:>6}  {counts}")
 print("\nflat candidates:", sum(r.flat_candidate for r in result.rows), "of", len(result.rows))

@@ -111,36 +111,35 @@ def _cmd_rank_vector(args):
     rv = rank_vector(point)
     if point.shape.n == 2:
         flat = flat_intersections(rv)
-        _emit("(" + ",".join(str(x) for x in flat) + ")\n", args.out)
-    else:
-        _emit(_dump(rank_vector_to_json(rv)), args.out)
+        return "(" + ",".join(str(x) for x in flat) + ")\n"
+    return _dump(rank_vector_to_json(rv))
 
 
 def _cmd_sw_array(args):
     point = map_tuple_from_json(_read_json(args.input))
-    _emit(_dump(sw_array_to_json(sw_array(point))), args.out)
+    return _dump(sw_array_to_json(sw_array(point)))
 
 
 def _cmd_decompose(args):
     point = map_tuple_from_json(_read_json(args.input))
-    _emit(_dump(decomposition_to_json(decompose(point))), args.out)
+    return _dump(decomposition_to_json(decompose(point)))
 
 
 def _cmd_canonical(args):
     point = map_tuple_from_json(_read_json(args.input))
-    _emit(_dump(map_tuple_to_json(assemble_canonical(decompose(point)))), args.out)
+    return _dump(map_tuple_to_json(assemble_canonical(decompose(point))))
 
 
 def _cmd_same_orbit(args):
     f = map_tuple_from_json(_read_json(args.first))
     g = map_tuple_from_json(_read_json(args.second))
-    _emit(("true" if same_orbit(f, g) else "false") + "\n", args.out)
+    return ("true" if same_orbit(f, g) else "false") + "\n"
 
 
 def _cmd_degenerates(args):
     f = map_tuple_from_json(_read_json(args.first))
     g = map_tuple_from_json(_read_json(args.second))
-    _emit(("true" if degenerates(f, g) else "false") + "\n", args.out)
+    return ("true" if degenerates(f, g) else "false") + "\n"
 
 
 def _orbit_records(shape):
@@ -175,8 +174,7 @@ def _orbit_records(shape):
 def _cmd_orbits(args):
     shape = GridShape(args.n)
     if args.format == "dot":
-        _emit(export_dot(build_poset(shape)), args.out)
-        return
+        return export_dot(build_poset(shape))
     records = _orbit_records(shape)
     if args.format == "csv":
         buf = io.StringIO()
@@ -185,38 +183,34 @@ def _cmd_orbits(args):
         for r in records:
             rv = "(" + " ".join(str(x) for x in r["rank_vector"]) + ")"
             writer.writerow([r["id"], r["decomposition"], rv, r["sw_array_hash"]])
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit(_dump(records), args.out)
+        return buf.getvalue()
+    return _dump(records)
 
 
 def _cmd_poset(args):
     poset = build_poset(GridShape(args.n))
     if args.format == "dot":
-        _emit(export_dot(poset), args.out)
-    else:
-        obj = {
-            "nodes": [
-                {"id": node.id, "decomposition": str(node.decomposition)}
-                for node in poset.nodes
-            ],
-            "edges": [[u, v] for u, v in poset.edges],
-            "maximal": poset.maximal(),
-            "minimal": poset.minimal(),
-        }
-        _emit(_dump(obj), args.out)
+        return export_dot(poset)
+    return _dump({
+        "nodes": [
+            {"id": node.id, "decomposition": str(node.decomposition)}
+            for node in poset.nodes
+        ],
+        "edges": [[u, v] for u, v in poset.edges],
+        "maximal": poset.maximal(),
+        "minimal": poset.minimal(),
+    })
 
 
 def _cmd_schubert(args):
     w = _parse_ints("--w", args.w)
-    obj = {
+    return _dump({
         "w": list(w),
         "length": length(w),
         "smooth": is_smooth(w),
         "r_grid": [list(row) for row in r_grid(w)],
         "e_grid": [list(row) for row in e_grid(w)],
-    }
-    _emit(_dump(obj), args.out)
+    })
 
 
 def _cmd_flat_scan(args):
@@ -230,22 +224,21 @@ def _cmd_flat_scan(args):
         + ["fitted_poly", "est_dim", "target_dim", "flat_candidate"]
     )
     for row in result.rows:
-        counts = row.counts.as_dict()
+        counts = dict(row.counts)
         poly = " ".join(str(c) for c in row.estimate.coefficients)
         writer.writerow(
             [row.orbit_id, str(row.decomposition)]
             + [counts[q] for q in qs]
             + [poly, row.estimate.degree, result.target_dim, str(row.flat_candidate).lower()]
         )
-    _emit(buf.getvalue(), args.out)
+    return buf.getvalue()
 
 
 def _cmd_hom_report(args):
     w, qs, budget = _experiment_flags(args)
     shape = GridShape(len(w) - 1)
     point = _orbit_by_id(shape, args.orbit)
-    report = hom_report(w, point, qs=qs, budget=budget)
-    _emit(_dump(dataclasses.asdict(report)), args.out)
+    return _dump(dataclasses.asdict(hom_report(w, point, qs=qs, budget=budget)))
 
 
 def _cmd_validate_array(args):
@@ -261,11 +254,11 @@ def _cmd_validate_array(args):
     obj = {"inequalities_ok": ok, "violations": violations, "realizable": realizable}
     if detail:
         obj["reconstruct_error"] = detail
-    _emit(_dump(obj), args.out)
+    return _dump(obj)
 
 
 def _cmd_count_report(args):
-    _emit(_dump(dataclasses.asdict(count_report(GridShape(args.n)))), args.out)
+    return _dump(dataclasses.asdict(count_report(GridShape(args.n))))
 
 
 def build_parser():
@@ -356,10 +349,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        text = args.func(args)
     except (GridQuiverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(text, args.out)
     return 0
 
 

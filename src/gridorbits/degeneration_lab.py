@@ -33,7 +33,7 @@ from itertools import combinations, islice, product
 
 from .exact_linalg import Matrix, principal_block, rank, solve_unique
 from .fields import GF, QQ, is_prime_power
-from .grid_quiver import GridQuiverError, GridShape, InfeasibleSize, assemble_canonical
+from .grid_quiver import GridQuiverError, GridShape, InfeasibleSize, rook_point
 from .orbit_poset import array_order, orbit_nodes
 from .parametrizations import reconstruct, sw_array
 from .schubert import check_permutation, length, target_dims
@@ -50,14 +50,6 @@ class FitFailure(GridQuiverError):
 class NoPointFound(GridQuiverError):
     """The canonical point has no coordinate subrepresentation, the source
     of the Hom audit's exact rational points."""
-
-
-@dataclass(frozen=True)
-class PointCountTable:
-    counts: tuple  # ((q, count), ...) in schedule order
-
-    def as_dict(self):
-        return dict(self.counts)
 
 
 @dataclass(frozen=True)
@@ -84,7 +76,7 @@ class HomReport:
 class FlatScanRow:
     orbit_id: int
     decomposition: object
-    counts: PointCountTable
+    counts: tuple  # ((q, count), ...) in schedule order
     estimate: DimEstimate
     flat_candidate: bool
 
@@ -213,8 +205,8 @@ def _dot(field, row, u):
 
 
 def point_counts(point, e, qs, budget=DEFAULT_BUDGET, *, chains=None):
-    """The point's :func:`subrep_count` at each q, sharing ``chains``."""
-    return PointCountTable(tuple((q, subrep_count(point, e, q, budget, chains=chains)) for q in qs))
+    """((q, :func:`subrep_count` at q), ...) in schedule order, sharing ``chains``."""
+    return tuple((q, subrep_count(point, e, q, budget, chains=chains)) for q in qs)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +232,9 @@ def fit_dimension(counts, max_degree):
 
     The polynomial through the first k + 1 samples solves their Vandermonde
     system by :func:`~gridorbits.exact_linalg.solve_unique`; it is unique
-    because the field sizes are distinct.
+    because the field sizes are distinct.  The fit decides at the first
+    prefix whose polynomial reproduces every held-out count: it interpolates
+    all samples, so each longer prefix would give it again.
 
     Args:
         counts: ordered (q, count) pairs with distinct q; the fit uses a
@@ -264,13 +258,10 @@ def fit_dimension(counts, max_degree):
         coeffs = _poly_trim(solve_unique(vandermonde, [Fraction(c) for _q, c in sample]))
         if len(coeffs) - 1 > max_degree:
             break
-        if any(c.denominator != 1 for c in coeffs):
-            continue
         if all(_poly_eval(coeffs, q) == c for q, c in pts[k + 1:]):
-            ints = tuple(int(c) for c in coeffs)
-            if any(c for _q, c in pts) and ints[-1] <= 0:
-                continue
-            return DimEstimate(len(ints) - 1, ints, True)
+            if any(c.denominator != 1 for c in coeffs) or (any(c for _q, c in pts) and coeffs[-1] <= 0):
+                break
+            return DimEstimate(len(coeffs) - 1, tuple(int(c) for c in coeffs), True)
     raise FitFailure(
         f"no integer polynomial of degree <= {max_degree} fits {pts} with a holdout"
     )
@@ -288,22 +279,17 @@ def estimate_dim(point, e, qs, budget=DEFAULT_BUDGET):
     """Dimension of the fibre with dimension grid e over the point, as the
     degree of the validated counting polynomial."""
     _check_field_sizes(qs)
-    table = point_counts(point, e, qs, budget)
-    return fit_dimension(table.counts, _degree_bound(point.shape, e))
+    return fit_dimension(point_counts(point, e, qs, budget), _degree_bound(point.shape, e))
 
 
 def euler_form(a, b):
     """Euler form of the grid quiver with one relation per commuting square:
-    sum_v a_v b_v - sum_arrows a_s b_t + sum_squares a_(i,j) b_(i+1,j+1)."""
-    rows = len(a)
-    cols = len(a[0])
-    total = sum(a[i][j] * b[i][j] for i in range(rows) for j in range(cols))
-    # horizontal arrows (i,j) -> (i,j+1)
-    total -= sum(a[i][j] * b[i][j + 1] for i in range(rows) for j in range(cols - 1))
-    # vertical arrows (i,j) -> (i+1,j)
-    total -= sum(a[i][j] * b[i + 1][j] for i in range(rows - 1) for j in range(cols))
-    # one relation per unit square (i,j) -> (i+1,j+1)
-    total += sum(a[i][j] * b[i + 1][j + 1] for i in range(rows - 1) for j in range(cols - 1))
+    sum_v a_v b_v - sum_arrows a_s b_t + sum_squares a_(i,j) b_(i+1,j+1), for
+    (n+1) x n grids a and b, over their shape's arrows and squares."""
+    shape = GridShape(len(a[0]))
+    total = sum(x * y for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b))
+    total -= sum(_edim(a, s) * _edim(b, t) for s, t in _grid_arrows(shape))
+    total += sum(_edim(a, (i, j)) * _edim(b, (i + 1, j + 1)) for i, j in _squares(shape))
     return total
 
 
@@ -317,9 +303,11 @@ def flat_scan(w, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     from :func:`~gridorbits.orbit_poset.array_order` must lie inside the
     candidate set, ``up & ~flat == 0``.
 
-    The scan builds each column's chains once per (column dims, q) and
-    shares them across its :func:`subrep_count` calls, one per (orbit, q),
-    each of which still meters the budget before it looks the chains up.
+    Each orbit is counted on its canonical point, the
+    :func:`~gridorbits.grid_quiver.rook_point` of its node's matchings.  The
+    scan builds each column's chains once per (column dims, q) and shares
+    them across its :func:`subrep_count` calls, one per (orbit, q), each of
+    which still meters the budget before it looks the chains up.
     The field sizes are checked before the first count.
     """
     w = check_permutation(w)
@@ -331,9 +319,9 @@ def flat_scan(w, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     arrays = []
     chains = {}
     for node in orbit_nodes(shape):
-        table = point_counts(assemble_canonical(node.decomposition), e, qs, budget, chains=chains)
-        est = fit_dimension(table.counts, _degree_bound(shape, e))
-        rows.append(FlatScanRow(node.id, node.decomposition, table, est, est.degree == target))
+        counts = point_counts(rook_point(shape, node.matchings), e, qs, budget, chains=chains)
+        est = fit_dimension(counts, _degree_bound(shape, e))
+        rows.append(FlatScanRow(node.id, node.decomposition, counts, est, est.degree == target))
         arrays.append(node.sw)
     flat = sum(1 << i for i, r in enumerate(rows) if r.flat_candidate)
     upward_closed = all(up & ~flat == 0 for up, r in zip(array_order(arrays), rows) if r.flat_candidate)
@@ -352,6 +340,11 @@ def _grid_arrows(shape):
     horiz = [((i, j), (i, j + 1)) for i in range(1, shape.size + 1) for j in range(1, shape.n)]
     vert = [((i, j), (i + 1, j)) for i in range(1, shape.size) for j in range(1, shape.n + 1)]
     return horiz + vert
+
+
+def _squares(shape):
+    """The corner (i, j) of each unit square (i, j) -> (i + 1, j + 1)."""
+    return product(range(1, shape.size), range(1, shape.n))
 
 
 def _arrow_map(point, s, t):
@@ -400,7 +393,7 @@ def _square_relations(shape, e, index):
     x_b a horizontal arrow entry.
     """
     equations = []
-    for i, j in product(range(1, shape.size), range(1, shape.n)):
+    for i, j in _squares(shape):
         h1, v2 = ((i, j), (i, j + 1)), ((i, j + 1), (i + 1, j + 1))
         v1, h2 = ((i, j), (i + 1, j)), ((i + 1, j), (i + 1, j + 1))
         for r in range(_edim(e, v2[1])):
@@ -460,9 +453,11 @@ def rep_variety_count(shape, e, q, budget=DEFAULT_BUDGET):
     system in the nv vertical entries.
 
     Raises:
+        ValueError: :func:`_check_field_size` refuses q (before GF(q) is built).
         InfeasibleSize: q^nvars exceeds the budget, nvars being the number
             of entries of all arrow matrices (horizontal and vertical).
     """
+    _check_field_size(q)
     arrows, _frames = _unknowns(shape, e)
     nvars = len(arrows)
     if q ** nvars > budget:

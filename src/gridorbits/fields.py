@@ -9,32 +9,24 @@ ever touches floating point.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 
 class RationalField:
-    """Arbitrary-precision rational arithmetic (singleton ``QQ``)."""
+    """Arbitrary-precision rational arithmetic (singleton ``QQ``): the ring
+    operations are ``operator``'s and the embeddings ``Fraction`` itself;
+    ``inv`` refuses 0 and ``div`` divides a ``Fraction``, so int / int stays exact."""
 
     zero = Fraction(0)
     one = Fraction(1)
     char = 0
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
+    add = operator.add
+    sub = operator.sub
+    mul = operator.mul
+    neg = operator.neg
+    from_int = from_fraction = Fraction
 
     @staticmethod
     def inv(a):
@@ -45,14 +37,6 @@ class RationalField:
     @staticmethod
     def div(a, b):
         return Fraction(a) / b
-
-    @staticmethod
-    def from_int(n):
-        return Fraction(n)
-
-    @staticmethod
-    def from_fraction(x):
-        return Fraction(x)
 
     def __repr__(self):
         return "QQ"

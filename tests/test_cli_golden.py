@@ -278,3 +278,17 @@ def test_rejected_point_realises_its_array(input_files):
     code, out, _ = run_main(["validate-array", input_files["n3_rejected_array"]])
     report = json.loads(out)
     assert code == 0 and report["inequalities_ok"] and not report["realizable"]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_out_file_holds_the_printed_bytes(case, input_files, tmp_path):
+    # with --out the command prints nothing and writes the bytes it prints
+    # without it; a refused command writes no file
+    argv, want_code, want_digest = GOLDEN[case]
+    path = tmp_path / "out"
+    code, out, _ = run_main([arg.format(**input_files) for arg in argv] + ["--out", str(path)])
+    assert (code, out) == (want_code, "")
+    if want_code:
+        assert not path.exists()
+    else:
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want_digest

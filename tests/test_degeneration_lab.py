@@ -30,8 +30,8 @@ from gridorbits import (
     target_dims,
     zero_tuple,
 )
-from gridorbits import degeneration_lab
-from gridorbits.degeneration_lab import _poly_trim
+from gridorbits import degeneration_lab, grid_quiver
+from gridorbits.degeneration_lab import _degree_bound, _poly_trim
 from gridorbits.exact_linalg import Matrix, inverse, rank, solve_unique
 from gridorbits.fields import QQ, _poly_mul_mod
 from gridorbits.subspaces import (
@@ -42,7 +42,8 @@ from gridorbits.subspaces import (
     subspaces,
 )
 
-from conftest import CANONICAL_15
+from conftest import CANONICAL_15, count_calls
+from reference_fit import reference_fit
 from reference_subspaces import reference_in_span
 
 W231 = (2, 3, 1)
@@ -145,6 +146,14 @@ def fit_outcome(fit, counts, max_degree):
         return fit(counts, max_degree)
     except FitFailure as exc:
         return f"FitFailure: {exc}"
+
+
+def outcome(fit, counts, max_degree):
+    """The fit's result, or the type and text of what it raised."""
+    try:
+        return fit(counts, max_degree)
+    except (FitFailure, ValueError) as exc:
+        return type(exc), str(exc)
 
 
 class TestFields:
@@ -363,7 +372,7 @@ class TestSubrepCount:
             for node in orbit_nodes(shape2):
                 canon = assemble_canonical(node.decomposition)
                 shared = point_counts(canon, e, qs, chains=chains)
-                assert shared.counts == tuple((q, subrep_count(canon, e, q)) for q in qs)
+                assert shared == tuple((q, subrep_count(canon, e, q)) for q in qs)
         col_dims = {tuple(row[j] for row in target_dims(w)) for w in permutations((1, 2, 3)) for j in range(2)}
         assert set(chains) == {(dims, q) for dims in col_dims for q in qs}
 
@@ -471,6 +480,38 @@ class TestEstimateDim:
             kinds.add(type(got))
         assert kinds == {DimEstimate, str}
 
+    @pytest.mark.parametrize("w", [(2, 3, 1), (3, 1, 2), (3, 2, 1)])
+    def test_fit_decides_as_the_full_prefix_loop_on_scan_tables(self, w):
+        # every prefix of every scan table, under every degree bound up to
+        # the scan's own
+        shape = GridShape(2)
+        bound = _degree_bound(shape, target_dims(w))
+        for row in flat_scan(w).rows:
+            for size in range(len(row.counts) + 1):
+                table = row.counts[:size]
+                for max_degree in range(bound + 1):
+                    want = outcome(reference_fit, table, max_degree)
+                    assert outcome(fit_dimension, table, max_degree) == want
+
+    def test_fit_decides_as_the_full_prefix_loop_on_random_tables(self):
+        rng = random.Random(21)
+        kinds = set()
+        for _ in range(3000):
+            qs = rng.sample([2, 3, 4, 5, 7, 8, 9, 11], rng.randint(1, 7))
+            if rng.random() < 0.05:
+                qs.append(rng.choice(qs))
+            den = rng.choice([1, 1, 1, 2, 3])
+            poly = [Fraction(rng.randint(-4, 4), den) for _ in range(rng.randint(1, 5))]
+            counts = [(q, sum(c * q ** d for d, c in enumerate(poly))) for q in qs]
+            if rng.random() < 0.3:
+                t = rng.randrange(len(counts))
+                counts[t] = (counts[t][0], counts[t][1] + rng.choice([-1, 1]))
+            max_degree = rng.randint(0, 5)
+            want = outcome(reference_fit, counts, max_degree)
+            assert outcome(fit_dimension, counts, max_degree) == want
+            kinds.add(want[0] if isinstance(want, tuple) else type(want))
+        assert kinds == {DimEstimate, FitFailure, ValueError}
+
 
 class TestEulerForm:
     def test_worked_value(self, shape2):
@@ -574,13 +615,25 @@ class TestRepVarietyCount:
             rep_variety_count(shape2, target_dims(W231), 5, budget=1000)
 
     def test_budget_refused_before_the_field_is_built(self, shape2, monkeypatch):
-        # GF(256)'s tables take seconds to build; 256^6 is refused first
+        # 9^6 exceeds the budget, which is refused before GF(9) is built
         def built(q):
             raise AssertionError(f"GF({q}) was built before the budget check")
 
         monkeypatch.setattr(degeneration_lab, "GF", built)
         with pytest.raises(InfeasibleSize, match=r"^representation variety has q\^6 candidate points$"):
-            rep_variety_count(shape2, target_dims(W231), 256)
+            rep_variety_count(shape2, target_dims(W231), 9, budget=10)
+
+    def test_field_rule_checked_before_the_field_is_built(self, shape2, monkeypatch):
+        # the rule of subrep_count: GF(256)'s tables take seconds to build,
+        # and the zero grid meters q^0 = 1, so no budget refuses q = 11
+        def built(q):
+            raise AssertionError(f"GF({q}) was built before the field rule")
+
+        monkeypatch.setattr(degeneration_lab, "GF", built)
+        zero = ((0, 0), (0, 0), (0, 0))
+        for e, q in ((target_dims(W231), 256), (zero, 11)):
+            with pytest.raises(ValueError, match=f"^q must be a prime power <= 9, got {q}$"):
+                rep_variety_count(shape2, e, q)
 
 
 class TestFlatScan:
@@ -617,6 +670,20 @@ class TestFlatScan:
                 monkeypatch.setattr(module, "build_poset", refused)
         res = flat_scan(W231, qs=(2, 3, 4, 5, 7))
         assert len(res.rows) == 15 and res.upward_closed
+
+    def test_scan_counts_on_the_nodes_matchings(self, shape2, monkeypatch):
+        # each orbit is counted on the rook point of its node's matchings,
+        # with the rows that counting on assemble_canonical gave
+        qs = (2, 3, 4, 5, 7)
+        e = target_dims(W231)
+        want = []
+        for node in orbit_nodes(shape2):
+            counts = point_counts(assemble_canonical(node.decomposition), e, qs)
+            want.append((node.id, node.decomposition, counts, fit_dimension(counts, _degree_bound(shape2, e))))
+        calls = count_calls(monkeypatch, [(grid_quiver, "assemble_canonical")])
+        res = flat_scan(W231, qs=qs)
+        assert calls == {"assemble_canonical": 0}
+        assert [(r.orbit_id, r.decomposition, r.counts, r.estimate) for r in res.rows] == want
 
 
 class TestOrbitInvariance:

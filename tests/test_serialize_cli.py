@@ -224,8 +224,13 @@ class TestMalformedJson:
 
 
 def run_cli(*args, stdin=None):
+    # the subprocess imports the sources the tests import
+    src = str(Path(gridorbits.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gridorbits.cli", *args],
+        env=env,
         capture_output=True,
         text=True,
         input=stdin,
