@@ -15,6 +15,7 @@ dimension fits over seven finite fields, and the representation variety is
 counted by linear fibres.
 """
 
+import sys
 import time
 
 from gridorbits import GridShape, hom_report, identity_tuple, zero_tuple
@@ -25,7 +26,8 @@ shape = GridShape(len(w) - 1)
 for name, point in [("identity", identity_tuple(shape)), ("zero", zero_tuple(shape))]:
     start = time.time()
     rep = hom_report(w, point)
-    print(f"orbit of the {name} tuple  ({time.time() - start:.1f}s)")
+    print(f"orbit of the {name} tuple")
+    print(f"({name}: {time.time() - start:.1f}s)", file=sys.stderr)
     print(f"  symmetry-group dimension      {rep.dim_G}")
     print(f"  fibre dimension (counted)     {rep.dim_Gr}")
     print(f"  Hom-scheme dimension          {rep.dim_Hom0}")

@@ -15,7 +15,13 @@ import io
 import json
 import sys
 
-from .decomposition import decompose, flat_intersections, rank_vector, rank_vector_from_sw
+from .decomposition import (
+    decompose,
+    flat_entries,
+    flat_intersections,
+    rank_vector,
+    table_intersections,
+)
 from .degeneration_lab import DEFAULT_BUDGET, DEFAULT_QS, flat_scan, hom_report
 from .grid_quiver import (
     GridQuiverError,
@@ -23,6 +29,7 @@ from .grid_quiver import (
     assemble_canonical,
     identity_tuple,
     rook_of_matching,
+    windows,
     zero_tuple,
 )
 from .orbit_poset import build_poset, count_report, export_dot, orbit_by_id, orbit_nodes
@@ -41,6 +48,7 @@ from .serialize import (
     rank_vector_to_json,
     sw_array_from_json,
     sw_array_to_json,
+    window_to_json,
 )
 
 
@@ -142,49 +150,100 @@ def _cmd_degenerates(args):
     return ("true" if degenerates(f, g) else "false") + "\n"
 
 
-def _orbit_records(shape):
-    """One record per orbit.  Its ``maps`` are the rooks of its matchings,
-    written as the strings of their 0/1 entries, which is what
-    :func:`map_tuple_to_json` writes for the canonical point; each
-    matching's rows are made once per listing (52 at n = 3)."""
-    rows = {}
-    records = []
+class _Pieces(dict):
+    """Pieces of a listing, each made from its key on first use."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
+
+
+def _json_list(items, depth):
+    """A nonempty list nested ``depth`` levels deep as ``json.dumps(...,
+    indent=2)`` writes it, from the texts of its items; a text may hold
+    several items already joined at their depth."""
+    pad = "  " * (depth + 1)
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def _orbit_listing(shape):
+    """Each orbit's record, with its text as ``json.dumps(records, indent=2)``
+    writes it in the list, in id order.
+
+    A record's ``maps`` are the rooks of its matchings, written as the
+    strings of their 0/1 entries, which is what :func:`map_tuple_to_json`
+    writes for the canonical point.  Each piece of a record but its id and
+    decomposition depends on one matching or one window table alone, so
+    each is made once per listing and shared by the records: a matching's
+    rows and their text (52 at n = 3), a table's rank-vector entries
+    (:func:`table_intersections`) and their text (52), and a window's part
+    of the hashed array text.  A record's
+    rank vector joins its tables' entries in window order, and its
+    ``sw_array_hash`` is the sha256 of ``json.dumps(sw_array_to_json(sw),
+    sort_keys=True)``, joined from its windows' parts.
+    """
+    def maps_piece(matching):
+        rows = [[str(x) for x in row] for row in rook_of_matching(shape.size, dict(matching))]
+        return rows, json.dumps(rows, indent=2).replace("\n", "\n" + "  " * 3)
+
+    def rank_vector_piece(table):
+        entries = flat_entries(table_intersections(table), shape.size)
+        return entries, (",\n" + "  " * 3).join(map(json.dumps, entries))
+
+    maps_of = _Pieces(maps_piece)
+    rank_vector_of = _Pieces(rank_vector_piece)
+    hashed_of = _Pieces(lambda key: json.dumps(window_to_json(*key), sort_keys=True))
+    head = json.dumps({"n": shape.n, "windows": []})[:-2]  # up to the windows' "["
+    wins = windows(shape)
+    keys = ("id", "decomposition", "rank_vector", "sw_array_hash", "maps")
+    fields = [f"    {json.dumps(key)}: " for key in keys]
     for node in orbit_nodes(shape):
-        digest = hashlib.sha256(
-            json.dumps(sw_array_to_json(node.sw), sort_keys=True).encode()
-        ).hexdigest()
-        maps = []
-        for m in node.matchings:
-            key = tuple(sorted(m.items()))
-            if key not in rows:
-                rows[key] = [[str(x) for x in row] for row in rook_of_matching(shape.size, m)]
-            maps.append(rows[key])
-        records.append(
-            {
-                "id": node.id,
-                "decomposition": str(node.decomposition),
-                "rank_vector": list(flat_intersections(rank_vector_from_sw(node.sw))),
-                "sw_array_hash": digest,
-                "maps": maps,
-            }
+        maps = [maps_of[tuple(sorted(m.items()))] for m in node.matchings]
+        rank_vector = [rank_vector_of[table] for table in node.sw.tables]
+        hashed = head + ", ".join(hashed_of[key] for key in zip(wins, node.sw.tables)) + "]}"
+        decomposition = str(node.decomposition)
+        digest = hashlib.sha256(hashed.encode()).hexdigest()
+        texts = (
+            json.dumps(node.id),
+            json.dumps(decomposition),
+            _json_list([text for _, text in rank_vector], 2),
+            json.dumps(digest),
+            _json_list([text for _, text in maps], 2),
         )
-    return records
+        record = dict(zip(keys, (
+            node.id,
+            decomposition,
+            [x for entries, _ in rank_vector for x in entries],
+            digest,
+            [rows for rows, _ in maps],
+        )))
+        yield record, "{\n" + ",\n".join(map(str.__add__, fields, texts)) + "\n  }"
+
+
+def _orbit_records(shape):
+    """Every orbit's record of :func:`_orbit_listing`, in id order."""
+    return [record for record, _ in _orbit_listing(shape)]
 
 
 def _cmd_orbits(args):
     shape = GridShape(args.n)
     if args.format == "dot":
         return export_dot(build_poset(shape))
-    records = _orbit_records(shape)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["id", "decomposition", "rank_vector", "sw_array_hash"])
-        for r in records:
+        for r in _orbit_records(shape):
             rv = "(" + " ".join(str(x) for x in r["rank_vector"]) + ")"
             writer.writerow([r["id"], r["decomposition"], rv, r["sw_array_hash"]])
         return buf.getvalue()
-    return _dump(records)
+    # each record is dropped once its text is made, so the listing is never
+    # held as records and as text at once
+    return _json_list([text for _, text in _orbit_listing(shape)], 0) + "\n"
 
 
 def _cmd_poset(args):

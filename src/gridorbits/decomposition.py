@@ -28,7 +28,7 @@ from .grid_quiver import (
     matchings_to_decomposition,
     windows,
 )
-from .parametrizations import ReconstructInvalid, reconstruct_matchings, sw_array, table_entry
+from .parametrizations import ReconstructInvalid, reconstruct_matchings, sw_array
 from .parametrizations import matchings_sw_array
 
 
@@ -77,22 +77,30 @@ def rank_vector(point):
 
 
 def rank_vector_from_sw(arr):
-    """Rank vector of the points whose south-west array is ``arr``.
-
-    Window products are upper-triangular, so the block's rank is the
-    south-west rank s(1, i) of the window's table, and its rows k+1..i have
-    rank s(k+1, i); entry k < i is their difference.
-    """
-    shape = arr.shape
+    """Rank vector of the points whose south-west array is ``arr``: its
+    intersection part joins the windows' :func:`table_intersections` in
+    window order."""
     entries = []
     for table in arr.tables:
-        for i in range(1, shape.size + 1):
-            full = table_entry(table, 1, i)
-            for k in range(1, i):
-                entries.append(full - table_entry(table, k + 1, i))
-            entries.append(full)  # k = i: im is contained in C^i already
-            entries.append(full)  # k = i+1: the plain rank slot
-    return RankVector(shape, full_dim_grid(shape), tuple(entries))
+        entries += table_intersections(table)
+    return RankVector(arr.shape, full_dim_grid(arr.shape), tuple(entries))
+
+
+def table_intersections(table):
+    """One window's entries k = 1..i+1 of each row i, in the order of
+    :func:`inter_order`, read off the window's south-west table
+    (``table[p-1][q-p]`` is s(p, q)).
+
+    Window products are upper-triangular, so the block's rank is s(1, i),
+    and its rows k+1..i have rank s(k+1, i); entry k < i is their
+    difference.  Entry k = i is the rank again, as the image lies in C^i,
+    and so is the plain rank slot k = i+1.
+    """
+    entries = []
+    for i, full in enumerate(table[0]):  # row i + 1
+        entries += [full - table[k][i - k] for k in range(1, i + 1)]
+        entries += (full, full)
+    return entries
 
 
 def heights_rank_vector(hv):
@@ -112,13 +120,19 @@ def same_rank_vector(a, b):
 def flat_intersections(rv):
     """Flat reading order: per window, rows top to bottom, the k = 1..i
     coordinate intersections (without the duplicate rank slot)."""
+    return tuple(flat_entries(rv.inter, rv.shape.size))
+
+
+def flat_entries(inter, size):
+    """The flat reading of ``inter``, the entries of whole windows of a rank
+    vector whose maps have size ``size``, as a list."""
     out = []
     pos = 0
-    for (_j1, _j2) in windows(rv.shape):
-        for i in range(1, rv.shape.size + 1):
-            out.extend(rv.inter[pos:pos + i])
+    while pos < len(inter):
+        for i in range(1, size + 1):
+            out.extend(inter[pos:pos + i])
             pos += i + 1
-    return tuple(out)
+    return out
 
 
 def full_vector(rv):

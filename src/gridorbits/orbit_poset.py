@@ -10,12 +10,11 @@ multiplied or reduced.  The array order is one up-set per array, a Python
 int used as a bitset, and the poset's covers are read off the up-sets.  The
 product order of the matchings numbers the orbits 1..b_(n+2)^(n-1); these
 ids index the census, the poset and the experiment commands.  An
-exhaustive F_2 census of
-south-west arrays provides an independent check for n <= 3: it holds every
-enumerated orbit's array, plus those of tuples with no thin decomposition.
-It runs over the tuples whose first map is a rook (a partial permutation
-matrix), which over F_2 realise every array, and keeps one such tuple per
-array.
+exhaustive F_2 census of south-west arrays provides an independent check
+for n <= 3: it holds every enumerated orbit's array, plus those of tuples
+with no thin decomposition.  It runs over the tuples whose first map is a
+rook (a partial permutation matrix), which over F_2 realise every array,
+and keeps one such tuple per array.
 """
 
 from __future__ import annotations

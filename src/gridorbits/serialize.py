@@ -162,12 +162,15 @@ def rank_vector_from_json(obj):
     return RankVector(shape, dims, tuple(by_key[key] for key in order))
 
 
+def window_to_json(window, table):
+    """One window of :func:`sw_array_to_json`: its table's rows padded with
+    nulls to full ``size x size`` rows."""
+    padded = [[None] * (p - 1) + list(row) for p, row in enumerate(table, start=1)]
+    return {"j1": window[0], "j2": window[1], "table": padded}
+
+
 def sw_array_to_json(s):
-    out_windows = []
-    for (j1, j2), table in zip(windows(s.shape), s.tables):
-        padded = [[None] * (p - 1) + list(row) for p, row in enumerate(table, start=1)]
-        out_windows.append({"j1": j1, "j2": j2, "table": padded})
-    return {"n": s.shape.n, "windows": out_windows}
+    return {"n": s.shape.n, "windows": list(map(window_to_json, windows(s.shape), s.tables))}
 
 
 def sw_array_from_json(obj):

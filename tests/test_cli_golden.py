@@ -214,6 +214,13 @@ GOLDEN = {
     "orbits-csv-n3": (["orbits", "--n", "3", "--format", "csv"], 0,
         "2e08079579b720f7e6426902e3730ea15bb3fb422dbb427009607b07ad9abf38",
     ),
+    # the Hasse diagram the census benchmark checks; both commands print it
+    "orbits-dot-n3": (["orbits", "--n", "3", "--format", "dot"], 0,
+        "7cd9a2bfb8189bd5afd4639b2adebe324816fc25d2508517f4cedced57f66d45",
+    ),
+    "poset-dot-n3": (["poset", "--n", "3", "--format", "dot"], 0,
+        "7cd9a2bfb8189bd5afd4639b2adebe324816fc25d2508517f4cedced57f66d45",
+    ),
 }
 
 

@@ -1,0 +1,101 @@
+"""The orbit listing of ``orbits --format json|csv`` against its reference:
+every record built from scratch and one ``json.dumps(records, indent=2)``
+pass (tests/reference_orbit_listing.py)."""
+
+from __future__ import annotations
+
+import json
+import random
+
+import pytest
+
+from gridorbits import GridShape, cli, decomposition
+from gridorbits.decomposition import flat_intersections, rank_vector_from_sw
+from gridorbits.grid_quiver import assemble_canonical
+from gridorbits.orbit_poset import orbit_by_id, orbit_count, orbit_nodes
+from gridorbits.parametrizations import sw_array
+
+from conftest import count_calls
+from reference_orbit_listing import (
+    reference_flat_rank_vector,
+    reference_orbits_csv,
+    reference_orbits_json,
+    reference_rank_vector_from_sw,
+    reference_sw_array_hash,
+)
+
+REFERENCE = {"json": reference_orbits_json, "csv": reference_orbits_csv}
+
+
+def first_difference(got, want):
+    """The first differing line of two texts, numbered from 1."""
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for number, (g, w) in enumerate(zip(got_lines, want_lines), start=1):
+        if g != w:
+            return f"line {number}: got {g!r}, want {w!r}"
+    return f"line {min(len(got_lines), len(want_lines)) + 1}: one text ends ({len(got_lines)} vs {len(want_lines)} lines)"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_listing_text_is_the_reference(n, fmt):
+    args = cli.build_parser().parse_args(["orbits", "--n", str(n), "--format", fmt])
+    got = cli._cmd_orbits(args)
+    want = REFERENCE[fmt](GridShape(n))
+    assert got == want, first_difference(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_record_hash_and_rank_vector_per_node(n):
+    shape = GridShape(n)
+    records = cli._orbit_records(shape)
+    nodes = list(orbit_nodes(shape))
+    assert len(records) == len(nodes) == orbit_count(shape)
+    for record, node in zip(records, nodes):
+        assert record["id"] == node.id
+        assert record["sw_array_hash"] == reference_sw_array_hash(node.sw)
+        assert record["rank_vector"] == reference_flat_rank_vector(node.sw)
+
+
+def test_json_listing_reads_each_table_once(monkeypatch):
+    # 52 rook tables serve all 2,704 x 3 windows at n = 3; no rank vector is
+    # built whole and no encoder pass runs over the records
+    calls = count_calls(monkeypatch, [
+        (decomposition, "table_intersections"),
+        (decomposition, "rank_vector_from_sw"),
+        (cli, "_dump"),
+    ])
+    indented = []
+    dumps = json.dumps
+
+    def counted_dumps(obj, **kwargs):
+        if kwargs.get("indent") is not None:
+            indented.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted_dumps)
+    args = cli.build_parser().parse_args(["orbits", "--n", "3", "--format", "json"])
+    cli._cmd_orbits(args)
+    assert 0 < calls["table_intersections"] <= 52
+    assert calls["rank_vector_from_sw"] == calls["_dump"] == 0
+    # the indented texts are the matchings' rows, 52 rooks of size 4
+    assert 0 < len(indented) <= 52
+    assert all(len(rows) == 4 and all(isinstance(x, str) for row in rows for x in row) for rows in indented)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rank_vector_per_table_on_every_node(n):
+    for node in orbit_nodes(GridShape(n)):
+        want = reference_rank_vector_from_sw(node.sw)
+        got = rank_vector_from_sw(node.sw)
+        assert got.inter == want.inter
+        assert flat_intersections(got) == flat_intersections(want)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_rank_vector_per_table_on_sampled_orbits(n):
+    shape = GridShape(n)
+    ids = [1, orbit_count(shape)] + random.Random(n).sample(range(2, orbit_count(shape)), 12)
+    for k in ids:
+        arr = sw_array(assemble_canonical(orbit_by_id(shape, k)))
+        assert rank_vector_from_sw(arr) == reference_rank_vector_from_sw(arr)
