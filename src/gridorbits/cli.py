@@ -2,7 +2,8 @@
 
 Every command reads/writes JSON (CSV and DOT where noted) and is
 deterministic given its flags.  Exit codes: 0 success, 1 usage error,
-2 domain error (bad input data, infeasible sizes, invalid arrays).
+2 domain error (bad input data, infeasible sizes, invalid arrays, a file
+that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -408,11 +409,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.func(args)
-    except (GridQuiverError, ValueError) as exc:
+        _emit(args.func(args), args.out)
+    except (GridQuiverError, ValueError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(text, args.out)
     return 0
 
 

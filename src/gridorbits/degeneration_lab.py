@@ -56,7 +56,6 @@ class NoPointFound(GridQuiverError):
 class DimEstimate:
     degree: int
     coefficients: tuple  # ascending, integers
-    validated: bool
 
 
 @dataclass(frozen=True)
@@ -261,7 +260,7 @@ def fit_dimension(counts, max_degree):
         if all(_poly_eval(coeffs, q) == c for q, c in pts[k + 1:]):
             if any(c.denominator != 1 for c in coeffs) or (any(c for _q, c in pts) and coeffs[-1] <= 0):
                 break
-            return DimEstimate(len(coeffs) - 1, tuple(int(c) for c in coeffs), True)
+            return DimEstimate(len(coeffs) - 1, tuple(int(c) for c in coeffs))
     raise FitFailure(
         f"no integer polynomial of degree <= {max_degree} fits {pts} with a holdout"
     )

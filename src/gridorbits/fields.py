@@ -21,7 +21,6 @@ class RationalField:
 
     zero = Fraction(0)
     one = Fraction(1)
-    char = 0
     add = operator.add
     sub = operator.sub
     mul = operator.mul
@@ -96,7 +95,6 @@ class GaloisField:
         self.q = q
         self.p = p
         self.k = k
-        self.char = p
         self.zero = 0
         self.one = 1
         decode = []

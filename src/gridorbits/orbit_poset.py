@@ -275,17 +275,16 @@ def build_poset(shape):
     the covering pairs of the componentwise array order (transitive
     reduction), found by :func:`_covers` from the up-sets of
     :func:`array_order`.  The nodes are ordered by entry sum, a linear
-    extension since a strictly larger array has a strictly larger sum, and
-    equal arrays are taken out of each other's up-sets.  The up-sets are
-    N ints of N bits, so the n >= 4 refusal of :func:`orbit_nodes` applies.
+    extension since a strictly larger array has a strictly larger sum.  The
+    up-sets are N ints of N bits, so the n >= 4 refusal of
+    :func:`orbit_nodes` applies.
     """
     nodes = tuple(orbit_nodes(shape))
     ranked = sorted(nodes, key=lambda node: sum(node.sw.flat()))
     ups = array_order([node.sw for node in ranked])  # bit j: ranked[j] at or above
-    same = {}
-    for i, node in enumerate(ranked):
-        same[node.sw] = same.get(node.sw, 0) | 1 << i
-    strict = [up & ~same[node.sw] for up, node in zip(ups, ranked)]
+    # no two nodes share an array: window (j, j) is the rook table of
+    # matching j, which pivots turns back into that rook
+    strict = [up & ~(1 << i) for i, up in enumerate(ups)]
     edges = [(ranked[j].id, ranked[i].id) for i, found in enumerate(_covers(strict)) for j in found]
     return OrbitPoset(shape, nodes, tuple(sorted(edges)))
 

@@ -12,7 +12,6 @@ but stabilisers of different dimensions.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .exact_linalg import b_reduce
@@ -36,13 +35,6 @@ class ReconstructInvalid(GridQuiverError):
         super().__init__(
             f"window ({j1},{j2}): south-west rank at ({p},{q}) is {got}, array claims {expected}"
         )
-
-
-class Order(enum.Enum):
-    LT = "LT"
-    GT = "GT"
-    EQ = "EQ"
-    INCOMPARABLE = "INCOMPARABLE"
 
 
 @dataclass(frozen=True)
@@ -167,19 +159,6 @@ def degenerates(f, g):
     if f.shape != g.shape:
         raise SizeMismatch("points have different shapes")
     return array_leq(sw_array(g), sw_array(f))
-
-
-def compare(a, b):
-    """Order of two arrays: EQ, LT (a below b), GT, or INCOMPARABLE."""
-    le = array_leq(a, b)
-    ge = array_leq(b, a)
-    if le and ge:
-        return Order.EQ
-    if le:
-        return Order.LT
-    if ge:
-        return Order.GT
-    return Order.INCOMPARABLE
 
 
 def pivots(table):

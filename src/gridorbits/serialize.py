@@ -1,9 +1,9 @@
 """JSON (de)serialization of the domain types.
 
 Scalars travel as exact strings ("3/2", "0", "-1"); integers may omit the
-denominator.  All encoders produce deterministic key order.  The readers
-refuse missing keys, extra windows or entries, mistyped values and invalid
-height vectors, naming the place.
+denominator.  All encoders produce deterministic key order.  The two
+readers, for points and for south-west arrays, refuse missing keys, missing
+or extra windows and mistyped values, naming the place.
 """
 
 from __future__ import annotations
@@ -11,18 +11,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .decomposition import RankVector, flat_intersections, inter_order
+from .decomposition import flat_intersections, inter_order
 from .exact_linalg import Matrix
 from .fields import QQ
-from .grid_quiver import (
-    Decomposition,
-    GridQuiverError,
-    GridShape,
-    SizeMismatch,
-    make_point,
-    validate_heights,
-    windows,
-)
+from .grid_quiver import GridQuiverError, GridShape, SizeMismatch, make_point, windows
 from .parametrizations import SWArray
 
 
@@ -88,39 +80,11 @@ def map_tuple_from_json(obj):
     return make_point(shape, mats)
 
 
-def height_vector_to_json(hv):
-    return {"h": list(hv.h)}
-
-
-def height_vector_from_json(obj, shape):
-    return _heights(_get(obj, "h"), shape, "key 'h'")
-
-
-def _heights(x, shape, where):
-    """A validated height vector; a refusal keeps its class and names ``where``."""
-    h = [_int(v, f"{where}, entry {k}") for k, v in _items(x, where)]
-    try:
-        return validate_heights(shape, h)
-    except GridQuiverError as exc:
-        raise type(exc)(f"{where}: {exc}") from None
-
-
 def decomposition_to_json(dec):
     return {
         "n": dec.shape.n,
         "summands": [{"h": list(h), "mult": mult} for h, mult in dec.summands],
     }
-
-
-def decomposition_from_json(obj):
-    shape = _shape(obj)
-    heights = []
-    for k, summand in _items(_get(obj, "summands"), "key 'summands'"):
-        where = f"summands item {k}"
-        mult = _int(_get(summand, "mult", where), f"{where}, mult")
-        _checked(mult, mult > 0, f"{where}, mult", "a positive integer")
-        heights.extend([_heights(_get(summand, "h", where), shape, f"{where}, h").h] * mult)
-    return Decomposition.from_heights(shape, heights)
 
 
 def rank_vector_to_json(rv):
@@ -134,32 +98,6 @@ def rank_vector_to_json(rv):
         "entries": entries,
         "flat": list(flat_intersections(rv)),
     }
-
-
-def rank_vector_from_json(obj):
-    """Inverse of :func:`rank_vector_to_json` (``flat`` is derived, not read);
-    raises SizeMismatch unless each (i, j1, j2, k) of the shape has one entry
-    and ``dims`` is size x n, and GridQuiverError unless each value is an int."""
-    shape = _shape(obj)
-    order = inter_order(shape)
-    by_key = {}
-    for e, entry in _items(_get(obj, "entries"), "key 'entries'"):
-        where = f"entries item {e}"
-        key = tuple(_int(_get(entry, c, where), f"{where}, {c}") for c in ("i", "j1", "j2", "k"))
-        if key not in order or key in by_key:
-            cell = ",".join(map(str, key))
-            raise SizeMismatch(f"entry ({cell}) is repeated or not in a rank vector of n = {shape.n}")
-        by_key[key] = _int(_get(entry, "v", where), f"{where}, v")
-    if len(by_key) < len(order):
-        missing = next(key for key in order if key not in by_key)
-        raise SizeMismatch(f"rank vector of n = {shape.n} has no entry ({','.join(map(str, missing))})")
-    dims = tuple(
-        tuple(_int(x, f"dims row {r}, entry {c}") for c, x in _items(row, f"dims row {r}"))
-        for r, row in _items(_get(obj, "dims"), "key 'dims'")
-    )
-    if len(dims) != shape.size or any(len(row) != shape.n for row in dims):
-        raise SizeMismatch(f"dims is not {shape.size} rows of {shape.n} entries")
-    return RankVector(shape, dims, tuple(by_key[key] for key in order))
 
 
 def window_to_json(window, table):
@@ -179,16 +117,18 @@ def sw_array_from_json(obj):
     and GridQuiverError unless every cell below the diagonal is null and every
     other cell an integer."""
     shape = _shape(obj)
-    size = shape.size
+    size, last = shape.size, shape.num_maps
     by_window = {}
     for k, win in _items(_get(obj, "windows"), "key 'windows'"):
         where = f"windows item {k}"
         key = tuple(_int(_get(win, j, where), f"{where}, {j}") for j in ("j1", "j2"))
-        if key not in windows(shape) or key in by_window:
+        if not 1 <= key[0] <= key[1] <= last or key in by_window:
             raise SizeMismatch(f"window ({key[0]},{key[1]}) is repeated or not in an array of n = {shape.n}")
         by_window[key] = _get(win, "table", where)
+    # the shape's windows in order, one at a time: a missing table is found
+    # within len(by_window) + 1 steps, whatever n the input claims
     tables = []
-    for (j1, j2) in windows(shape):
+    for (j1, j2) in ((j1, j2) for j1 in range(1, last + 1) for j2 in range(j1, last + 1)):
         padded = by_window.get((j1, j2))
         if padded is None:
             raise SizeMismatch(f"array of n = {shape.n} has no table for window ({j1},{j2})")

@@ -27,7 +27,7 @@ def reference_fit(counts, max_degree):
             ints = tuple(int(c) for c in coeffs)
             if any(c for _q, c in pts) and ints[-1] <= 0:
                 continue
-            return DimEstimate(len(ints) - 1, ints, True)
+            return DimEstimate(len(ints) - 1, ints)
     raise FitFailure(
         f"no integer polynomial of degree <= {max_degree} fits {pts} with a holdout"
     )

@@ -135,7 +135,7 @@ def reference_fit_dimension(counts, max_degree):
             ints = tuple(int(c) for c in coeffs)
             if any(c for _q, c in pts) and ints[-1] <= 0:
                 continue
-            return DimEstimate(len(ints) - 1, ints, True)
+            return DimEstimate(len(ints) - 1, ints)
     raise FitFailure(
         f"no integer polynomial of degree <= {max_degree} fits {pts} with a holdout"
     )
@@ -424,7 +424,6 @@ class TestEstimateDim:
         est = estimate_dim(identity_tuple(shape2), target_dims(W231), (2, 3, 5, 7))
         assert est.degree == 2
         assert est.coefficients == (1, 2, 1)
-        assert est.validated
 
     def test_zero_orbit_product_of_flags(self, shape2):
         est = estimate_dim(zero_tuple(shape2), target_dims(W231), (2, 3, 4, 5, 7))

@@ -10,13 +10,11 @@ from gridorbits import (
     GridShape,
     InvalidTable,
     Matrix,
-    Order,
     ReconstructInvalid,
     SWArray,
     SizeMismatch,
     assemble_canonical,
     borel_act,
-    compare,
     decompose,
     degenerates,
     enumerate_orbits,
@@ -148,13 +146,6 @@ class TestDegenerates:
 
     def test_reflexive(self, diag011):
         assert degenerates(diag011, diag011)
-
-    def test_compare_enum(self, diag011, single_one_12, single_one_11):
-        a, b, c = sw_array(diag011), sw_array(single_one_12), sw_array(single_one_11)
-        assert compare(a, a) is Order.EQ
-        assert compare(b, a) is Order.LT
-        assert compare(a, b) is Order.GT
-        assert compare(a, c) is Order.INCOMPARABLE
 
 
 class TestPivots:

@@ -12,31 +12,21 @@ import pytest
 
 import gridorbits
 from gridorbits import (
-    Decomposition,
-    EmptySupport,
     GridQuiverError,
     GridShape,
-    HeightOutOfRange,
-    NonMonotone,
     SizeMismatch,
     assemble_canonical,
-    decompose,
     enumerate_orbits,
+    inter_order,
     make_point,
     rank_vector,
     sw_array,
-    validate_heights,
 )
 from gridorbits import orbit_poset
 from gridorbits.cli import _orbit_by_id, build_parser, main
 from gridorbits.serialize import (
-    decomposition_from_json,
-    decomposition_to_json,
-    height_vector_from_json,
-    height_vector_to_json,
     map_tuple_from_json,
     map_tuple_to_json,
-    rank_vector_from_json,
     rank_vector_to_json,
     sw_array_from_json,
     sw_array_to_json,
@@ -70,19 +60,10 @@ class TestJsonRoundTrips:
         assert obj["maps"][0][1][1] == "-1"
         assert map_tuple_from_json(json.loads(json.dumps(obj))) == pt
 
-    def test_height_vector(self, shape3):
-        hv = validate_heights(shape3, (0, 2, 3))
-        assert height_vector_from_json(height_vector_to_json(hv), shape3) == hv
-
-    def test_decomposition(self, shape2):
-        dec = Decomposition.from_heights(shape2, [(3, 3), (2, 2), (1, 1)])
-        assert decomposition_from_json(decomposition_to_json(dec)) == dec
-
     def test_rank_vector(self, diag011):
         rv = rank_vector(diag011)
         obj = rank_vector_to_json(rv)
         assert obj["flat"] == [0, 0, 1, 0, 1, 2]
-        assert rank_vector_from_json(json.loads(json.dumps(obj))) == rv
 
     def test_sw_array_null_padding(self, diag011):
         arr = sw_array(diag011)
@@ -92,135 +73,11 @@ class TestJsonRoundTrips:
 
     def test_multi_window_round_trips(self, pair_n3):
         rv = rank_vector(pair_n3)
-        assert rank_vector_from_json(json.loads(json.dumps(rank_vector_to_json(rv)))) == rv
+        entries = rank_vector_to_json(rv)["entries"]
+        assert [(e["i"], e["j1"], e["j2"], e["k"]) for e in entries] == inter_order(pair_n3.shape)
+        assert tuple(e["v"] for e in entries) == rv.inter
         arr = sw_array(pair_n3)
         assert sw_array_from_json(json.loads(json.dumps(sw_array_to_json(arr)))) == arr
-
-
-RV_JSON = rank_vector_to_json(rank_vector(map_tuple_from_json(DIAG011_JSON)))
-
-
-def rv_with(**changes):
-    """RV_JSON with the given keys replaced; entries=k drops entry k (1-based)
-    and entries=(k, key, x) sets that entry's key to the JSON value x."""
-    obj = json.loads(json.dumps(RV_JSON))
-    if "entries" in changes:
-        change = changes.pop("entries")
-        if type(change) is int:
-            del obj["entries"][change - 1]
-        else:
-            k, key, x = change
-            obj["entries"][k - 1][key] = x
-    return {**obj, **changes}
-
-
-class TestMalformedJson:
-    @pytest.mark.parametrize(
-        "obj,error,message",
-        [
-            (
-                {"n": 2}, GridQuiverError,
-                "input must be an object with key 'entries', got an object",
-            ),
-            (
-                {**RV_JSON, "entries": {}}, GridQuiverError,
-                "key 'entries' must be an array, got an object",
-            ),
-            (
-                rv_with(entries=(2, "v", "1")), GridQuiverError,
-                'entries item 2, v must be an integer, got "1"',
-            ),
-            (
-                rv_with(entries=(2, "k", None)), GridQuiverError,
-                "entries item 2, k must be an integer, got null",
-            ),
-            (rv_with(entries=3), SizeMismatch, "rank vector of n = 2 has no entry (2,1,1,1)"),
-            (
-                rv_with(entries=(1, "k", 3)), SizeMismatch,
-                "entry (1,1,1,3) is repeated or not in a rank vector of n = 2",
-            ),
-            (
-                rv_with(entries=(2, "k", 1)), SizeMismatch,
-                "entry (1,1,1,1) is repeated or not in a rank vector of n = 2",
-            ),
-            (rv_with(dims=[[1, 1], [2, 2]]), SizeMismatch, "dims is not 3 rows of 2 entries"),
-            (
-                rv_with(dims=[[1, 1], [2, 2], [3, 3.0]]), GridQuiverError,
-                "dims row 3, entry 2 must be an integer, got 3.0",
-            ),
-            (
-                {"n": 0, "entries": [], "dims": []}, GridQuiverError,
-                "key 'n' must be an integer >= 2, got 0",
-            ),
-        ],
-    )
-    def test_rank_vector_refused(self, obj, error, message):
-        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
-            rank_vector_from_json(obj)
-        assert type(info.value) is error
-
-    @pytest.mark.parametrize(
-        "summands,error,message",
-        [
-            (
-                [{"h": [1, 1]}], GridQuiverError,
-                "summands item 1 must be an object with key 'mult', got an object",
-            ),
-            (
-                [{"mult": 1}], GridQuiverError,
-                "summands item 1 must be an object with key 'h', got an object",
-            ),
-            (
-                [{"h": [1, 1], "mult": 0}], GridQuiverError,
-                "summands item 1, mult must be a positive integer, got 0",
-            ),
-            (
-                [{"h": [1, 1], "mult": "2"}], GridQuiverError,
-                'summands item 1, mult must be an integer, got "2"',
-            ),
-            (
-                [{"h": [1, 1], "mult": 1}, {"h": [9, 9], "mult": 1}], HeightOutOfRange,
-                "summands item 2, h: heights must lie in 0..3: (9, 9)",
-            ),
-            (
-                [{"h": [1, 1, 1], "mult": 1}], SizeMismatch,
-                "summands item 1, h: expected 2 heights, got 3",
-            ),
-            (
-                [{"h": [1, "1"], "mult": 1}], GridQuiverError,
-                'summands item 1, h, entry 2 must be an integer, got "1"',
-            ),
-            ("x", GridQuiverError, 'key \'summands\' must be an array, got "x"'),
-        ],
-    )
-    def test_decomposition_refused(self, summands, error, message):
-        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
-            decomposition_from_json({"n": 2, "summands": summands})
-        assert type(info.value) is error
-
-    def test_decomposition_shape_refused(self):
-        message = "key 'n' must be an integer >= 2, got 1"
-        with pytest.raises(GridQuiverError, match=f"^{re.escape(message)}$") as info:
-            decomposition_from_json({"n": 1, "summands": []})
-        assert type(info.value) is GridQuiverError
-
-    @pytest.mark.parametrize(
-        "obj,error,message",
-        [
-            ({"h": "ab"}, GridQuiverError, 'key \'h\' must be an array, got "ab"'),
-            ({"h": [1, True]}, GridQuiverError, "key 'h', entry 2 must be an integer, got true"),
-            ({}, GridQuiverError, "input must be an object with key 'h', got an object"),
-            (
-                {"h": [2, 1]}, NonMonotone,
-                "key 'h': heights (2, 1) are not weakly increasing on the support",
-            ),
-            ({"h": [0, 0]}, EmptySupport, "key 'h': height vector with empty support"),
-        ],
-    )
-    def test_height_vector_refused(self, shape2, obj, error, message):
-        with pytest.raises(error, match=f"^{re.escape(message)}$") as info:
-            height_vector_from_json(obj, shape2)
-        assert type(info.value) is error
 
 
 def run_cli(*args, stdin=None):
@@ -236,6 +93,36 @@ def run_cli(*args, stdin=None):
         input=stdin,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_public_api_inventory():
+    # every name the package exports; a new or removed name must be changed here
+    assert sorted(gridorbits.__all__) == [
+        "CountReport", "DEFAULT_BUDGET", "DEFAULT_QS", "Decomposition", "DimEstimate",
+        "EmptySupport", "FitFailure", "FlatScanResult", "FlatScanRow", "GF",
+        "GaloisField", "GridQuiverError", "GridShape", "HeightOutOfRange",
+        "HeightVector", "HomReport", "InfeasibleSize", "InvalidDecomposition",
+        "InvalidTable", "MapTuple", "Matrix", "NoPointFound", "NonContiguousSupport",
+        "NonMonotone", "OrbitNode", "OrbitPoset", "QQ", "RankVector", "RationalField",
+        "ReconstructInvalid", "SWArray", "SizeMismatch", "SolveFailure",
+        "TriangularityViolation", "array_leq", "array_order", "assemble_canonical",
+        "b_reduce", "bell", "borel_act", "build_poset", "column_heights",
+        "contains_pattern", "count_report", "decompose", "decomposition", "degenerates",
+        "degeneration_lab", "dims_of_heights", "e_grid", "enumerate_indecomposables",
+        "enumerate_orbits", "estimate_dim", "euler_form", "exact_linalg", "export_dot",
+        "f2_census", "f2_distinct_count", "fields", "fit_dimension",
+        "flat_intersections", "flat_scan", "full_dim_grid", "full_vector",
+        "grid_quiver", "heights_rank_vector", "hom_report", "identity_tuple",
+        "independence_check", "inter_order", "inverse", "is_prime_power", "is_smooth",
+        "is_upper_triangular", "length", "make_point", "matchings_sw_array",
+        "matchings_to_decomposition", "orbit_by_id", "orbit_count", "orbit_nodes",
+        "orbit_poset", "order_matchings", "parametrizations", "pivots", "point_counts",
+        "principal_block", "r_grid", "rank", "rank_vector", "rank_vector_from_sw",
+        "reconstruct", "rep_variety_count", "rook_table", "same_orbit",
+        "same_rank_vector", "schubert", "subrep_count", "subspaces", "sw_array",
+        "sw_table", "target_dims", "validate_array_inequalities", "validate_heights",
+        "windows", "zero_tuple",
+    ]
 
 
 def test_engine_runs_without_numpy():
@@ -375,6 +262,11 @@ class TestCli:
                 "window (1,1), cell (3,2) must be null, got 0",
             ),
             ({"n": 1, "windows": []}, "key 'n' must be an integer >= 2, got 1"),
+            (
+                {"n": 2, "windows": [{"j1": 1, "j2": 1, "table": zero_table_with(1, 2, 3.0)}]},
+                "window (1,1), cell (1,2) must be an integer, got 3.0",
+            ),
+            ({"n": 2, "windows": {}}, "key 'windows' must be an array, got an object"),
         ],
     )
     def test_malformed_array_refused(self, arr, message, tmp_path, capsys):
@@ -388,6 +280,37 @@ class TestCli:
         path.write_text(json.dumps(arr))
         assert main(["validate-array", str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "win,message",
+        [
+            (
+                {"j1": 1, "j2": 1, "table": ZERO_TABLE},
+                "window (1,1): table is not 1000001 rows of 1000001 entries",
+            ),
+            (
+                {"j1": 2, "j2": 5, "table": ZERO_TABLE},
+                "array of n = 1000000 has no table for window (1,1)",
+            ),
+            (
+                {"j1": 5, "j2": 10 ** 6},
+                "window (5,1000000) is repeated or not in an array of n = 1000000",
+            ),
+        ],
+    )
+    def test_large_n_array_refused_without_listing_windows(self, win, message, monkeypatch):
+        # n = 10**6 has about 5 * 10**11 windows; a one-window input is
+        # refused after a step or two, without building the shape's list
+        from gridorbits import grid_quiver, serialize
+
+        def windows(shape):
+            if shape.n > 100:
+                raise AssertionError(f"the reader listed the windows of n = {shape.n}")
+            return grid_quiver.windows(shape)
+
+        monkeypatch.setattr(serialize, "windows", windows)
+        with pytest.raises(SizeMismatch, match=f"^{re.escape(message)}$"):
+            sw_array_from_json({"n": 10 ** 6, "windows": [win]})
 
     @pytest.mark.parametrize(
         "point,message",
@@ -415,6 +338,16 @@ class TestCli:
         assert main(["sw-array", str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_file_errors_are_domain_errors(self, diag011_file, tmp_path):
+        # a missing input and an --out in a missing directory: exit 2 and
+        # one error line naming the file, no traceback
+        missing = str(tmp_path / "missing.json")
+        unwritable = str(tmp_path / "nodir" / "x.json")
+        for args, path in (((missing,), missing), ((diag011_file, "--out", unwritable), unwritable)):
+            code, out, err = run_cli("sw-array", *args)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and path in err and err.count("\n") == 1
+
     def test_exact_scalars_accepted(self):
         # integers and exact strings, decimal ones included, read exactly
         point = map_tuple_from_json({"n": 2, "maps": [[[0, "1/2", "0.1"], [0, 1, "-3"], [0, 0, "2"]]]})
@@ -424,8 +357,8 @@ class TestCli:
     def test_decompose_and_canonical(self, diag011_file):
         code, out, _ = run_cli("decompose", diag011_file)
         assert code == 0
-        dec = decomposition_from_json(json.loads(out))
-        assert {h for h, _m in dec.summands} == {(0, 3), (1, 1), (2, 2), (3, 0)}
+        summands = json.loads(out)["summands"]
+        assert {tuple(s["h"]) for s in summands} == {(0, 3), (1, 1), (2, 2), (3, 0)}
         code, out, _ = run_cli("canonical", diag011_file)
         assert code == 0
         assert json.loads(out) == DIAG011_JSON
