@@ -28,6 +28,7 @@ from .grid_quiver import (
     GridQuiverError,
     GridShape,
     assemble_canonical,
+    decomposition_text,
     identity_tuple,
     rook_of_matching,
     windows,
@@ -185,8 +186,12 @@ def _orbit_listing(shape):
     of the hashed array text.  A record's
     rank vector joins its tables' entries in window order, and its
     ``sw_array_hash`` is the sha256 of ``json.dumps(sw_array_to_json(sw),
-    sort_keys=True)``, joined from its windows' parts.
+    sort_keys=True)``, joined from its windows' parts.  Its decomposition
+    joins the texts of its summands, each made once per listing
+    (:func:`decomposition_text`).
     """
+    nodes = orbit_nodes(shape)  # refuses n >= 4 before anything is built
+
     def maps_piece(matching):
         rows = [[str(x) for x in row] for row in rook_of_matching(shape.size, dict(matching))]
         return rows, json.dumps(rows, indent=2).replace("\n", "\n" + "  " * 3)
@@ -198,15 +203,16 @@ def _orbit_listing(shape):
     maps_of = _Pieces(maps_piece)
     rank_vector_of = _Pieces(rank_vector_piece)
     hashed_of = _Pieces(lambda key: json.dumps(window_to_json(*key), sort_keys=True))
+    summand_texts = {}
     head = json.dumps({"n": shape.n, "windows": []})[:-2]  # up to the windows' "["
     wins = windows(shape)
     keys = ("id", "decomposition", "rank_vector", "sw_array_hash", "maps")
     fields = [f"    {json.dumps(key)}: " for key in keys]
-    for node in orbit_nodes(shape):
+    for node in nodes:
         maps = [maps_of[tuple(sorted(m.items()))] for m in node.matchings]
         rank_vector = [rank_vector_of[table] for table in node.sw.tables]
         hashed = head + ", ".join(hashed_of[key] for key in zip(wins, node.sw.tables)) + "]}"
-        decomposition = str(node.decomposition)
+        decomposition = decomposition_text(node.decomposition, summand_texts)
         digest = hashlib.sha256(hashed.encode()).hexdigest()
         texts = (
             json.dumps(node.id),
@@ -251,15 +257,23 @@ def _cmd_poset(args):
     poset = build_poset(GridShape(args.n))
     if args.format == "dot":
         return export_dot(poset)
-    return _dump({
-        "nodes": [
-            {"id": node.id, "decomposition": str(node.decomposition)}
-            for node in poset.nodes
-        ],
-        "edges": [[u, v] for u, v in poset.edges],
-        "maximal": poset.maximal(),
-        "minimal": poset.minimal(),
-    })
+    # json.dumps(..., indent=2) of the nodes, edges, maximal and minimal ids,
+    # written from pieces, each summand's text made once
+    summand_texts = {}
+    inner, close = "\n" + "  " * 3, "\n" + "  " * 2
+    nodes = [
+        f'{{{inner}"id": {node.id},{inner}"decomposition": '
+        f'{json.dumps(decomposition_text(node.decomposition, summand_texts))}{close}}}'
+        for node in poset.nodes
+    ]
+    lists = {
+        "nodes": nodes,
+        "edges": [f"[{inner}{u},{inner}{v}{close}]" for u, v in poset.edges],
+        "maximal": [str(k) for k in poset.maximal()],
+        "minimal": [str(k) for k in poset.minimal()],
+    }
+    body = ",\n".join(f"  {json.dumps(key)}: {_json_list(items, 1)}" for key, items in lists.items())
+    return "{\n" + body + "\n}\n"
 
 
 def _cmd_schubert(args):
@@ -397,7 +411,7 @@ def build_parser():
     common(p, fmt=None)
     p.set_defaults(func=_cmd_validate_array)
 
-    p = sub.add_parser("count-report", help="orbit counts from independent oracles")
+    p = sub.add_parser("count-report", help="orbit counts from independent oracles (n <= 64)")
     p.add_argument("--n", type=int, required=True)
     common(p, fmt=None)
     p.set_defaults(func=_cmd_count_report)

@@ -116,14 +116,6 @@ class Decomposition:
     shape: GridShape
     summands: tuple  # ((h, mult), ...)
 
-    @classmethod
-    def from_heights(cls, shape, heights):
-        counts = {}
-        for h in heights:
-            h = tuple(h)
-            counts[h] = counts.get(h, 0) + 1
-        return cls(shape, tuple(sorted(counts.items())))
-
     def heights(self):
         """All summands, with multiplicity, as a sorted list of tuples."""
         out = []
@@ -132,11 +124,28 @@ class Decomposition:
         return out
 
     def __str__(self):
-        parts = []
-        for h, mult in self.summands:
-            body = "U(" + ",".join(str(x) for x in h) + ")"
-            parts.append(body if mult == 1 else f"{mult}*{body}")
-        return "+".join(parts)
+        return "+".join(map(summand_text, self.summands))
+
+
+def summand_text(summand):
+    """The text of one ``(h, mult)`` summand of a :class:`Decomposition`,
+    ``U(h_1,...,h_n)`` with a ``mult*`` prefix when mult > 1; the text of a
+    decomposition joins its summands' texts with ``+``."""
+    h, mult = summand
+    body = "U(" + ",".join(map(str, h)) + ")"
+    return body if mult == 1 else f"{mult}*{body}"
+
+
+def decomposition_text(dec, texts):
+    """``str(dec)``, joined from the texts of its summands.  ``texts`` is a
+    dict from summands to their :func:`summand_text`, filled as needed, so
+    a caller that labels many decompositions with one dict makes each
+    summand's text once."""
+    summands = dec.summands
+    for summand in summands:
+        if summand not in texts:
+            texts[summand] = summand_text(summand)
+    return "+".join([texts[summand] for summand in summands])
 
 
 def make_point(shape, mats):
@@ -313,22 +322,30 @@ def matchings_to_decomposition(shape, matchings):
     j+1 (weakly increasing pairs, each height used at most once per side).
     Heights with no left partner start a summand; following right partners
     yields its height chain.
+
+    No two chains are equal, so each summand has multiplicity 1, and they
+    come out sorted: chains that start in one column start at different
+    heights, and a chain that starts in a later column has a 0 where an
+    earlier one has its first height.  So the walk runs over the start
+    columns from last to first and over the heights upward.
     """
-    size = shape.size
-    heights = []
-    for start_col in range(1, shape.n + 1):
-        for h0 in range(1, size + 1):
-            if start_col > 1 and h0 in matchings[start_col - 2].values():
+    n, heights = shape.n, range(1, shape.size + 1)
+    summands = []
+    for start in range(n - 1, -1, -1):  # 0-based start column
+        taken = set(matchings[start - 1].values()) if start else ()
+        rest = matchings[start:]
+        lead = (0,) * start
+        for h0 in heights:
+            if h0 in taken:
                 continue
-            chain = [h0]
-            col = start_col
-            while col <= shape.n - 1 and chain[-1] in matchings[col - 1]:
-                chain.append(matchings[col - 1][chain[-1]])
-                col += 1
-            h = [0] * shape.n
-            h[start_col - 1:start_col - 1 + len(chain)] = chain
-            heights.append(tuple(h))
-    return Decomposition.from_heights(shape, heights)
+            chain, h = [h0], h0
+            for m in rest:
+                h = m.get(h)
+                if h is None:
+                    break
+                chain.append(h)
+            summands.append((lead + tuple(chain) + (0,) * (n - start - len(chain)), 1))
+    return Decomposition(shape, tuple(summands))
 
 
 def borel_act(point, hs):

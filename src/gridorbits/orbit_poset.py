@@ -3,18 +3,21 @@
 Decomposable orbits are enumerated combinatorially: between each pair of
 adjacent columns, the heights 1..n+1 are partially matched with every
 matched pair weakly increasing, and matchings of different column pairs are
-independent.  Chaining the matchings yields the decomposition; their rooks
-(0/1 partial permutation matrices) form the canonical representative, whose
-south-west array is read off the matchings, so no Fraction matrix is built,
-multiplied or reduced.  The array order is one up-set per array, a Python
-int used as a bitset, and the poset's covers are read off the up-sets.  The
-product order of the matchings numbers the orbits 1..b_(n+2)^(n-1); these
-ids index the census, the poset and the experiment commands.  An
-exhaustive F_2 census of south-west arrays provides an independent check
-for n <= 3: it holds every enumerated orbit's array, plus those of tuples
-with no thin decomposition.  It runs over the tuples whose first map is a
-rook (a partial permutation matrix), which over F_2 realise every array,
-and keeps one such tuple per array.
+independent.  Chaining the matchings yields the decomposition, its summands
+walked in sorted order; their rooks (0/1 partial permutation matrices) form
+the canonical representative, whose south-west array is read off the
+matchings, one table per composed matching shared by all orbits, so no
+Fraction matrix is built, multiplied or reduced.  The array order is one
+up-set per array, a Python int used as a bitset: the AND of one up-set per
+window, each made once per distinct table there; the poset's covers are
+read off the up-sets.  The product order of the matchings numbers the
+orbits 1..b_(n+2)^(n-1); these ids index the census, the poset and the
+experiment commands.  An exhaustive F_2 census of south-west arrays
+provides an independent check for n <= 3: it holds every enumerated orbit's
+array, plus those of tuples with no thin decomposition.  It runs over the
+tuples whose first map is a rook (a partial permutation matrix), which over
+F_2 realise every array, keys them by the ids of their window tables, and
+keeps one such tuple per array.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .grid_quiver import (
     Decomposition,
     GridQuiverError,
     InfeasibleSize,
+    decomposition_text,
     matchings_to_decomposition,
     rook_of_matching,
 )
@@ -69,21 +73,32 @@ def order_matchings(size):
     return out
 
 
+# b_(n+2)^(n-1) has 4,278 digits at n = 64 and 4,431 at n = 65, past the
+# 4,300 digits Python writes an int in by default, so counts stop at n = 64
+MAX_COUNT_N = 64
+_PAST_MAX_COUNT = "more than 10^4300"
+
+
 def orbit_count(shape):
     """Number of decomposable orbits, b_(n+2)^(n-1): the n-1 column pairs
     are matched independently, each in b_(n+2) ways (the Bell number of
-    size+1), so nothing is enumerated."""
+    size+1), so nothing is enumerated.  Raises InfeasibleSize past
+    n = :data:`MAX_COUNT_N` before it computes anything."""
+    if shape.n > MAX_COUNT_N:
+        raise InfeasibleSize(
+            f"n = {shape.n} has {_PAST_MAX_COUNT} orbit nodes; "
+            f"orbit counts stop at n = {MAX_COUNT_N}")
     return bell(shape.size + 1) ** shape.num_maps
 
 
 def _matching_tuples(shape):
-    """Each decomposable orbit's per-pair matchings in id order.  Raises
-    InfeasibleSize on its first step for n >= 4, where the orbit listings
-    stop."""
+    """An iterator over each decomposable orbit's per-pair matchings in id
+    order.  Raises InfeasibleSize when called for n >= 4, where the orbit
+    listings stop."""
     if shape.n >= 4:
-        raise InfeasibleSize(
-            f"n = {shape.n} has {orbit_count(shape)} orbit nodes; orbit listings stop at n = 3")
-    yield from itertools.product(order_matchings(shape.size), repeat=shape.num_maps)
+        count = orbit_count(shape) if shape.n <= MAX_COUNT_N else _PAST_MAX_COUNT
+        raise InfeasibleSize(f"n = {shape.n} has {count} orbit nodes; orbit listings stop at n = 3")
+    return itertools.product(order_matchings(shape.size), repeat=shape.num_maps)
 
 
 def enumerate_orbits(shape):
@@ -125,7 +140,11 @@ def f2_census(shape):
 
     Returns a dict from each distinct array (an :class:`SWArray`) to one
     realising tuple whose first map is a rook, as nested 0/1 tuples in map
-    order.  Pass a representative to :func:`make_point` to read it over Q.
+    order, in order of first appearance.  Pass a representative to
+    :func:`make_point` to read it over Q.  The 1024 codes at n = 3 have 52
+    distinct tables, so the loop keys each tuple by the triple of its
+    windows' table ids, small ints, and each distinct array is wrapped in
+    an :class:`SWArray` once at the end.
 
     Ranks of the canonical 0/1 representatives are field independent, so
     every decomposable orbit's array shows up.  Read over Q, each
@@ -151,7 +170,9 @@ def f2_census(shape):
     rook_codes = [sum(bit[i, j] for i, j in positions if rook[i][j]) for rook in rooks]
     if shape.num_maps == 1:
         return {SWArray(shape, (tables[r],)): (code_mats[r],) for r in rook_codes}
-    census = {}  # keyed by the table triple; each distinct one is wrapped once
+    ids = {}  # each distinct table's id, in order of first appearance
+    table_id = [ids.setdefault(table, len(ids)) for table in tables]
+    census = {}  # keyed by the triple of table ids; each is wrapped once
     for rook, r in zip(rooks, rook_codes):
         # windows run (1,1), (1,2), (2,2); window (1,2) is f2·r, whose column
         # k is f2's column j when r has its 1 in row j at column k, so each
@@ -165,9 +186,15 @@ def f2_census(shape):
         for f2 in codes[1:]:
             low = f2 & -f2
             prods[f2] = prods[f2 ^ low] | moved[low]
+        first, rook_mat = table_id[r], code_mats[r]
         for f2, p in enumerate(prods):
-            census.setdefault((tables[r], tables[p], tables[f2]), (code_mats[r], code_mats[f2]))
-    return {SWArray(shape, key): rep for key, rep in census.items()}
+            key = (first, table_id[p], table_id[f2])
+            if key not in census:
+                census[key] = (rook_mat, code_mats[f2])
+    distinct = list(ids)
+    return {
+        SWArray(shape, tuple(distinct[k] for k in key)): rep for key, rep in census.items()
+    }
 
 
 def f2_distinct_count(shape):
@@ -197,6 +224,9 @@ def count_report(shape):
     (acceptance criterion 6); the formula, 104, matches neither.  The
     census visits only the tuples whose first map is a rook, which over F_2
     realise every array, and files one of them per array (:func:`f2_census`).
+
+    Answers up to n = :data:`MAX_COUNT_N` = 64 and raises InfeasibleSize
+    past it, before it computes anything (:func:`orbit_count`).
     """
     f2 = f2_distinct_count(shape) if shape.n <= 3 else None
     return CountReport(orbit_count(shape), f2, (shape.n - 1) * bell(shape.n + 2))
@@ -241,12 +271,14 @@ def orbit_nodes(shape):
     by every node (52 rooks at n = 3), so no window is multiplied or
     reduced.  The matchings are the dicts of :func:`order_matchings`,
     shared between nodes.  Nodes are built one at a time; raises
-    InfeasibleSize on the first step for n >= 4 (b_6^3 = 8,365,427 nodes).
+    InfeasibleSize when called for n >= 4 (b_6^3 = 8,365,427 nodes).
     """
     tables = {}
-    for idx, combo in enumerate(_matching_tuples(shape), start=1):
-        dec = matchings_to_decomposition(shape, combo)
-        yield OrbitNode(idx, dec, matchings_sw_array(shape, combo, tables), combo)
+    return (
+        OrbitNode(idx, matchings_to_decomposition(shape, combo),
+                  matchings_sw_array(shape, combo, tables), combo)
+        for idx, combo in enumerate(_matching_tuples(shape), start=1)
+    )
 
 
 def array_order(arrays):
@@ -254,12 +286,41 @@ def array_order(arrays):
     up-sets: bit j of ``ups[i]`` is set when arrays[i] <= arrays[j] in every
     entry (:func:`~gridorbits.parametrizations.array_leq`).
 
-    For each entry and value v, ``at_least[v]`` holds the arrays whose entry
-    there is at least v; an array's up-set is the AND of these sets over its
-    entries.  Python ints are the bitsets, N ints of N bits for N arrays.
+    An array's up-set is the AND over windows of its window up-set: the
+    arrays whose table there is at least its own in every entry.  Each
+    window groups the arrays by table (52 tables at n = 3), so one up-set
+    is built per distinct table, as the OR of the groups of the tables at
+    or above it (:func:`_up_sets`).  Python ints are the bitsets, N ints of
+    N bits for N arrays.
     """
     ups = [(1 << len(arrays)) - 1] * len(arrays)
-    for column in zip(*(arr.flat() for arr in arrays)):
+    for column in zip(*(arr.tables for arr in arrays)):
+        slot = {}  # each distinct table's index
+        which = [slot.setdefault(table, len(slot)) for table in column]
+        groups = [0] * len(slot)
+        for j, k in enumerate(which):
+            groups[k] |= 1 << j
+        above = []
+        for up in _up_sets([[v for row in table for v in row] for table in slot]):
+            acc = 0
+            while up:
+                low = up & -up
+                acc |= groups[low.bit_length() - 1]
+                up ^= low
+            above.append(acc)
+        ups = [up & above[k] for up, k in zip(ups, which)]
+    return ups
+
+
+def _up_sets(rows):
+    """Bit j of entry i is set when rows[i] <= rows[j] in every place.
+
+    For each place and value v, ``at_least[v]`` holds the rows whose entry
+    there is at least v; a row's up-set is the AND of these sets over its
+    places.
+    """
+    ups = [(1 << len(rows)) - 1] * len(rows)
+    for column in zip(*rows):
         at_least = [0] * (max(column) + 1)
         for j, v in enumerate(column):
             at_least[v] |= 1 << j
@@ -280,7 +341,9 @@ def build_poset(shape):
     :func:`orbit_nodes` applies.
     """
     nodes = tuple(orbit_nodes(shape))
-    ranked = sorted(nodes, key=lambda node: sum(node.sw.flat()))
+    ranked = sorted(
+        nodes, key=lambda node: sum(map(sum, itertools.chain.from_iterable(node.sw.tables)))
+    )
     ups = array_order([node.sw for node in ranked])  # bit j: ranked[j] at or above
     # no two nodes share an array: window (j, j) is the rook table of
     # matching j, which pivots turns back into that rook
@@ -318,8 +381,10 @@ def export_dot(poset):
         "  rankdir=TB;",
         '  node [shape=box, fontname="Helvetica"];',
     ]
+    texts = {}  # each summand's text, made once per call
     for node in poset.nodes:
-        lines.append(f'  o{node.id} [label="{node.id}: {node.decomposition}"];')
+        label = decomposition_text(node.decomposition, texts)
+        lines.append(f'  o{node.id} [label="{node.id}: {label}"];')
     for upper, lower in poset.edges:
         lines.append(f"  o{upper} -> o{lower};")
     lines.append("}")

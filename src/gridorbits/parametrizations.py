@@ -96,20 +96,25 @@ def matchings_sw_array(shape, matchings, tables=None):
 
     Window (j1, j2) of that point is the rook of the composed matching
     m_j2 ∘ ... ∘ m_j1, and its table is that rook's :func:`rook_table`, so
-    no matrix is multiplied or reduced.  ``tables`` memoises the table per
-    composed matching across calls.
+    no matrix is multiplied or reduced.  The composed matching is kept as
+    its image vector, a tuple whose entry a - 1 is the height a reaches, or
+    0 once a's chain has dropped; one more map ``step`` sends ``c`` to
+    ``tuple(step.get(b, 0) for b in c)``.  ``tables`` memoises the table
+    per image vector across calls.
     """
     if tables is None:
         tables = {}
+    size = shape.size
     out = []
     for j1 in range(shape.num_maps):
-        composed = {a: a for a in range(1, shape.size + 1)}
+        image = range(1, size + 1)
         for step in matchings[j1:]:
-            composed = {a: step[b] for a, b in composed.items() if b in step}
-            key = tuple(sorted(composed.items()))
-            if key not in tables:
-                tables[key] = rook_table(rook_of_matching(shape.size, composed))
-            out.append(tables[key])
+            image = tuple([step.get(b, 0) for b in image])
+            table = tables.get(image)
+            if table is None:
+                composed = {a: b for a, b in enumerate(image, start=1) if b}
+                table = tables[image] = rook_table(rook_of_matching(size, composed))
+            out.append(table)
     return SWArray(shape, tuple(out))
 
 

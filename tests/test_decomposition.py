@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from gridorbits import (
-    Decomposition,
     GridShape,
     SolveFailure,
     assemble_canonical,
@@ -32,6 +31,10 @@ from gridorbits.exact_linalg import solve_unique
 from gridorbits.parametrizations import pivots
 
 from conftest import DECOMP_N3, INDECOMPOSABLE_VECTORS_12, random_borel, random_point
+from reference_decomposition import (
+    decomposition_from_heights,
+    reference_matchings_to_decomposition,
+)
 from reference_rank_vectors import reference_heights_rank_vector
 
 
@@ -95,7 +98,7 @@ def solve_decomposition(point):
     for hv, mult in zip(indecs, solve_unique(columns, target)):
         assert mult.denominator == 1 and mult >= 0, (hv.h, mult)
         heights.extend([hv.h] * int(mult))
-    return Decomposition.from_heights(shape, heights)
+    return decomposition_from_heights(shape, heights)
 
 
 def reference_decompose(point):
@@ -109,7 +112,7 @@ def reference_decompose(point):
         {size + 1 - q: size + 1 - p for p, q in pivots(arr.table(j, j))}
         for j in range(1, shape.num_maps + 1)
     ]
-    dec = matchings_to_decomposition(shape, matchings)
+    dec = reference_matchings_to_decomposition(shape, matchings)
     if sw_array(assemble_canonical(dec)) != arr:
         raise SolveFailure("no thin decomposition")
     return dec

@@ -1,9 +1,9 @@
+import itertools
 import random
 
 import pytest
 
 from gridorbits import (
-    Decomposition,
     EmptySupport,
     GridShape,
     HeightOutOfRange,
@@ -21,6 +21,8 @@ from gridorbits import (
     identity_tuple,
     is_upper_triangular,
     make_point,
+    matchings_to_decomposition,
+    order_matchings,
     validate_heights,
     windows,
     zero_tuple,
@@ -29,6 +31,10 @@ from gridorbits.grid_quiver import window_products
 from gridorbits.orbit_poset import enumerate_orbits
 
 from conftest import DECOMP_N3, PAIR_N3, random_point
+from reference_decomposition import (
+    decomposition_from_heights,
+    reference_matchings_to_decomposition,
+)
 from reference_windows import reference_compose_window
 
 
@@ -109,21 +115,21 @@ class TestEnumerateIndecomposables:
 
 class TestAssembleCanonical:
     def test_identity_decomposition(self, shape2):
-        dec = Decomposition.from_heights(shape2, [(3, 3), (2, 2), (1, 1)])
+        dec = decomposition_from_heights(shape2, [(3, 3), (2, 2), (1, 1)])
         assert assemble_canonical(dec) == identity_tuple(shape2)
 
     def test_published_pair(self, shape3, pair_n3):
-        dec = Decomposition.from_heights(shape3, DECOMP_N3)
+        dec = decomposition_from_heights(shape3, DECOMP_N3)
         assert assemble_canonical(dec) == pair_n3
 
     def test_all_singletons_give_zero(self, shape2):
-        dec = Decomposition.from_heights(
+        dec = decomposition_from_heights(
             shape2, [(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3)]
         )
         assert assemble_canonical(dec) == zero_tuple(shape2)
 
     def test_invalid_column_heights(self, shape2):
-        dec = Decomposition.from_heights(shape2, [(3, 3), (3, 0), (2, 0), (0, 1), (0, 2)])
+        dec = decomposition_from_heights(shape2, [(3, 3), (3, 0), (2, 0), (0, 1), (0, 2)])
         with pytest.raises(InvalidDecomposition):
             assemble_canonical(dec)
 
@@ -150,6 +156,24 @@ class TestAssembleCanonical:
                 assert all(comp.data[i][j] == 1 for i, j in ones)
                 assert len({i for i, _ in ones}) == len(ones)
                 assert len({j for _, j in ones}) == len(ones)
+
+
+class TestMatchingsToDecomposition:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_every_tuple_matches_the_reference(self, n):
+        shape = GridShape(n)
+        for combo in itertools.product(order_matchings(shape.size), repeat=n - 1):
+            want = reference_matchings_to_decomposition(shape, combo)
+            assert matchings_to_decomposition(shape, combo) == want
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_sampled_tuples_match_the_reference(self, n, rng):
+        shape = GridShape(n)
+        matchings = order_matchings(shape.size)
+        for _ in range(200):
+            combo = [rng.choice(matchings) for _ in range(n - 1)]
+            want = reference_matchings_to_decomposition(shape, combo)
+            assert matchings_to_decomposition(shape, combo) == want
 
 
 class TestBorelAct:

@@ -38,7 +38,8 @@ from gridorbits import (
 import gridorbits.cli as cli
 import gridorbits.degeneration_lab as degeneration_lab
 import gridorbits.orbit_poset as orbit_poset
-from gridorbits.grid_quiver import rook_point
+from gridorbits.grid_quiver import rook_of_matching, rook_point
+from gridorbits.parametrizations import rook_table
 from gridorbits.serialize import map_tuple_to_json
 
 from conftest import CANONICAL_15, HASSE_EDGES_15, RANK_VECTORS_15, count_calls
@@ -344,11 +345,17 @@ class TestClosedFormArrays:
 
     def test_compositions_are_rooks(self, shape3):
         # every window of every n = 3 orbit is one of the 52 rooks of size 4,
-        # so a shared memo counts 52 tables for all 2,704 x 3 windows
+        # so a shared memo counts 52 tables for all 2,704 x 3 windows; the
+        # memo is keyed by image vectors, entry a - 1 the height a reaches
+        # (0 once dropped), one per matching
         tables = {}
         combos = list(itertools.product(order_matchings(4), repeat=2))
         arrays = [matchings_sw_array(shape3, combo, tables) for combo in combos]
-        assert set(tables) == {tuple(sorted(m.items())) for m in order_matchings(4)}
+        assert len(tables) == 52
+        assert tables == {
+            tuple(m.get(a, 0) for a in range(1, 5)): rook_table(rook_of_matching(4, m))
+            for m in order_matchings(4)
+        }
         assert arrays == [matchings_sw_array(shape3, combo) for combo in combos]
 
     def test_census_commands_neither_multiply_nor_reduce(self, monkeypatch, capsys):
@@ -363,6 +370,28 @@ class TestClosedFormArrays:
             assert cli.main([command, "--n", "3"]) == 0
         assert capsys.readouterr().out
         assert calls == {"sw_array": 0, "b_reduce": 0, "window_products": 0}
+
+    @pytest.mark.parametrize("argv", [
+        ["orbits", "--n", "3", "--format", "json"],
+        ["poset", "--n", "3", "--format", "dot"],
+    ])
+    def test_summand_texts_made_once_per_listing(self, argv, monkeypatch, capsys):
+        # a label joins its summands' texts, each made once per command
+        from gridorbits import grid_quiver
+
+        made = []
+        original = grid_quiver.summand_text
+
+        def counted(summand):
+            made.append(summand)
+            return original(summand)
+
+        for module in (grid_quiver, cli, orbit_poset):  # each binding by name
+            if getattr(module, "summand_text", None) is original:
+                monkeypatch.setattr(module, "summand_text", counted)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out
+        assert made and len(made) == len(set(made))
 
     def test_orbits_listing_builds_no_point(self, monkeypatch, capsys):
         # each record's maps are written off its matchings' rooks

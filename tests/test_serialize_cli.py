@@ -441,6 +441,26 @@ class TestCli:
         assert "8365427 orbit nodes" in err
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("n", [65, 1000])
+    @pytest.mark.parametrize("command", ["orbits", "poset", "count-report"])
+    def test_counts_past_n64_refused(self, command, n, capsys):
+        # b_(n+2)^(n-1) has 4,431 digits at n = 65: refused before it is
+        # computed or written, not by Python's integer-to-text limit
+        start = time.perf_counter()
+        code = main([command, "--n", str(n)])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: n = {n} has more than 10^4300 orbit nodes;" in err
+        assert "digits" not in err
+        assert elapsed < 1.0
+
+    def test_count_report_answers_at_n64(self, capsys):
+        assert main(["count-report", "--n", "64"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["enumerated"] == orbit_poset.bell(66) ** 63
+        assert report["f2_distinct"] is None
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_orbit_ids_index_the_enumeration(self, n):
         shape = GridShape(n)
