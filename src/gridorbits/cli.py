@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -31,6 +32,7 @@ from .grid_quiver import (
     decomposition_text,
     identity_tuple,
     rook_of_matching,
+    rook_point,
     windows,
     zero_tuple,
 )
@@ -113,7 +115,7 @@ def _orbit_by_id(shape, token):
         orbit_id = int(token)
     except ValueError:
         raise ValueError(f"--orbit must be an orbit id, 'identity' or 'zero', got {token!r}") from None
-    return assemble_canonical(orbit_by_id(shape, orbit_id))
+    return rook_point(shape, orbit_by_id(shape, orbit_id).matchings)
 
 
 def _cmd_rank_vector(args):
@@ -152,18 +154,6 @@ def _cmd_degenerates(args):
     return ("true" if degenerates(f, g) else "false") + "\n"
 
 
-class _Pieces(dict):
-    """Pieces of a listing, each made from its key on first use."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        self[key] = value = self.make(key)
-        return value
-
-
 def _json_list(items, depth):
     """A nonempty list nested ``depth`` levels deep as ``json.dumps(...,
     indent=2)`` writes it, from the texts of its items; a text may hold
@@ -173,84 +163,79 @@ def _json_list(items, depth):
 
 
 def _orbit_listing(shape):
-    """Each orbit's record, with its text as ``json.dumps(records, indent=2)``
-    writes it in the list, in id order.
+    """What the JSON and CSV listings share: each orbit's node, its label
+    ``str(node.decomposition)`` and its ``sw_array_hash``, in id order.
 
-    A record's ``maps`` are the rooks of its matchings, written as the
-    strings of their 0/1 entries, which is what :func:`map_tuple_to_json`
-    writes for the canonical point.  Each piece of a record but its id and
-    decomposition depends on one matching or one window table alone, so
-    each is made once per listing and shared by the records: a matching's
-    rows and their text (52 at n = 3), a table's rank-vector entries
-    (:func:`table_intersections`) and their text (52), and a window's part
-    of the hashed array text.  A record's
-    rank vector joins its tables' entries in window order, and its
-    ``sw_array_hash`` is the sha256 of ``json.dumps(sw_array_to_json(sw),
-    sort_keys=True)``, joined from its windows' parts.  Its decomposition
-    joins the texts of its summands, each made once per listing
-    (:func:`decomposition_text`).
+    The label joins the texts of its summands, each made once per listing
+    (:func:`decomposition_text`).  The hash is the sha256 of
+    ``json.dumps(sw_array_to_json(node.sw), sort_keys=True)``, joined from
+    each window's part of that text, made once per (window, table) (156 at
+    n = 3).
     """
     nodes = orbit_nodes(shape)  # refuses n >= 4 before anything is built
 
-    def maps_piece(matching):
-        rows = [[str(x) for x in row] for row in rook_of_matching(shape.size, dict(matching))]
-        return rows, json.dumps(rows, indent=2).replace("\n", "\n" + "  " * 3)
+    @functools.cache
+    def hashed_part(win, table):
+        return json.dumps(window_to_json(win, table), sort_keys=True)
 
-    def rank_vector_piece(table):
-        entries = flat_entries(table_intersections(table), shape.size)
-        return entries, (",\n" + "  " * 3).join(map(json.dumps, entries))
-
-    maps_of = _Pieces(maps_piece)
-    rank_vector_of = _Pieces(rank_vector_piece)
-    hashed_of = _Pieces(lambda key: json.dumps(window_to_json(*key), sort_keys=True))
     summand_texts = {}
     head = json.dumps({"n": shape.n, "windows": []})[:-2]  # up to the windows' "["
     wins = windows(shape)
-    keys = ("id", "decomposition", "rank_vector", "sw_array_hash", "maps")
-    fields = [f"    {json.dumps(key)}: " for key in keys]
     for node in nodes:
-        maps = [maps_of[tuple(sorted(m.items()))] for m in node.matchings]
-        rank_vector = [rank_vector_of[table] for table in node.sw.tables]
-        hashed = head + ", ".join(hashed_of[key] for key in zip(wins, node.sw.tables)) + "]}"
-        decomposition = decomposition_text(node.decomposition, summand_texts)
-        digest = hashlib.sha256(hashed.encode()).hexdigest()
-        texts = (
-            json.dumps(node.id),
-            json.dumps(decomposition),
-            _json_list([text for _, text in rank_vector], 2),
-            json.dumps(digest),
-            _json_list([text for _, text in maps], 2),
-        )
-        record = dict(zip(keys, (
-            node.id,
-            decomposition,
-            [x for entries, _ in rank_vector for x in entries],
-            digest,
-            [rows for rows, _ in maps],
-        )))
-        yield record, "{\n" + ",\n".join(map(str.__add__, fields, texts)) + "\n  }"
-
-
-def _orbit_records(shape):
-    """Every orbit's record of :func:`_orbit_listing`, in id order."""
-    return [record for record, _ in _orbit_listing(shape)]
+        hashed = head + ", ".join(map(hashed_part, wins, node.sw.tables)) + "]}"
+        yield (node, decomposition_text(node.decomposition, summand_texts),
+               hashlib.sha256(hashed.encode()).hexdigest())
 
 
 def _cmd_orbits(args):
+    """The orbit listing as JSON, CSV or DOT.
+
+    JSON and CSV are written from :func:`_orbit_listing`.  A record's rank
+    vector joins its tables' :func:`flat_entries` in window order and its
+    ``maps`` are the rooks of its matchings, written as the strings of
+    their 0/1 entries, which is what :func:`map_tuple_to_json` writes for
+    the canonical point.  Each table's rank-vector text, its entries joined
+    as the format writes them, and each matching's ``maps`` text are made
+    once per listing (52 each at n = 3), and a JSON record's text, as
+    ``json.dumps(records, indent=2)`` writes it in the list, is joined from
+    them.
+    """
     shape = GridShape(args.n)
     if args.format == "dot":
         return export_dot(build_poset(shape))
+    listing = _orbit_listing(shape)
+    size = shape.size
+    sep = " " if args.format == "csv" else ",\n" + "  " * 3
+
+    @functools.cache
+    def rank_vector_text(table):
+        return sep.join(map(str, flat_entries(table_intersections(table), size)))
+
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["id", "decomposition", "rank_vector", "sw_array_hash"])
-        for r in _orbit_records(shape):
-            rv = "(" + " ".join(str(x) for x in r["rank_vector"]) + ")"
-            writer.writerow([r["id"], r["decomposition"], rv, r["sw_array_hash"]])
+        writer.writerows(
+            [node.id, label, "(" + " ".join(map(rank_vector_text, node.sw.tables)) + ")", digest]
+            for node, label, digest in listing
+        )
         return buf.getvalue()
-    # each record is dropped once its text is made, so the listing is never
-    # held as records and as text at once
-    return _json_list([text for _, text in _orbit_listing(shape)], 0) + "\n"
+
+    @functools.cache
+    def maps_text(items):
+        rows = [[str(x) for x in row] for row in rook_of_matching(size, dict(items))]
+        return json.dumps(rows, indent=2).replace("\n", "\n" + "  " * 3)
+
+    def record(node, label, digest):
+        rank_vector = _json_list(map(rank_vector_text, node.sw.tables), 2)
+        maps = _json_list([maps_text(tuple(sorted(m.items()))) for m in node.matchings], 2)
+        return (
+            f'{{\n    "id": {node.id},\n    "decomposition": {json.dumps(label)},\n'
+            f'    "rank_vector": {rank_vector},\n    "sw_array_hash": "{digest}",\n'
+            f'    "maps": {maps}\n  }}'
+        )
+
+    return _json_list([record(*item) for item in listing], 0) + "\n"
 
 
 def _cmd_poset(args):

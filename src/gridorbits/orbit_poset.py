@@ -110,9 +110,12 @@ def enumerate_orbits(shape):
 
 
 def orbit_by_id(shape, k):
-    """``enumerate_orbits(shape)[k - 1]``, decoded without enumerating: k - 1
-    is a mixed-radix number over the per-pair matchings, the first map's
-    digit leading.  Raises GridQuiverError outside 1..orbit_count(shape)."""
+    """The :class:`OrbitNode` with id k, the k-th of :func:`orbit_nodes`,
+    decoded without enumerating: k - 1 is a mixed-radix number over the
+    per-pair matchings, the first map's digit leading.  The node holds the
+    decoded matchings as a tuple, their decomposition and their
+    :func:`matchings_sw_array`.  Raises GridQuiverError outside
+    1..orbit_count(shape)."""
     total = orbit_count(shape)
     if not (1 <= k <= total):
         raise GridQuiverError(f"orbit id {k} out of range 1..{total}")
@@ -122,7 +125,9 @@ def orbit_by_id(shape, k):
     for _ in range(shape.num_maps):
         rest, digit = divmod(rest, len(per_pair))
         combo.append(per_pair[digit])
-    return matchings_to_decomposition(shape, combo[::-1])
+    combo = tuple(combo[::-1])
+    return OrbitNode(k, matchings_to_decomposition(shape, combo),
+                     matchings_sw_array(shape, combo), combo)
 
 
 def f2_census(shape):

@@ -36,11 +36,29 @@ def first_difference(got, want):
     return f"line {min(len(got_lines), len(want_lines)) + 1}: one text ends ({len(got_lines)} vs {len(want_lines)} lines)"
 
 
+def listing(n, fmt):
+    """The text of ``orbits --n n --format fmt``."""
+    return cli._cmd_orbits(cli.build_parser().parse_args(["orbits", "--n", str(n), "--format", fmt]))
+
+
+def indented_dumps(monkeypatch):
+    """The objects of every indented ``json.dumps`` call from now on."""
+    indented = []
+    dumps = json.dumps
+
+    def counted_dumps(obj, **kwargs):
+        if kwargs.get("indent") is not None:
+            indented.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted_dumps)
+    return indented
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_listing_text_is_the_reference(n, fmt):
-    args = cli.build_parser().parse_args(["orbits", "--n", str(n), "--format", fmt])
-    got = cli._cmd_orbits(args)
+    got = listing(n, fmt)
     want = REFERENCE[fmt](GridShape(n))
     assert got == want, first_difference(got, want)
 
@@ -48,7 +66,7 @@ def test_listing_text_is_the_reference(n, fmt):
 @pytest.mark.parametrize("n", [2, 3])
 def test_record_hash_and_rank_vector_per_node(n):
     shape = GridShape(n)
-    records = cli._orbit_records(shape)
+    records = json.loads(listing(n, "json"))
     nodes = list(orbit_nodes(shape))
     assert len(records) == len(nodes) == orbit_count(shape)
     for record, node in zip(records, nodes):
@@ -65,22 +83,23 @@ def test_json_listing_reads_each_table_once(monkeypatch):
         (decomposition, "rank_vector_from_sw"),
         (cli, "_dump"),
     ])
-    indented = []
-    dumps = json.dumps
-
-    def counted_dumps(obj, **kwargs):
-        if kwargs.get("indent") is not None:
-            indented.append(obj)
-        return dumps(obj, **kwargs)
-
-    monkeypatch.setattr(json, "dumps", counted_dumps)
-    args = cli.build_parser().parse_args(["orbits", "--n", "3", "--format", "json"])
-    cli._cmd_orbits(args)
+    indented = indented_dumps(monkeypatch)
+    listing(3, "json")
     assert 0 < calls["table_intersections"] <= 52
     assert calls["rank_vector_from_sw"] == calls["_dump"] == 0
     # the indented texts are the matchings' rows, 52 rooks of size 4
     assert 0 < len(indented) <= 52
     assert all(len(rows) == 4 and all(isinstance(x, str) for row in rows for x in row) for rows in indented)
+
+
+def test_csv_listing_writes_no_json_text(monkeypatch):
+    # the CSV rows are written off the node stream: one rank-vector text per
+    # table and no record's JSON text
+    calls = count_calls(monkeypatch, [(decomposition, "table_intersections")])
+    indented = indented_dumps(monkeypatch)
+    listing(3, "csv")
+    assert 0 < calls["table_intersections"] <= 52
+    assert indented == []
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -97,5 +116,14 @@ def test_rank_vector_per_table_on_sampled_orbits(n):
     shape = GridShape(n)
     ids = [1, orbit_count(shape)] + random.Random(n).sample(range(2, orbit_count(shape)), 12)
     for k in ids:
-        arr = sw_array(assemble_canonical(orbit_by_id(shape, k)))
+        arr = sw_array(assemble_canonical(orbit_by_id(shape, k).decomposition))
         assert rank_vector_from_sw(arr) == reference_rank_vector_from_sw(arr)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_orbit_by_id_is_the_listed_node(n):
+    shape = GridShape(n)
+    for node in orbit_nodes(shape):
+        decoded = orbit_by_id(shape, node.id)
+        assert decoded == node
+        assert decoded.matchings == node.matchings

@@ -338,10 +338,13 @@ class TestClosedFormArrays:
         rng = random.Random(n)
         ids = [1, orbit_count(shape)] + rng.sample(range(2, orbit_count(shape)), 12)
         for k in ids:
-            dec = orbit_by_id(shape, k)
+            node = orbit_by_id(shape, k)
+            dec = node.decomposition
             matchings = matchings_of(dec)
+            assert tuple(matchings) == node.matchings
             assert matchings_to_decomposition(shape, matchings) == dec
             assert matchings_sw_array(shape, matchings) == sw_array(assemble_canonical(dec))
+            assert node.sw == sw_array(assemble_canonical(dec))
 
     def test_compositions_are_rooks(self, shape3):
         # every window of every n = 3 orbit is one of the 52 rooks of size 4,
@@ -421,7 +424,8 @@ class TestClosedFormArrays:
     @pytest.mark.parametrize("n", [2, 3])
     def test_record_maps_are_the_canonical_points(self, n):
         shape = GridShape(n)
-        records = cli._orbit_records(shape)
+        args = cli.build_parser().parse_args(["orbits", "--n", str(n), "--format", "json"])
+        records = json.loads(cli._cmd_orbits(args))
         assert len(records) == orbit_count(shape)
         for record, dec in zip(records, enumerate_orbits(shape)):
             assert record["decomposition"] == str(dec)

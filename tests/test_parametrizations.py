@@ -220,7 +220,7 @@ def reconstruct_inputs():
     for n in (4, 5, 6):
         shape = GridShape(n)
         ids = [1, orbit_count(shape)] + random.Random(n).sample(range(2, orbit_count(shape)), 12)
-        arrays += [sw_array(assemble_canonical(orbit_by_id(shape, k))) for k in ids]
+        arrays += [sw_array(assemble_canonical(orbit_by_id(shape, k).decomposition)) for k in ids]
     return arrays
 
 

@@ -22,7 +22,7 @@ from gridorbits import (
     rank_vector,
     sw_array,
 )
-from gridorbits import orbit_poset
+from gridorbits import grid_quiver, orbit_poset
 from gridorbits.cli import _orbit_by_id, build_parser, main
 from gridorbits.serialize import (
     map_tuple_from_json,
@@ -32,6 +32,7 @@ from gridorbits.serialize import (
     sw_array_to_json,
 )
 
+from conftest import count_calls
 from test_orbit_poset import parse_dot
 
 DIAG011_JSON = {"n": 2, "maps": [[["0", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]]}
@@ -390,10 +391,9 @@ class TestCli:
         assert lines[0] == "id,decomposition,rank_vector,sw_array_hash"
         assert len(lines) == 16
 
-    def test_orbit_records_compute_one_array_per_orbit(self, monkeypatch):
+    def test_orbit_records_compute_one_array_per_orbit(self, monkeypatch, capsys):
         # each array is read off the orbit's matchings, none off its point
-        from gridorbits import GridShape, orbit_poset, parametrizations
-        from gridorbits.cli import _orbit_records
+        from gridorbits import orbit_poset, parametrizations
 
         calls = {"matchings_sw_array": [], "sw_array": []}
         for defined, attr in ((orbit_poset, "matchings_sw_array"), (parametrizations, "sw_array")):
@@ -406,7 +406,8 @@ class TestCli:
             for name, module in list(sys.modules.items()):
                 if name.split(".")[0] == "gridorbits" and getattr(module, attr, None) is original:
                     monkeypatch.setattr(module, attr, counted)
-        assert len(_orbit_records(GridShape(2))) == len(calls["matchings_sw_array"]) == 15
+        assert main(["orbits", "--n", "2"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == len(calls["matchings_sw_array"]) == 15
         assert calls["sw_array"] == []
 
     def test_poset_dot(self):
@@ -471,6 +472,14 @@ class TestCli:
         for idx in (0, len(decs) + 1):
             with pytest.raises(GridQuiverError, match=f"^orbit id {idx} out of range 1..{len(decs)}$"):
                 _orbit_by_id(shape, str(idx))
+
+    def test_orbit_id_builds_the_rook_point(self, monkeypatch, capsys):
+        # the point is the rook point of the decoded matchings; no
+        # decomposition is turned back into matchings
+        calls = count_calls(monkeypatch, [(grid_quiver, "assemble_canonical")])
+        assert main(["hom-report", "--w", "2,3,1", "--orbit", "7"]) == 0
+        assert json.loads(capsys.readouterr().out)
+        assert calls["assemble_canonical"] == 0
 
     def test_orbit_id_past_n3_enumerates_nothing(self, monkeypatch, capsys):
         # n = 4 has 8,365,427 orbits; the id is decoded, not looked up
