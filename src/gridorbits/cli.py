@@ -100,7 +100,7 @@ def _experiment_flags(args):
     budget is checked here; the library refuses a bad qs schedule before
     it counts anything."""
     w = _parse_ints("--w", args.w)
-    qs = _parse_ints("--qs", args.qs) if args.qs else DEFAULT_QS
+    qs = _parse_ints("--qs", args.qs) if args.qs is not None else DEFAULT_QS
     if args.budget <= 0:
         raise ValueError("budget must be positive")
     return w, qs, args.budget

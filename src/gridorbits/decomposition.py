@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_linalg import rank
+from .exact_linalg import Matrix, rank
+from .fields import QQ
 from .grid_quiver import (
     GridQuiverError,
     dims_of_heights,
@@ -103,12 +104,12 @@ def table_intersections(table):
     return entries
 
 
-def heights_rank_vector(hv):
-    """Rank vector of the thin indecomposable with height vector ``hv``: the
+def heights_rank_vector(shape, h):
+    """Rank vector of the thin indecomposable with height vector ``h``: the
     intersection part is read off the summand's matchings, the dimension
     part is its own grid."""
-    arr = matchings_sw_array(hv.shape, height_matchings(hv.shape, [hv.h]))
-    return RankVector(hv.shape, dims_of_heights(hv), rank_vector_from_sw(arr).inter)
+    arr = matchings_sw_array(shape, height_matchings(shape, [h]))
+    return RankVector(shape, dims_of_heights(shape, h), rank_vector_from_sw(arr).inter)
 
 
 def same_rank_vector(a, b):
@@ -149,10 +150,7 @@ def independence_check(shape):
     A family larger than the vector length is dependent outright; otherwise
     the rank is computed exactly over Q.
     """
-    from .exact_linalg import Matrix
-    from .fields import QQ
-
-    vecs = [full_vector(heights_rank_vector(hv)) for hv in enumerate_indecomposables(shape)]
+    vecs = [full_vector(heights_rank_vector(shape, h)) for h in enumerate_indecomposables(shape)]
     if len(vecs) > len(vecs[0]):
         return False
     m = Matrix(QQ, [[Fraction(x) for x in v] for v in vecs])

@@ -42,22 +42,6 @@ class HeightVectorError(GridQuiverError):
     pass
 
 
-class EmptySupport(HeightVectorError):
-    pass
-
-
-class HeightOutOfRange(HeightVectorError):
-    pass
-
-
-class NonContiguousSupport(HeightVectorError):
-    pass
-
-
-class NonMonotone(HeightVectorError):
-    pass
-
-
 class InvalidDecomposition(GridQuiverError):
     pass
 
@@ -101,51 +85,36 @@ class MapTuple:
 
 
 @dataclass(frozen=True)
-class HeightVector:
-    """Heights of a thin indecomposable: h_j marks the first nonzero row of
-    column j, counted from the bottom (0 = column absent)."""
-
-    shape: GridShape
-    h: tuple
-
-
-@dataclass(frozen=True)
 class Decomposition:
-    """Multiset of height vectors with multiplicities, sorted for determinism."""
+    """A decomposition into thin indecomposables: the sorted tuple of its
+    summands' height vectors.  A thin summand is its height vector h, where
+    h_j marks the first nonzero row of column j, counted from the bottom
+    (0 = column absent).  In a full decomposition each column sees every
+    height once, so no summand repeats."""
 
     shape: GridShape
-    summands: tuple  # ((h, mult), ...)
-
-    def heights(self):
-        """All summands, with multiplicity, as a sorted list of tuples."""
-        out = []
-        for h, mult in self.summands:
-            out.extend([h] * mult)
-        return out
+    summands: tuple  # (h, ...)
 
     def __str__(self):
         return "+".join(map(summand_text, self.summands))
 
 
-def summand_text(summand):
-    """The text of one ``(h, mult)`` summand of a :class:`Decomposition`,
-    ``U(h_1,...,h_n)`` with a ``mult*`` prefix when mult > 1; the text of a
-    decomposition joins its summands' texts with ``+``."""
-    h, mult = summand
-    body = "U(" + ",".join(map(str, h)) + ")"
-    return body if mult == 1 else f"{mult}*{body}"
+def summand_text(h):
+    """The text ``U(h_1,...,h_n)`` of the thin summand with heights ``h``;
+    the text of a decomposition joins its summands' texts with ``+``."""
+    return "U(" + ",".join(map(str, h)) + ")"
 
 
 def decomposition_text(dec, texts):
     """``str(dec)``, joined from the texts of its summands.  ``texts`` is a
-    dict from summands to their :func:`summand_text`, filled as needed, so
-    a caller that labels many decompositions with one dict makes each
-    summand's text once."""
+    dict from height vectors to their :func:`summand_text`, filled as
+    needed, so a caller that labels many decompositions with one dict makes
+    each summand's text once."""
     summands = dec.summands
-    for summand in summands:
-        if summand not in texts:
-            texts[summand] = summand_text(summand)
-    return "+".join([texts[summand] for summand in summands])
+    for h in summands:
+        if h not in texts:
+            texts[h] = summand_text(h)
+    return "+".join([texts[h] for h in summands])
 
 
 def make_point(shape, mats):
@@ -213,7 +182,7 @@ def windows(shape):
 
 
 def validate_heights(shape, h):
-    """Check the height-vector invariants and return the HeightVector.
+    """Check the height-vector invariants and return the heights as a tuple.
 
     The support must be a nonempty contiguous column interval, heights must
     be weakly increasing along it, and each height must lie in 1..n+1.
@@ -224,17 +193,17 @@ def validate_heights(shape, h):
     if len(h) != shape.n:
         raise SizeMismatch(f"expected {shape.n} heights, got {len(h)}")
     if any(v < 0 or v > shape.size for v in h):
-        raise HeightOutOfRange(f"heights must lie in 0..{shape.size}: {h}")
+        raise HeightVectorError(f"heights must lie in 0..{shape.size}: {h}")
     support = [j for j, v in enumerate(h) if v > 0]
     if not support:
-        raise EmptySupport("height vector with empty support")
+        raise HeightVectorError("height vector with empty support")
     a, b = support[0], support[-1]
     if support != list(range(a, b + 1)):
-        raise NonContiguousSupport(f"support of {h} is not a contiguous interval")
+        raise HeightVectorError(f"support of {h} is not a contiguous interval")
     seg = h[a:b + 1]
     if any(x > y for x, y in zip(seg, seg[1:])):
-        raise NonMonotone(f"heights {h} are not weakly increasing on the support")
-    return HeightVector(shape, h)
+        raise HeightVectorError(f"heights {h} are not weakly increasing on the support")
+    return h
 
 
 def enumerate_indecomposables(shape):
@@ -244,22 +213,17 @@ def enumerate_indecomposables(shape):
     sequence with values in 1..n+1.
     """
     n = shape.n
-    heights = sorted(
+    return sorted(
         (0,) * (a - 1) + seg + (0,) * (n - b)
         for a in range(1, n + 1)
         for b in range(a, n + 1)
         for seg in combinations_with_replacement(range(1, shape.size + 1), b - a + 1)
     )
-    return [HeightVector(shape, h) for h in heights]
 
 
 def column_heights(dec, j):
-    """Nonzero heights seen by 1-based column j, with multiplicity."""
-    vals = []
-    for h, mult in dec.summands:
-        if h[j - 1] > 0:
-            vals.extend([h[j - 1]] * mult)
-    return sorted(vals)
+    """Nonzero heights seen by 1-based column j, one per summand, sorted."""
+    return sorted(h[j - 1] for h in dec.summands if h[j - 1] > 0)
 
 
 def check_full_decomposition(dec):
@@ -277,7 +241,7 @@ def assemble_canonical(dec):
     """Canonical representative of the orbit with decomposition ``dec``:
     the :func:`rook_point` of its summands' :func:`height_matchings`."""
     check_full_decomposition(dec)
-    return rook_point(dec.shape, height_matchings(dec.shape, dec.heights()))
+    return rook_point(dec.shape, height_matchings(dec.shape, dec.summands))
 
 
 def height_matchings(shape, heights):
@@ -323,8 +287,8 @@ def matchings_to_decomposition(shape, matchings):
     Heights with no left partner start a summand; following right partners
     yields its height chain.
 
-    No two chains are equal, so each summand has multiplicity 1, and they
-    come out sorted: chains that start in one column start at different
+    No two chains are equal, so no summand repeats, and they come out
+    sorted: chains that start in one column start at different
     heights, and a chain that starts in a later column has a 0 where an
     earlier one has its first height.  So the walk runs over the start
     columns from last to first and over the heights upward.
@@ -344,7 +308,7 @@ def matchings_to_decomposition(shape, matchings):
                 if h is None:
                     break
                 chain.append(h)
-            summands.append((lead + tuple(chain) + (0,) * (n - start - len(chain)), 1))
+            summands.append(lead + tuple(chain) + (0,) * (n - start - len(chain)))
     return Decomposition(shape, tuple(summands))
 
 
@@ -371,10 +335,10 @@ def full_dim_grid(shape):
     return tuple(tuple(i for _ in range(shape.n)) for i in range(1, shape.size + 1))
 
 
-def dims_of_heights(hv):
-    """Dimension grid of the thin indecomposable with heights ``hv``."""
-    n, size = hv.shape.n, hv.shape.size
+def dims_of_heights(shape, h):
+    """Dimension grid of the thin indecomposable with heights ``h``."""
+    size = shape.size
     return tuple(
-        tuple(1 if hv.h[j] >= size + 1 - i else 0 for j in range(n))
+        tuple(1 if hj >= size + 1 - i else 0 for hj in h)
         for i in range(1, size + 1)
     )

@@ -81,9 +81,10 @@ def map_tuple_from_json(obj):
 
 
 def decomposition_to_json(dec):
+    # the format keeps its "mult" key: no summand of a decomposition repeats
     return {
         "n": dec.shape.n,
-        "summands": [{"h": list(h), "mult": mult} for h, mult in dec.summands],
+        "summands": [{"h": list(h), "mult": 1} for h in dec.summands],
     }
 
 

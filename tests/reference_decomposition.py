@@ -1,19 +1,15 @@
 """The decomposition path :func:`gridorbits.matchings_to_decomposition` is
 tested against: every height tested against the left matching's values,
-each chain walked from its start, and the heights counted and sorted into
-``(h, mult)`` summands."""
+each chain walked from its start, and the height vectors sorted into
+summands."""
 
 from gridorbits import Decomposition
 
 
 def decomposition_from_heights(shape, heights):
-    """The :class:`Decomposition` of these height vectors, repeats counted
-    as multiplicities, summands sorted."""
-    counts = {}
-    for h in heights:
-        h = tuple(h)
-        counts[h] = counts.get(h, 0) + 1
-    return Decomposition(shape, tuple(sorted(counts.items())))
+    """The :class:`Decomposition` of these height vectors, sorted; a repeat
+    stays a repeat, so a decomposition that is not full stays invalid."""
+    return Decomposition(shape, tuple(sorted(map(tuple, heights))))
 
 
 def reference_matchings_to_decomposition(shape, matchings):

@@ -6,14 +6,12 @@ from gridorbits.decomposition import RankVector
 from gridorbits.grid_quiver import dims_of_heights, windows
 
 
-def reference_heights_rank_vector(hv):
+def reference_heights_rank_vector(shape, h):
     """All spaces are 0 or C, so each entry is 0 or 1: the windowed image at
     row i is nonzero iff every column the window touches reaches row i, and
     it meets the image of the vertical chain from row k iff column j2+1
     reaches row k."""
-    shape = hv.shape
     size = shape.size
-    h = hv.h
     entries = []
     for (j1, j2) in windows(shape):
         for i in range(1, size + 1):
@@ -21,4 +19,4 @@ def reference_heights_rank_vector(hv):
             for k in range(1, i + 1):
                 entries.append(1 if alive and h[j2] >= size + 1 - k else 0)
             entries.append(1 if alive else 0)
-    return RankVector(shape, dims_of_heights(hv), tuple(entries))
+    return RankVector(shape, dims_of_heights(shape, h), tuple(entries))

@@ -109,7 +109,7 @@ def test_criterion_3_poset(shape2):
 def test_criterion_4_decomposition_roundtrip(pair_n3):
     with criterion(4, "published size-4 pair decomposes and reassembles exactly", 1.0):
         dec = decompose(pair_n3)
-        assert set(dec.heights()) == DECOMP_N3 and len(dec.heights()) == 7
+        assert set(dec.summands) == DECOMP_N3 and len(dec.summands) == 7
         assert assemble_canonical(dec) == pair_n3
 
 
@@ -117,10 +117,10 @@ def test_criterion_5_indecomposables(shape2):
     with criterion(5, "12 indecomposables with the published vectors; independence", 1.0):
         indecs = enumerate_indecomposables(shape2)
         assert len(indecs) == 12
-        for hv in indecs:
-            rv = heights_rank_vector(hv)
+        for h in indecs:
+            rv = heights_rank_vector(shape2, h)
             dims = tuple(rv.dims[i][j] for j in range(2) for i in range(3))
-            assert dims + flat_intersections(rv) == INDECOMPOSABLE_VECTORS_12[hv.h]
+            assert dims + flat_intersections(rv) == INDECOMPOSABLE_VECTORS_12[h]
         assert independence_check(shape2) is True
 
 

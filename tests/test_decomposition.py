@@ -67,22 +67,23 @@ class TestRankVector:
 class TestHeightsRankVector:
     @pytest.mark.parametrize("h,expected", sorted(INDECOMPOSABLE_VECTORS_12.items()))
     def test_published_list(self, shape2, h, expected):
-        rv = heights_rank_vector(validate_heights(shape2, h))
+        rv = heights_rank_vector(shape2, validate_heights(shape2, h))
         dims = tuple(rv.dims[i][j] for j in range(2) for i in range(3))
         assert dims + flat_intersections(rv) == expected
 
     def test_all_twelve_covered(self, shape2):
-        assert {hv.h for hv in enumerate_indecomposables(shape2)} == set(
+        assert set(enumerate_indecomposables(shape2)) == set(
             INDECOMPOSABLE_VECTORS_12
         )
 
     @pytest.mark.parametrize("n,count", [(2, 12), (3, 52), (4, 205)])
     def test_matches_reference(self, n, count):
         # rank_vector of the one-summand point against the 0/1 formula
-        indecs = enumerate_indecomposables(GridShape(n))
+        shape = GridShape(n)
+        indecs = enumerate_indecomposables(shape)
         assert len(indecs) == count
-        for hv in indecs:
-            assert heights_rank_vector(hv) == reference_heights_rank_vector(hv)
+        for h in indecs:
+            assert heights_rank_vector(shape, h) == reference_heights_rank_vector(shape, h)
 
 
 def solve_decomposition(point):
@@ -92,12 +93,12 @@ def solve_decomposition(point):
     integers (the multiplicities)."""
     shape = point.shape
     indecs = enumerate_indecomposables(shape)
-    columns = [[Fraction(x) for x in full_vector(heights_rank_vector(hv))] for hv in indecs]
+    columns = [[Fraction(x) for x in full_vector(heights_rank_vector(shape, h))] for h in indecs]
     target = [Fraction(x) for x in full_vector(rank_vector(point))]
     heights = []
-    for hv, mult in zip(indecs, solve_unique(columns, target)):
-        assert mult.denominator == 1 and mult >= 0, (hv.h, mult)
-        heights.extend([hv.h] * int(mult))
+    for h, mult in zip(indecs, solve_unique(columns, target)):
+        assert mult.denominator == 1 and mult >= 0, (h, mult)
+        heights.extend([h] * int(mult))
     return decomposition_from_heights(shape, heights)
 
 
@@ -154,15 +155,15 @@ class TestDecompose:
 
     def test_published_pair(self, shape3, pair_n3):
         dec = decompose(pair_n3)
-        assert set(dec.heights()) == DECOMP_N3
-        assert len(dec.heights()) == 7
+        assert set(dec.summands) == DECOMP_N3
+        assert len(dec.summands) == 7
         assert assemble_canonical(dec) == pair_n3
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_identity(self, n):
         shape = GridShape(n)
         dec = decompose(identity_tuple(shape))
-        assert dec.heights() == [tuple([k] * n) for k in range(1, n + 2)]
+        assert dec.summands == tuple(tuple([k] * n) for k in range(1, n + 2))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_zero(self, n):
@@ -173,7 +174,7 @@ class TestDecompose:
             for j in range(n)
             for h in range(1, n + 2)
         )
-        assert dec.heights() == expected
+        assert dec.summands == tuple(expected)
 
     def test_no_thin_decomposition_raises(self, shape3):
         # the two windows force incompatible matchings through the middle
@@ -256,8 +257,8 @@ class TestDecompose:
         for made in calls.values():
             made.clear()
         assert reconstruct(arr) == assemble_canonical(dec)
-        for hv in enumerate_indecomposables(shape):
-            heights_rank_vector(hv)
+        for h in enumerate_indecomposables(shape):
+            heights_rank_vector(shape, h)
         assert calls == {"sw_array": [], "window_products": [], "b_reduce": []}
 
 
@@ -272,7 +273,7 @@ class TestIndependence:
         assert independence_check(GridShape(4)) is False
 
     def test_vector_lengths(self, shape2):
-        vec = full_vector(heights_rank_vector(validate_heights(shape2, (1, 1))))
+        vec = full_vector(heights_rank_vector(shape2, validate_heights(shape2, (1, 1))))
         assert len(vec) == 15  # 6 dims + 9 window entries
 
 

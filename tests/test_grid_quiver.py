@@ -1,16 +1,15 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from gridorbits import (
-    EmptySupport,
+    Decomposition,
     GridShape,
-    HeightOutOfRange,
+    HeightVectorError,
     InvalidDecomposition,
     Matrix,
-    NonContiguousSupport,
-    NonMonotone,
     QQ,
     SizeMismatch,
     TriangularityViolation,
@@ -61,27 +60,37 @@ class TestMakePoint:
             make_point(shape2, [[[0, 0], [0, 0]]])
 
 
+def exact(message):
+    """A ``pytest.raises`` pattern that matches ``message`` and nothing else."""
+    return f"^{re.escape(message)}$"
+
+
 class TestValidateHeights:
     @pytest.mark.parametrize("h", [(4, 0, 0), (3, 3, 0), (0, 4, 4), (1, 1, 1)])
     def test_published_summands_valid(self, shape3, h):
-        assert validate_heights(shape3, h).h == h
+        assert validate_heights(shape3, list(h)) == h
 
     def test_non_contiguous(self, shape3):
         # (2,0,3) is weakly increasing where nonzero yet splits as a sum of
         # its two column blocks, so it is rejected
-        with pytest.raises(NonContiguousSupport):
+        with pytest.raises(
+            HeightVectorError, match=exact("support of (2, 0, 3) is not a contiguous interval")
+        ):
             validate_heights(shape3, (2, 0, 3))
 
     def test_non_monotone(self, shape3):
-        with pytest.raises(NonMonotone):
+        with pytest.raises(
+            HeightVectorError,
+            match=exact("heights (3, 2, 1) are not weakly increasing on the support"),
+        ):
             validate_heights(shape3, (3, 2, 1))
 
     def test_empty_support(self, shape2):
-        with pytest.raises(EmptySupport):
+        with pytest.raises(HeightVectorError, match=exact("height vector with empty support")):
             validate_heights(shape2, (0, 0))
 
     def test_out_of_range(self, shape2):
-        with pytest.raises(HeightOutOfRange):
+        with pytest.raises(HeightVectorError, match=exact("heights must lie in 0..3: (4, 0)")):
             validate_heights(shape2, (4, 0))
 
 
@@ -90,7 +99,7 @@ class TestEnumerateIndecomposables:
         assert len(enumerate_indecomposables(shape2)) == 12
 
     def test_single_column_heights(self, shape2):
-        singles = [hv.h for hv in enumerate_indecomposables(shape2) if hv.h[1] == 0]
+        singles = [h for h in enumerate_indecomposables(shape2) if h[1] == 0]
         assert singles == [(1, 0), (2, 0), (3, 0)]
 
     def test_against_filter_oracle(self, shape3):
@@ -102,15 +111,15 @@ class TestEnumerateIndecomposables:
                     try:
                         validate_heights(shape3, (a, b, c))
                         valid += 1
-                    except Exception:
+                    except HeightVectorError:
                         pass
         enumerated = enumerate_indecomposables(shape3)
         assert len(enumerated) == valid == 52
-        assert [hv.h for hv in enumerated] == sorted(hv.h for hv in enumerated)
+        assert enumerated == sorted(enumerated)
 
     def test_dims_grid(self, shape2):
-        hv = validate_heights(shape2, (1, 2))
-        assert dims_of_heights(hv) == ((0, 0), (0, 1), (1, 1))
+        h = validate_heights(shape2, (1, 2))
+        assert dims_of_heights(shape2, h) == ((0, 0), (0, 1), (1, 1))
 
 
 class TestAssembleCanonical:
@@ -130,6 +139,13 @@ class TestAssembleCanonical:
 
     def test_invalid_column_heights(self, shape2):
         dec = decomposition_from_heights(shape2, [(3, 3), (3, 0), (2, 0), (0, 1), (0, 2)])
+        with pytest.raises(InvalidDecomposition):
+            assemble_canonical(dec)
+
+    def test_repeated_summand(self, shape2):
+        # a full decomposition sees each height once per column, so no
+        # summand can occur twice
+        dec = Decomposition(shape2, ((1, 1), (2, 2), (3, 3), (3, 3)))
         with pytest.raises(InvalidDecomposition):
             assemble_canonical(dec)
 

@@ -100,11 +100,10 @@ def test_public_api_inventory():
     # every name the package exports; a new or removed name must be changed here
     assert sorted(gridorbits.__all__) == [
         "CountReport", "DEFAULT_BUDGET", "DEFAULT_QS", "Decomposition", "DimEstimate",
-        "EmptySupport", "FitFailure", "FlatScanResult", "FlatScanRow", "GF",
-        "GaloisField", "GridQuiverError", "GridShape", "HeightOutOfRange",
-        "HeightVector", "HomReport", "InfeasibleSize", "InvalidDecomposition",
-        "InvalidTable", "MapTuple", "Matrix", "NoPointFound", "NonContiguousSupport",
-        "NonMonotone", "OrbitNode", "OrbitPoset", "QQ", "RankVector", "RationalField",
+        "FitFailure", "FlatScanResult", "FlatScanRow", "GF", "GaloisField",
+        "GridQuiverError", "GridShape", "HeightVectorError", "HomReport",
+        "InfeasibleSize", "InvalidDecomposition", "InvalidTable", "MapTuple", "Matrix",
+        "NoPointFound", "OrbitNode", "OrbitPoset", "QQ", "RankVector", "RationalField",
         "ReconstructInvalid", "SWArray", "SizeMismatch", "SolveFailure",
         "TriangularityViolation", "array_leq", "array_order", "assemble_canonical",
         "b_reduce", "bell", "borel_act", "build_poset", "column_heights",
@@ -557,6 +556,7 @@ class TestCli:
                 ("flat-scan", "--w", "2,3,1", "--qs", "2,a"),
                 "--qs must be comma-separated integers, got '2,a'",
             ),
+            (("flat-scan", "--w", "2,3,1", "--qs", ""), "--qs must be comma-separated integers, got ''"),
         ],
     )
     def test_experiment_flags_checked(self, args, message):
