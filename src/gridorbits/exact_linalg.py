@@ -20,12 +20,22 @@ subspaces are in reduced row echelon form, so the only combination of the
 rows that can equal a vector is read off the vector's entries at the
 pivots, and :func:`~gridorbits.subspaces.in_span` compares the two.
 
-Zero tests are truthiness tests: ``Fraction(0)`` and the GF(q) element
-``0`` are both falsy and every other element is truthy, so ``if x:`` decides
-``x != field.zero`` without a call to ``Fraction.__eq__``.
+Over QQ the sweep runs on integers: each row enters as an integer
+multiple of itself and rows are cleared by cross-multiplication, so no
+``Fraction`` is built or normalised until back-substitution divides by the
+pivots.  :func:`integer_multiple` gives the integer multiple of a whole
+matrix, from which :func:`~gridorbits.grid_quiver.window_products`
+multiplies integer matrices.
+
+Zero tests are truthiness tests: a rational is an ``int`` or a
+``Fraction``, each falsy exactly at 0, as the GF(q) element ``0`` is, so
+``if x:`` decides ``x != field.zero`` without a call to ``__eq__``.
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from math import gcd, lcm
 
 from .fields import QQ
 
@@ -40,8 +50,8 @@ class Matrix:
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field, data):
-        data = tuple(tuple(row) for row in data)
-        if data and any(len(row) != len(data[0]) for row in data):
+        data = tuple(map(tuple, data))
+        if len(set(map(len, data))) > 1:
             raise ValueError("ragged rows")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", len(data))
@@ -115,9 +125,27 @@ class Matrix:
 
 
 def is_upper_triangular(m):
-    return not any(
-        m.data[i][j] for i in range(m.rows) for j in range(min(i, m.cols))
-    )
+    return not any(any(row[:i]) for i, row in enumerate(m.data))
+
+
+_INT = {int}
+
+
+def _integer_row(row):
+    """A QQ row times the lcm of its entries' denominators, as ints."""
+    if set(map(type, row)) == _INT:  # the lcm is 1
+        return list(row)
+    d = lcm(*[x.denominator for x in row])
+    return [x.numerator * (d // x.denominator) for x in row]
+
+
+def integer_multiple(m):
+    """A QQ matrix times the lcm of all its entries' denominators: the
+    smallest positive integer multiple of m with int entries."""
+    if set(map(type, chain.from_iterable(m.data))) == _INT:
+        return m
+    d = lcm(*[x.denominator for row in m.data for x in row])
+    return Matrix(QQ, [[x.numerator * (d // x.denominator) for x in row] for row in m.data])
 
 
 def _sweep(m):
@@ -126,10 +154,10 @@ def _sweep(m):
 
     Column c takes the bottom-most nonzero entry outside the earlier pivot
     rows as its pivot and, if another free row is nonzero in column c,
-    clears it there with the pivot row scaled so the pivot is 1.  After
-    column c every free row is zero in column c, so on any matrix the
-    pivots count the rank.  On an upper-triangular matrix they are the 1s
-    of :func:`b_reduce`'s canonical form, by two facts:
+    clears it there with a multiple of the pivot row.  After column c every
+    free row is zero in column c, so on any matrix the pivots count the
+    rank.  On an upper-triangular matrix they are the 1s of
+    :func:`b_reduce`'s canonical form, by two facts:
 
     - Once processed, a pivot column (r0, c0) is the unit vector e_r0 for
       the rest of the sweep: everything below its pivot is zero, everything
@@ -140,12 +168,26 @@ def _sweep(m):
       either a unit vector of another row or entirely zero.  So the upward
       row operations touch only the columns right of the pivot.
 
+    Over GF(q) a hit row with entry x at the pivot p becomes
+    row - (x/p)·pivot_row.  Over QQ the sweep divides nothing: each row
+    enters times the lcm of its own denominators, as ints, and with
+    g = gcd(p, x), signed as p, a hit row becomes
+    (p/g)·row - (x/g)·pivot_row, the field step's row times p/g.  So each
+    swept row is a nonzero multiple of the field sweep's row, with the same
+    zero entries, and as the choice of pivot reads only which entries are
+    zero, the pivots are those of the field sweep.
+
     The swept rows hold each pivot row as it stood when it took its pivot,
-    unscaled; entries left of a row's pivot are stale and read as zero.
+    unscaled (over QQ, up to that nonzero integer factor); entries left of
+    a row's pivot are stale and read as zero.
     """
     f = m.field
-    sub, mul = f.sub, f.mul
-    a = [list(row) for row in m.data]
+    integral = f is QQ
+    if integral:
+        a = [_integer_row(row) for row in m.data]
+    else:
+        sub, mul = f.sub, f.mul
+        a = [list(row) for row in m.data]
     free = list(range(m.rows))  # rows without a pivot, in increasing order
     pivots = []
     for c in range(m.cols):
@@ -159,13 +201,27 @@ def _sweep(m):
         hits = [rr for rr in free if a[rr][c]]
         if not hits:
             continue
-        inv_p = f.inv(a[r][c])
-        tail = [(j, mul(y, inv_p)) for j, y in enumerate(a[r][c + 1:], start=c + 1) if y]
-        for rr in hits:
-            coef = a[rr][c]
-            row = a[rr]
-            for j, y in tail:
-                row[j] = sub(row[j], mul(coef, y))
+        p = a[r][c]
+        if integral:
+            tail = [(j, y) for j, y in enumerate(a[r][c + 1:], start=c + 1) if y]
+            for rr in hits:
+                row = a[rr]
+                g = gcd(p, row[c])
+                if p < 0:  # so scale > 0, and scale == 1 whenever p divides the entry
+                    g = -g
+                scale, coef = p // g, row[c] // g
+                if scale != 1:
+                    row[c + 1:] = [scale * y for y in row[c + 1:]]
+                for j, y in tail:
+                    row[j] -= coef * y
+        else:
+            inv_p = f.inv(p)
+            tail = [(j, mul(y, inv_p)) for j, y in enumerate(a[r][c + 1:], start=c + 1) if y]
+            for rr in hits:
+                coef = a[rr][c]
+                row = a[rr]
+                for j, y in tail:
+                    row[j] = sub(row[j], mul(coef, y))
     return pivots, a
 
 

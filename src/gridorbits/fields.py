@@ -1,10 +1,10 @@
 """Exact coefficient fields: rationals and small Galois fields.
 
-Rationals are ``fractions.Fraction`` values; elements of GF(q), q = p^k,
-are the integers 0..q-1, each the base-p encoding of a polynomial over
-F_p.  Every GF(q) operation, for prime and non-prime q alike, is a lookup
-in tables built once per field.  Every operation is exact; nothing here
-ever touches floating point.
+Rationals are Python ints and ``fractions.Fraction`` values; elements of
+GF(q), q = p^k, are the integers 0..q-1, each the base-p encoding of a
+polynomial over F_p.  Every GF(q) operation, for prime and non-prime q
+alike, is a lookup in tables built once per field.  Every operation is
+exact; nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -15,12 +15,19 @@ from functools import lru_cache
 
 
 class RationalField:
-    """Arbitrary-precision rational arithmetic (singleton ``QQ``): the ring
-    operations are ``operator``'s and the embeddings ``Fraction`` itself;
-    ``inv`` refuses 0 and ``div`` divides a ``Fraction``, so int / int stays exact."""
+    """Arbitrary-precision rational arithmetic (singleton ``QQ``).
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    An element is an ``int`` or a ``Fraction``: an int is the rational
+    with denominator 1, and it compares, hashes, prints and tests for zero
+    as that ``Fraction`` does.  ``zero`` and ``one`` are the ints 0 and 1,
+    so 0/1 matrices and the integer rows of the south-west path never
+    build a ``Fraction``.  The ring operations are ``operator``'s, whose
+    int results stay ints, and the embeddings are ``Fraction`` itself;
+    ``inv`` refuses 0 and ``div`` divides a ``Fraction``, so int / int
+    stays exact."""
+
+    zero = 0
+    one = 1
     add = operator.add
     sub = operator.sub
     mul = operator.mul

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .exact_linalg import Matrix, inverse, is_upper_triangular
+from .exact_linalg import Matrix, integer_multiple, inverse, is_upper_triangular
 from .fields import QQ
 
 
@@ -158,13 +158,22 @@ def zero_tuple(shape):
 # ``cache_info``, which the benchmark's tracer reads.
 @lru_cache(maxsize=0)
 def window_products(point):
-    """All window compositions of a point, keyed by 1-based (j1, j2).
+    """All window compositions of a point, each up to a positive scalar,
+    keyed by 1-based (j1, j2).
 
     Window (j1, j2) is maps[j2] · ... · maps[j1], map j1 applied first;
     each window extends (j1, j2 - 1) by one map on the left, so a window
-    of two or more maps costs one product.
+    of two or more maps costs one product.  Over QQ each map is first
+    replaced by its :func:`~gridorbits.exact_linalg.integer_multiple`, so
+    window (j1, j2) is d_j2 ··· d_j1 times the composition, d_j the lcm of
+    map j's denominators, and has int entries: no product builds a
+    ``Fraction``.  A nonzero scalar changes no rank, so every south-west
+    rank is the composition's.  Over GF(q) the windows are the
+    compositions themselves.
     """
     maps = point.maps
+    if maps and maps[0].field is QQ:
+        maps = [integer_multiple(m) for m in maps]
     prods = {}
     for j1 in range(1, len(maps) + 1):
         prods[(j1, j1)] = maps[j1 - 1]

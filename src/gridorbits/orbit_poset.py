@@ -7,7 +7,7 @@ independent.  Chaining the matchings yields the decomposition, its summands
 walked in sorted order; their rooks (0/1 partial permutation matrices) form
 the canonical representative, whose south-west array is read off the
 matchings, one table per composed matching shared by all orbits, so no
-Fraction matrix is built, multiplied or reduced.  The array order is one
+matrix is built, multiplied or reduced.  The array order is one
 up-set per array, a Python int used as a bitset: the AND of one up-set per
 window, each made once per distinct table there; the poset's covers are
 read off the up-sets.  The product order of the matchings numbers the

@@ -13,6 +13,8 @@ but stabilisers of different dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import le
 
 from .exact_linalg import b_reduce
 from .grid_quiver import GridQuiverError, SizeMismatch, window_products, windows
@@ -52,7 +54,7 @@ class SWArray:
         return self.tables[windows(self.shape).index((j1, j2))]
 
     def flat(self):
-        return tuple(v for t in self.tables for row in t for v in row)
+        return tuple(chain.from_iterable(chain.from_iterable(self.tables)))
 
 
 def table_entry(table, p, q):
@@ -150,7 +152,7 @@ def array_leq(a, b):
     """Componentwise a <= b."""
     if a.shape != b.shape:
         raise SizeMismatch("arrays have different shapes")
-    return all(x <= y for x, y in zip(a.flat(), b.flat()))
+    return all(map(le, a.flat(), b.flat()))
 
 
 def degenerates(f, g):

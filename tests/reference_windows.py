@@ -1,8 +1,9 @@
 """Definitions the south-west kernels are tested against: one window's
 composition, one south-west rank per cell, and the dimension of an image
-meeting the first k coordinates, each by plain products and ranks."""
+meeting the first k coordinates, each by plain products and ranks.  The
+ranks come from the reference sweep, not from the kernel under test."""
 
-from gridorbits.exact_linalg import rank
+from reference_sweep import reference_rank as rank
 
 
 def reference_compose_window(mats, j1, j2):
