@@ -157,14 +157,10 @@ def independence_check(shape):
     return rank(m) == len(vecs)
 
 
-def decompose(point):
-    """Unique decomposition of a point into thin indecomposables.
-
-    :func:`~gridorbits.parametrizations.reconstruct_matchings` of the
-    point's south-west array reads the per-pair height matchings off the
-    single-map tables and accepts them only if their rook point has the
-    point's array, which decides the same as comparing rank vectors, an
-    injective reindexing of the arrays; the matchings chain into summands.
+def thin_matchings(arr):
+    """Per-pair height matchings of the thin decomposition of a point with
+    south-west array ``arr``: :func:`~gridorbits.parametrizations.reconstruct_matchings`,
+    which decides the same as comparing rank vectors, an injective reindexing.
 
     Raises:
         SolveFailure: no multiset of thin summands reproduces the point's
@@ -172,11 +168,15 @@ def decompose(point):
             exist (see :class:`SolveFailure`).
     """
     try:
-        matchings = reconstruct_matchings(sw_array(point))
+        return reconstruct_matchings(arr)
     except ReconstructInvalid as exc:
         raise SolveFailure(
-            "no multiset of thin summands reproduces the rank vector: the "
-            "point's maps cannot be reduced to partial permutation form "
-            "simultaneously"
+            "no multiset of thin summands reproduces the rank vector: the point's "
+            "maps cannot be reduced to partial permutation form simultaneously"
         ) from exc
-    return matchings_to_decomposition(point.shape, matchings)
+
+
+def decompose(point):
+    """Unique decomposition of a point into thin indecomposables: its
+    :func:`thin_matchings` (whose SolveFailure it raises), chained."""
+    return matchings_to_decomposition(point.shape, thin_matchings(sw_array(point)))

@@ -31,11 +31,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, islice, product
 
+from .decomposition import thin_matchings
 from .exact_linalg import Matrix, principal_block, rank, solve_unique
 from .fields import GF, QQ, is_prime_power
 from .grid_quiver import GridQuiverError, GridShape, InfeasibleSize, rook_point
 from .orbit_poset import array_order, orbit_nodes
-from .parametrizations import reconstruct, sw_array
+from .parametrizations import sw_array
 from .schubert import check_permutation, length, target_dims
 from .subspaces import chain_tests, column_chains, in_span
 
@@ -552,6 +553,8 @@ def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
 
     Raises:
         ValueError: the field sizes are refused by :func:`_check_field_sizes`.
+        SolveFailure: the point has no thin decomposition (so no canonical
+            representative); raised before anything is counted.
         InfeasibleSize: q^nvars exceeds the budget for some q (see
             :func:`rep_variety_count`), or the fibre's counts exceed it.
         NoPointFound: the canonical point has no coordinate
@@ -563,7 +566,7 @@ def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
         raise ValueError("permutation size does not match the shape")
     _check_field_sizes(qs)
     e = target_dims(w)
-    canon = reconstruct(sw_array(point))
+    canon = rook_point(shape, thin_matchings(sw_array(point)))
     dim_g = sum(x * x for row in e for x in row)
     total_e = sum(
         e[i - 1][j - 1] * i for i in range(1, shape.size + 1) for j in range(1, shape.n + 1)

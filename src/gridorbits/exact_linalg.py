@@ -6,8 +6,8 @@ triangular sweep :func:`_sweep`, serves every use, and one
 back-substitution reads solutions off its pivot rows:
 
 - the sweep's pivots give :func:`rank` on any matrix and, on an
-  upper-triangular one, the partial permutation canonical form of
-  :func:`b_reduce`, which keeps all south-west ranks;
+  upper-triangular one, :func:`b_pivots`, the 1s of :func:`b_reduce`'s
+  canonical form, which keeps all south-west ranks;
 - :func:`solve_unique` sweeps [A | b] and back-substitutes; it fits the
   counting polynomials of :mod:`gridorbits.degeneration_lab`;
 - :func:`inverse` sweeps [m | I] and back-substitutes all n right-hand
@@ -237,21 +237,22 @@ def principal_block(m, i):
     return m.submatrix((1, i), (1, i))
 
 
-def b_reduce(m):
-    """Canonical partial permutation representative of the B x B orbit.
-
-    The result is the unique upper-triangular 0/1 matrix with at most one 1
-    per row and column that has the same south-west rank table as the
-    input: invertible upper-triangular column operations sweeping right and
-    row operations sweeping upwards reach it, and its 1s are the pivots of
-    :func:`_sweep`.
-    """
+def b_pivots(m):
+    """1-based (row, column) cells of the 1s of the rook (0/1 matrix, at most
+    one 1 per row and column) with the south-west ranks of the
+    upper-triangular m: the pivots of :func:`_sweep`."""
     if not is_upper_triangular(m):
         raise ValueError("b_reduce expects an upper-triangular matrix")
+    return [(r + 1, c + 1) for r, c in _sweep(m)[0]]
+
+
+def b_reduce(m):
+    """Canonical partial permutation representative of the B x B orbit: the
+    rook with its 1s at :func:`b_pivots`."""
     f = m.field
     out = [[f.zero] * m.cols for _ in range(m.rows)]
-    for r, c in _sweep(m)[0]:
-        out[r][c] = f.one
+    for r, c in b_pivots(m):
+        out[r - 1][c - 1] = f.one
     return Matrix(f, out)
 
 

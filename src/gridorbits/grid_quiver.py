@@ -267,24 +267,27 @@ def height_matchings(shape, heights):
 
 def rook_point(shape, matchings):
     """The 0/1 point over Q whose map j is the rook of ``matchings[j-1]``."""
-    rows = [[[QQ.one if x else QQ.zero for x in row] for row in rook_of_matching(shape.size, m)]
-            for m in matchings]
-    return make_point(shape, [Matrix(QQ, r) for r in rows])
+    return make_point(shape, [Matrix(QQ, rook_of_matching(shape.size, m)) for m in matchings])
+
+
+def rook_cells(size, matching):
+    """1-based (row, column) cells of the 1s of a height matching's rook:
+    a -> b is (size+1-b, size+1-a), so e_(size+1-a), the line of height a
+    in one column, goes to e_(size+1-b)."""
+    return [(size + 1 - b, size + 1 - a) for a, b in matching.items()]
 
 
 def rook_of_matching(size, matching):
-    """The rook (0/1 partial permutation matrix, as int rows) of a height
-    matching: a -> b is the 1 in 1-based row size+1-b, column size+1-a, so
-    e_(size+1-a), the line of height a in one column, goes to e_(size+1-b)."""
+    """The rook of a height matching as int rows, 1 at its :func:`rook_cells`."""
     rows = [[0] * size for _ in range(size)]
-    for a, b in matching.items():
-        rows[size - b][size - a] = 1
+    for p, q in rook_cells(size, matching):
+        rows[p - 1][q - 1] = 1
     return rows
 
 
 def matching_of_rook(size, cells):
-    """Inverse of :func:`rook_of_matching`, from the 1-based (row, column)
-    cells of the rook's 1s, such as a rank table's pivots."""
+    """Inverse of :func:`rook_cells`, from the 1-based (row, column) cells
+    of the rook's 1s, such as a rank table's pivots."""
     return {size + 1 - q: size + 1 - p for p, q in cells}
 
 

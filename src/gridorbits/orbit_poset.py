@@ -34,7 +34,7 @@ from .grid_quiver import (
     InfeasibleSize,
     decomposition_text,
     matchings_to_decomposition,
-    rook_of_matching,
+    rook_cells,
 )
 # sw_array is no longer called here; it stays bound because the benchmark's
 # self-test (bench/selftest.py) lists orbit_poset among its binders.
@@ -136,10 +136,10 @@ def f2_census(shape):
     Every tuple of 0/1 upper-triangular matrices is covered by the tuples
     whose first map is a rook, an upper-triangular 0/1 matrix with at most
     one 1 per row and column: over F_2, (h1, h2) in B x B takes f1 to its
-    rook r = h2 f1 h1^(-1) (:func:`~gridorbits.exact_linalg.b_reduce`), so
+    rook r = h2 f1 h1^(-1) (:func:`~gridorbits.exact_linalg.b_pivots`), so
     it takes (f1, f2) to (r, f2 h2^(-1)), a 0/1 tuple with the same array.
-    The rooks are the :func:`~gridorbits.grid_quiver.rook_of_matching` of
-    the :func:`order_matchings` of the ambient size.  So 52 x 1024 tuples
+    The rooks are the :func:`~gridorbits.grid_quiver.rook_cells` of the
+    :func:`order_matchings` of the ambient size.  So 52 x 1024 tuples
     stand for all 2^20 at n = 3; at n = 2 the census is the rooks' own
     tables.
 
@@ -171,8 +171,9 @@ def f2_census(shape):
         for code in codes
     ]
     tables = [sw_table(Matrix(GF(2), mat)) for mat in code_mats]
-    rooks = [rook_of_matching(size, m) for m in order_matchings(size)]
-    rook_codes = [sum(bit[i, j] for i, j in positions if rook[i][j]) for rook in rooks]
+    # each rook as a 0-based row -> column dict of its 1s
+    rooks = [{p - 1: q - 1 for p, q in rook_cells(size, m)} for m in order_matchings(size)]
+    rook_codes = [sum(bit[cell] for cell in rook.items()) for rook in rooks]
     if shape.num_maps == 1:
         return {SWArray(shape, (tables[r],)): (code_mats[r],) for r in rook_codes}
     ids = {}  # each distinct table's id, in order of first appearance
@@ -183,10 +184,7 @@ def f2_census(shape):
         # k is f2's column j when r has its 1 in row j at column k, so each
         # bit of f2 moves to one place or drops, and f2·r is the OR of its
         # bits' images
-        moved = {
-            bit[i, j]: next((bit[i, k] for k in range(size) if rook[j][k]), 0)
-            for i, j in positions
-        }
+        moved = {bit[i, j]: bit[i, rook[j]] if j in rook else 0 for i, j in positions}
         prods = [0] * len(codes)
         for f2 in codes[1:]:
             low = f2 & -f2

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import le
 
-from .exact_linalg import b_reduce
+from .exact_linalg import b_pivots
 from .grid_quiver import GridQuiverError, SizeMismatch, window_products, windows
-from .grid_quiver import matching_of_rook, rook_of_matching, rook_point
+from .grid_quiver import matching_of_rook, rook_cells, rook_point
 
 
 class InvalidTable(GridQuiverError):
@@ -66,28 +66,23 @@ def table_entry(table, p, q):
 
 
 def sw_table(mat):
-    """South-west rank table of one upper-triangular matrix.
-
-    :func:`b_reduce` keeps every south-west rank and leaves a partial
-    permutation matrix, whose table :func:`rook_table` counts.
-    """
-    return rook_table(b_reduce(mat).data)
+    """South-west rank table of one upper-triangular matrix: the
+    :func:`rook_table` of its :func:`~gridorbits.exact_linalg.b_pivots`."""
+    return rook_table(mat.rows, b_pivots(mat))
 
 
-def rook_table(rows):
-    """South-west rank table of a partial permutation matrix, given as rows
-    whose nonzero entries are its 1s: the rank on rows p..size and columns
-    1..q is the number of 1s there, so 2-D prefix sums give the whole
-    table."""
-    size = len(rows)
+def rook_table(size, cells):
+    """South-west rank table of a size x size rook (0/1 partial permutation
+    matrix) given by the 1-based (row, column) cells of its 1s: the rank on
+    rows p..size and columns 1..q is the number of 1s there, so 2-D prefix
+    sums give the whole table.  :func:`pivots` is its inverse."""
+    col = dict(cells)
     below = [0] * (size + 1)  # below[q]: 1s in rows p..size, columns 1..q
     table = [None] * size
     for p in range(size, 0, -1):
-        seen = 0  # 1s in row p, columns 1..q
-        for q, x in enumerate(rows[p - 1], start=1):
-            if x:
-                seen += 1
-            below[q] += seen
+        if p in col:
+            for q in range(col[p], size + 1):
+                below[q] += 1
         table[p - 1] = tuple(below[p:])
     return tuple(table)
 
@@ -97,12 +92,12 @@ def matchings_sw_array(shape, matchings, tables=None):
     (:func:`~gridorbits.grid_quiver.rook_point`), read off the matchings.
 
     Window (j1, j2) of that point is the rook of the composed matching
-    m_j2 ∘ ... ∘ m_j1, and its table is that rook's :func:`rook_table`, so
-    no matrix is multiplied or reduced.  The composed matching is kept as
-    its image vector, a tuple whose entry a - 1 is the height a reaches, or
-    0 once a's chain has dropped; one more map ``step`` sends ``c`` to
-    ``tuple(step.get(b, 0) for b in c)``.  ``tables`` memoises the table
-    per image vector across calls.
+    m_j2 ∘ ... ∘ m_j1, and its table is the :func:`rook_table` of its
+    :func:`~gridorbits.grid_quiver.rook_cells`, so no matrix is built.  The
+    composed matching is kept as its image vector, a tuple whose entry
+    a - 1 is the height a reaches, or 0 once a's chain has dropped; one
+    more map ``step`` sends ``c`` to ``tuple(step.get(b, 0) for b in c)``.
+    ``tables`` memoises the table per image vector across calls.
     """
     if tables is None:
         tables = {}
@@ -115,7 +110,7 @@ def matchings_sw_array(shape, matchings, tables=None):
             table = tables.get(image)
             if table is None:
                 composed = {a: b for a, b in enumerate(image, start=1) if b}
-                table = tables[image] = rook_table(rook_of_matching(size, composed))
+                table = tables[image] = rook_table(size, rook_cells(size, composed))
             out.append(table)
     return SWArray(shape, tuple(out))
 
@@ -170,8 +165,8 @@ def degenerates(f, g):
 
 def pivots(table):
     """Pivot positions of the unique partial permutation matrix with these
-    south-west ranks: cells where the double difference
-    s(p,q) - s(p+1,q) - s(p,q-1) + s(p+1,q-1) equals 1.
+    south-west ranks, the inverse of :func:`rook_table`: cells where the
+    double difference s(p,q) - s(p+1,q) - s(p,q-1) + s(p+1,q-1) is 1.
 
     Raises:
         InvalidTable: a double difference is not 0 or 1, or pivots share a

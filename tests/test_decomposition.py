@@ -206,7 +206,7 @@ class TestDecompose:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_one_reduction_per_window_product(self, n, rng, monkeypatch):
         # the maps' forms are read off the point's array and checked on
-        # their matchings, so decompose reduces each window product of the
+        # their matchings, so decompose sweeps each window product of the
         # point once and nothing else
         from gridorbits import exact_linalg
 
@@ -214,7 +214,7 @@ class TestDecompose:
         matchings = order_matchings(n + 1)
         dec = matchings_to_decomposition(shape, [rng.choice(matchings) for _ in range(n - 1)])
         point = borel_act(assemble_canonical(dec), random_borel(shape, rng))
-        original = exact_linalg.b_reduce
+        original = exact_linalg.b_pivots
         calls = []
 
         def counted(m):
@@ -222,15 +222,15 @@ class TestDecompose:
             return original(m)
 
         for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "gridorbits" and getattr(module, "b_reduce", None) is original:
-                monkeypatch.setattr(module, "b_reduce", counted)
+            if name.split(".")[0] == "gridorbits" and getattr(module, "b_pivots", None) is original:
+                monkeypatch.setattr(module, "b_pivots", counted)
         assert decompose(point) == dec
         assert len(calls) == len(windows(shape))
 
     def test_arrays_read_off_matchings(self, rng, monkeypatch):
         # decompose computes the point's array once; reconstruct and the
         # summands' rank vectors read theirs off matchings, so they call no
-        # sw_array, multiply no window and reduce no matrix
+        # sw_array, multiply no window and sweep no matrix
         from gridorbits import exact_linalg, grid_quiver, parametrizations
 
         shape = GridShape(3)
@@ -241,7 +241,7 @@ class TestDecompose:
         for module, attr in (
             (parametrizations, "sw_array"),
             (grid_quiver, "window_products"),
-            (exact_linalg, "b_reduce"),
+            (exact_linalg, "b_pivots"),
         ):
             original = getattr(module, attr)
 
@@ -259,7 +259,7 @@ class TestDecompose:
         assert reconstruct(arr) == assemble_canonical(dec)
         for h in enumerate_indecomposables(shape):
             heights_rank_vector(shape, h)
-        assert calls == {"sw_array": [], "window_products": [], "b_reduce": []}
+        assert calls == {"sw_array": [], "window_products": [], "b_pivots": []}
 
 
 class TestIndependence:

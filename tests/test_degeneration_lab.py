@@ -12,6 +12,7 @@ from gridorbits import (
     FitFailure,
     GridShape,
     InfeasibleSize,
+    SolveFailure,
     assemble_canonical,
     e_grid,
     estimate_dim,
@@ -757,6 +758,21 @@ class TestHomReport:
         monkeypatch.setattr(degeneration_lab, "subrep_count", fibre_count)
         with pytest.raises(InfeasibleSize, match=r"q\^32 candidate points"):
             hom_report((2, 3, 4, 1), identity_tuple(GridShape(3)))
+
+    def test_point_without_thin_decomposition_refused_before_any_count(self, monkeypatch):
+        # the README witness (E24 + E33, E11 + E13) has no canonical
+        # representative, so decompose refuses it before anything is counted
+        def counted(*args, **kwargs):
+            raise AssertionError("counted before the decomposition was refused")
+
+        monkeypatch.setattr(degeneration_lab, "rep_variety_count", counted)
+        monkeypatch.setattr(degeneration_lab, "subrep_count", counted)
+        witness = make_point(GridShape(3), [
+            [[0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 0, 0]],
+            [[1, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        ])
+        with pytest.raises(SolveFailure, match="^no multiset of thin summands reproduces the rank vector"):
+            hom_report((2, 3, 4, 1), witness)
 
     def test_field_sizes_checked_before_any_count(self, shape2, monkeypatch):
         def counted(*args, **kwargs):

@@ -38,7 +38,7 @@ from gridorbits import (
 import gridorbits.cli as cli
 import gridorbits.degeneration_lab as degeneration_lab
 import gridorbits.orbit_poset as orbit_poset
-from gridorbits.grid_quiver import rook_of_matching, rook_point
+from gridorbits.grid_quiver import rook_cells, rook_point
 from gridorbits.parametrizations import rook_table
 from gridorbits.serialize import map_tuple_to_json
 
@@ -346,17 +346,21 @@ class TestClosedFormArrays:
             assert matchings_sw_array(shape, matchings) == sw_array(assemble_canonical(dec))
             assert node.sw == sw_array(assemble_canonical(dec))
 
-    def test_compositions_are_rooks(self, shape3):
+    def test_compositions_are_rooks(self, shape3, monkeypatch):
         # every window of every n = 3 orbit is one of the 52 rooks of size 4,
         # so a shared memo counts 52 tables for all 2,704 x 3 windows; the
         # memo is keyed by image vectors, entry a - 1 the height a reaches
-        # (0 once dropped), one per matching
+        # (0 once dropped), one per matching; no dense rook is built
+        from gridorbits import grid_quiver
+
         tables = {}
         combos = list(itertools.product(order_matchings(4), repeat=2))
+        calls = count_calls(monkeypatch, [(grid_quiver, "rook_of_matching")])
         arrays = [matchings_sw_array(shape3, combo, tables) for combo in combos]
+        assert calls == {"rook_of_matching": 0}
         assert len(tables) == 52
         assert tables == {
-            tuple(m.get(a, 0) for a in range(1, 5)): rook_table(rook_of_matching(4, m))
+            tuple(m.get(a, 0) for a in range(1, 5)): rook_table(4, rook_cells(4, m))
             for m in order_matchings(4)
         }
         assert arrays == [matchings_sw_array(shape3, combo) for combo in combos]
@@ -366,13 +370,26 @@ class TestClosedFormArrays:
 
         calls = count_calls(monkeypatch, (
             (parametrizations, "sw_array"),
-            (exact_linalg, "b_reduce"),
+            (exact_linalg, "b_pivots"),
             (grid_quiver, "window_products"),
         ))
         for command in ("orbits", "poset"):
             assert cli.main([command, "--n", "3"]) == 0
         assert capsys.readouterr().out
-        assert calls == {"sw_array": 0, "b_reduce": 0, "window_products": 0}
+        assert calls == {"sw_array": 0, "b_pivots": 0, "window_products": 0}
+
+    @pytest.mark.parametrize("argv,made", [
+        (["poset", "--n", "3"], 0),
+        (["count-report", "--n", "3"], 0),
+        (["orbits", "--n", "3", "--format", "json"], 52),  # the maps text, once per matching
+    ])
+    def test_dense_rooks_only_for_listed_maps(self, argv, made, monkeypatch, capsys):
+        from gridorbits import grid_quiver
+
+        calls = count_calls(monkeypatch, [(grid_quiver, "rook_of_matching")])
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out
+        assert calls == {"rook_of_matching": made}
 
     @pytest.mark.parametrize("argv", [
         ["orbits", "--n", "3", "--format", "json"],

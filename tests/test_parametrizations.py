@@ -25,6 +25,7 @@ from gridorbits import (
     pivots,
     rank_vector,
     reconstruct,
+    rook_table,
     same_orbit,
     same_rank_vector,
     sw_array,
@@ -33,7 +34,13 @@ from gridorbits import (
     zero_tuple,
 )
 from gridorbits.exact_linalg import principal_block
-from gridorbits.grid_quiver import matchings_to_decomposition, windows
+from gridorbits.grid_quiver import (
+    matching_of_rook,
+    matchings_to_decomposition,
+    rook_cells,
+    rook_of_matching,
+    windows,
+)
 from gridorbits.orbit_poset import order_matchings
 
 from conftest import count_calls, random_borel, random_point, random_unimodular_ut, random_ut
@@ -79,14 +86,15 @@ class TestArrayMemo:
 
         arr = sw_array(pair_n3)
         twin = make_point(shape3, pair_n3.maps)
-        calls = count_calls(monkeypatch, [(exact_linalg, "b_reduce")])
+        calls = count_calls(monkeypatch, [(exact_linalg, "b_pivots"), (exact_linalg, "b_reduce")])
         assert sw_array(twin) == arr and sw_array(twin) is not arr
-        assert calls == {"b_reduce": len(windows(shape3))}
+        assert calls == {"b_pivots": len(windows(shape3)), "b_reduce": 0}
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_invariants_query_reads_one_array(self, n, rng, monkeypatch):
         # every query of the invariants workload on one fresh point reads
-        # the same array: its window products are formed and reduced once
+        # the same array: its window products are formed and swept once,
+        # and no dense rook is built
         from gridorbits import exact_linalg, grid_quiver
 
         shape = GridShape(n)
@@ -96,23 +104,25 @@ class TestArrayMemo:
         zero = zero_tuple(shape)
         sw_array(canon)
         sw_array(zero)
-        calls = count_calls(monkeypatch, [(exact_linalg, "b_reduce"), (grid_quiver, "window_products")])
+        calls = count_calls(monkeypatch, [
+            (exact_linalg, "b_pivots"), (exact_linalg, "b_reduce"), (grid_quiver, "window_products"),
+        ])
         assert sw_array(point) == sw_array(canon)
         assert rank_vector(point) == rank_vector(canon)
         assert decompose(point) == dec
         assert same_orbit(point, canon)
         assert degenerates(point, zero)
-        assert calls == {"b_reduce": len(windows(shape)), "window_products": 1}
+        assert calls == {"b_pivots": len(windows(shape)), "b_reduce": 0, "window_products": 1}
 
 
 class TestSameOrbit:
     def test_refuses_points_of_different_shapes(self, diag011, pair_n3, monkeypatch):
         from gridorbits import exact_linalg
 
-        calls = count_calls(monkeypatch, [(exact_linalg, "b_reduce")])
+        calls = count_calls(monkeypatch, [(exact_linalg, "b_pivots")])
         with pytest.raises(SizeMismatch, match="^points have different shapes$"):
             same_orbit(diag011, pair_n3)
-        assert calls == {"b_reduce": 0}
+        assert calls == {"b_pivots": 0}
 
     def test_borel_translates(self, rng, shape2):
         f = random_point(shape2, rng)
@@ -130,10 +140,10 @@ class TestDegenerates:
         # refused as same_orbit refuses them, before either array is computed
         from gridorbits import exact_linalg
 
-        calls = count_calls(monkeypatch, [(exact_linalg, "b_reduce")])
+        calls = count_calls(monkeypatch, [(exact_linalg, "b_pivots")])
         with pytest.raises(SizeMismatch, match="^points have different shapes$"):
             degenerates(pair_n3, diag011)
-        assert calls == {"b_reduce": 0}
+        assert calls == {"b_pivots": 0}
 
     def test_worked_direction(self, diag011, single_one_12):
         # the rank-1 point lies in the closure of the rank-2 orbit
@@ -167,6 +177,19 @@ class TestPivots:
         # every double difference is 0 or 1, yet no rook has these ranks
         with pytest.raises(InvalidTable, match=r"^pivots \[\(1,1\), \(1,2\)\] reuse a row or column$"):
             pivots(((1, 2, 2), (0, 0), (0,)))
+
+    @pytest.mark.parametrize("size,count", [(4, 52), (5, 203)])
+    def test_every_rook_round_trips(self, size, count):
+        # a rook's cells, its table, its matching and its int rows agree
+        matchings = order_matchings(size)
+        assert len(matchings) == count
+        for m in matchings:
+            cells = rook_cells(size, m)
+            assert pivots(rook_table(size, cells)) == set(cells)
+            assert matching_of_rook(size, cells) == m
+            rows = rook_of_matching(size, m)
+            ones = {(p, q) for p, row in enumerate(rows, start=1) for q, x in enumerate(row, start=1) if x}
+            assert ones == set(cells) and all(x in (0, 1) for row in rows for x in row)
 
 
 def _outcome(fn, arr):
