@@ -16,7 +16,6 @@ into the summands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact_linalg import Matrix, rank
 from .fields import QQ
@@ -153,8 +152,7 @@ def independence_check(shape):
     vecs = [full_vector(heights_rank_vector(shape, h)) for h in enumerate_indecomposables(shape)]
     if len(vecs) > len(vecs[0]):
         return False
-    m = Matrix(QQ, [[Fraction(x) for x in v] for v in vecs])
-    return rank(m) == len(vecs)
+    return rank(Matrix(QQ, vecs)) == len(vecs)
 
 
 def thin_matchings(arr):

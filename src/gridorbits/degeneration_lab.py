@@ -28,7 +28,6 @@ tuples over F_q.  All exact linear algebra runs on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, islice, product
 
 from .decomposition import thin_matchings
@@ -220,7 +219,7 @@ def _poly_trim(c):
 
 
 def _poly_eval(c, x):
-    acc = Fraction(0)
+    acc = 0
     for coef in reversed(c):
         acc = acc * x + coef
     return acc
@@ -254,8 +253,8 @@ def fit_dimension(counts, max_degree):
             raise ValueError(f"field size q = {q} is repeated")
     for k in range(len(pts) - 1):
         sample = pts[: k + 1]
-        vandermonde = [[Fraction(q) ** d for q, _c in sample] for d in range(k + 1)]
-        coeffs = _poly_trim(solve_unique(vandermonde, [Fraction(c) for _q, c in sample]))
+        vandermonde = [[q ** d for q, _c in sample] for d in range(k + 1)]
+        coeffs = _poly_trim(solve_unique(vandermonde, [c for _q, c in sample]))
         if len(coeffs) - 1 > max_degree:
             break
         if all(_poly_eval(coeffs, q) == c for q, c in pts[k + 1:]):

@@ -20,12 +20,12 @@ subspaces are in reduced row echelon form, so the only combination of the
 rows that can equal a vector is read off the vector's entries at the
 pivots, and :func:`~gridorbits.subspaces.in_span` compares the two.
 
-Over QQ the sweep runs on integers: each row enters as an integer
-multiple of itself and rows are cleared by cross-multiplication, so no
+Over QQ the sweep runs on integers: the matrix enters as its
+:func:`integer_multiple`, the smallest positive integer multiple of it
+with int entries, and rows are cleared by cross-multiplication, so no
 ``Fraction`` is built or normalised until back-substitution divides by the
-pivots.  :func:`integer_multiple` gives the integer multiple of a whole
-matrix, from which :func:`~gridorbits.grid_quiver.window_products`
-multiplies integer matrices.
+pivots.  :func:`~gridorbits.grid_quiver.window_products` multiplies the
+same integer multiples of a point's maps.
 
 Zero tests are truthiness tests: a rational is an ``int`` or a
 ``Fraction``, each falsy exactly at 0, as the GF(q) element ``0`` is, so
@@ -75,10 +75,6 @@ class Matrix:
         cols = rows if cols is None else cols
         return cls(field, [[zero] * cols for _ in range(rows)])
 
-    @classmethod
-    def from_int_rows(cls, rows):
-        return cls(QQ, [[QQ.from_int(x) for x in row] for row in rows])
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -94,9 +90,11 @@ class Matrix:
         return f"Matrix[{self.rows}x{self.cols}]({body})"
 
     def __matmul__(self, other):
+        f = self.field
+        if f is not other.field:
+            raise ValueError(f"field mismatch: {f} @ {other.field}")
         if self.cols != other.rows:
             raise ValueError(f"size mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        f = self.field
         add, mul = f.add, f.mul
         # each output entry sums its products in increasing inner index, as
         # the row-by-column definition does, so results are identical
@@ -128,21 +126,10 @@ def is_upper_triangular(m):
     return not any(any(row[:i]) for i, row in enumerate(m.data))
 
 
-_INT = {int}
-
-
-def _integer_row(row):
-    """A QQ row times the lcm of its entries' denominators, as ints."""
-    if set(map(type, row)) == _INT:  # the lcm is 1
-        return list(row)
-    d = lcm(*[x.denominator for x in row])
-    return [x.numerator * (d // x.denominator) for x in row]
-
-
 def integer_multiple(m):
     """A QQ matrix times the lcm of all its entries' denominators: the
     smallest positive integer multiple of m with int entries."""
-    if set(map(type, chain.from_iterable(m.data))) == _INT:
+    if set(map(type, chain.from_iterable(m.data))) == {int}:
         return m
     d = lcm(*[x.denominator for row in m.data for x in row])
     return Matrix(QQ, [[x.numerator * (d // x.denominator) for x in row] for row in m.data])
@@ -169,9 +156,9 @@ def _sweep(m):
       row operations touch only the columns right of the pivot.
 
     Over GF(q) a hit row with entry x at the pivot p becomes
-    row - (x/p)·pivot_row.  Over QQ the sweep divides nothing: each row
-    enters times the lcm of its own denominators, as ints, and with
-    g = gcd(p, x), signed as p, a hit row becomes
+    row - (x/p)·pivot_row.  Over QQ the sweep divides nothing: the matrix
+    enters as its :func:`integer_multiple`, one positive integer times m,
+    and with g = gcd(p, x), signed as p, a hit row becomes
     (p/g)·row - (x/g)·pivot_row, the field step's row times p/g.  So each
     swept row is a nonzero multiple of the field sweep's row, with the same
     zero entries, and as the choice of pivot reads only which entries are
@@ -183,11 +170,8 @@ def _sweep(m):
     """
     f = m.field
     integral = f is QQ
-    if integral:
-        a = [_integer_row(row) for row in m.data]
-    else:
-        sub, mul = f.sub, f.mul
-        a = [list(row) for row in m.data]
+    sub, mul = f.sub, f.mul
+    a = [list(row) for row in (integer_multiple(m) if integral else m).data]
     free = list(range(m.rows))  # rows without a pivot, in increasing order
     pivots = []
     for c in range(m.cols):

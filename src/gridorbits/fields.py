@@ -19,12 +19,11 @@ class RationalField:
 
     An element is an ``int`` or a ``Fraction``: an int is the rational
     with denominator 1, and it compares, hashes, prints and tests for zero
-    as that ``Fraction`` does.  ``zero`` and ``one`` are the ints 0 and 1,
-    so 0/1 matrices and the integer rows of the south-west path never
-    build a ``Fraction``.  The ring operations are ``operator``'s, whose
-    int results stay ints, and the embeddings are ``Fraction`` itself;
-    ``inv`` refuses 0 and ``div`` divides a ``Fraction``, so int / int
-    stays exact."""
+    as that ``Fraction`` does, so no ``Fraction`` is built around an int:
+    ``zero``, ``one`` and ``from_int`` give ints, and the ring operations
+    are ``operator``'s, whose int results stay ints.  A ``Fraction`` is
+    built where a value enters (``from_fraction``) or is divided: ``inv``
+    refuses 0 and ``div`` divides a ``Fraction``, so int / int is exact."""
 
     zero = 0
     one = 1
@@ -32,7 +31,8 @@ class RationalField:
     sub = operator.sub
     mul = operator.mul
     neg = operator.neg
-    from_int = from_fraction = Fraction
+    from_int = operator.index
+    from_fraction = Fraction
 
     @staticmethod
     def inv(a):
@@ -52,6 +52,8 @@ class RationalField:
 
 
 QQ = RationalField()
+
+MAX_Q = 64  # the largest q for which GF(q) builds its q x q tables
 
 
 def _factor_prime_power(q):
@@ -94,10 +96,13 @@ class GaloisField:
     smallest monic irreducible polynomial of degree k (x itself when
     k = 1, so prime fields are the integers mod p).  ``__init__`` builds
     the add, neg, mul and inv tables once; each operation is a lookup.
-    The tables hold q^2 entries, so this is meant for small q.
+    The tables hold q^2 entries, so a q past :data:`MAX_Q` = 64 is refused
+    before it is factored or any table is built (GF(256) took 12 s).
     """
 
     def __init__(self, q):
+        if q > MAX_Q:
+            raise ValueError(f"GF({q}) is past the cap q <= {MAX_Q}: its tables hold q^2 entries")
         p, k = _factor_prime_power(q)
         self.q = q
         self.p = p
@@ -158,7 +163,6 @@ class GaloisField:
         return n % self.p
 
     def from_fraction(self, x):
-        x = Fraction(x)
         if x.denominator % self.p == 0:
             raise ZeroDivisionError(f"denominator of {x} not invertible mod {self.p}")
         return self.mul(self.from_int(x.numerator), self.inv(self.from_int(x.denominator)))
@@ -175,7 +179,7 @@ class GaloisField:
 
 @lru_cache(maxsize=None)
 def GF(q):
-    """Cached GF(q) instance for a prime power q."""
+    """Cached GF(q) instance for a prime power q <= :data:`MAX_Q`."""
     return GaloisField(q)
 
 

@@ -127,6 +127,7 @@ def make_point(shape, mats):
 
     Raises:
         SizeMismatch: wrong number of maps or wrong matrix size.
+        GridQuiverError: maps over different fields.
         TriangularityViolation: a nonzero entry below the diagonal.
     """
     mats = [
@@ -136,6 +137,8 @@ def make_point(shape, mats):
     if len(mats) != shape.num_maps:
         raise SizeMismatch(f"expected {shape.num_maps} maps, got {len(mats)}")
     for idx, m in enumerate(mats, start=1):
+        if m.field is not mats[0].field:
+            raise GridQuiverError(f"map {idx} is over {m.field}, map 1 over {mats[0].field}")
         if m.rows != shape.size or m.cols != shape.size:
             raise SizeMismatch(f"map {idx} is {m.rows}x{m.cols}, expected size {shape.size}")
         for i in range(m.rows):
@@ -330,11 +333,21 @@ def borel_act(point, hs):
     Args:
         point: a MapTuple.
         hs: n invertible upper-triangular matrices, one per grid column.
+
+    Raises:
+        SizeMismatch: a wrong number of base changes, or one of wrong size.
+        GridQuiverError: a base change over another field than the point's.
+        ValueError: a base change not upper-triangular or not invertible.
     """
     shape = point.shape
+    field = point.maps[0].field
     if len(hs) != shape.n:
         raise SizeMismatch(f"expected {shape.n} base-change matrices, got {len(hs)}")
-    for h in hs:
+    for j, h in enumerate(hs, start=1):
+        if h.rows != shape.size or h.cols != shape.size:
+            raise SizeMismatch(f"base change {j} is {h.rows}x{h.cols}, expected size {shape.size}")
+        if h.field is not field:
+            raise GridQuiverError(f"base change {j} is over {h.field}, the point over {field}")
         if not is_upper_triangular(h):
             raise ValueError("base change must be upper-triangular")
     invs = [inverse(h) for h in hs]

@@ -19,7 +19,7 @@ from .parametrizations import SWArray
 
 
 def scalar_to_str(x):
-    return str(Fraction(x))
+    return str(x)  # an int or a Fraction, written as str(Fraction(x)) writes it
 
 
 def scalar_from_str(s):

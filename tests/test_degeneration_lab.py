@@ -31,7 +31,7 @@ from gridorbits import (
     target_dims,
     zero_tuple,
 )
-from gridorbits import degeneration_lab, grid_quiver
+from gridorbits import degeneration_lab, fields, grid_quiver
 from gridorbits.degeneration_lab import _degree_bound, _poly_trim
 from gridorbits.exact_linalg import Matrix, inverse, rank, solve_unique
 from gridorbits.fields import QQ, _poly_mul_mod
@@ -224,6 +224,17 @@ class TestFields:
         assert not is_prime_power(6)
         with pytest.raises(ValueError):
             GaloisField(6)
+
+    def test_refuses_q_past_the_cap_before_building(self, monkeypatch):
+        assert fields.MAX_Q == 64 and GF(64).q == 64
+
+        def no_factoring(q):
+            raise AssertionError(f"{q} was factored")
+
+        monkeypatch.setattr(fields, "_factor_prime_power", no_factoring)
+        for build in (fields.GaloisField, GF):  # 67, the prime after the cap
+            with pytest.raises(ValueError, match=r"^GF\(67\) is past the cap q <= 64"):
+                build(67)
 
 
 class TestSubspaces:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -23,7 +24,7 @@ from gridorbits.parametrizations import sw_table
 from conftest import random_ut
 from reference_windows import reference_compose_window, reference_image_meet_coord_dim, reference_sw_rank
 
-DIAG011 = Matrix.from_int_rows([[0, 0, 0], [0, 1, 0], [0, 0, 1]])
+DIAG011 = Matrix(QQ, [[0, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 def reference_rank(m):
@@ -258,7 +259,7 @@ class TestRank:
 
     def test_partial_permutation_rank_field_independent(self):
         rows = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
-        assert rank(Matrix.from_int_rows(rows)) == rank(Matrix(GF(2), rows)) == 2
+        assert rank(Matrix(QQ, rows)) == rank(Matrix(GF(2), rows)) == 2
 
 
 class TestSwRank:
@@ -302,12 +303,10 @@ class TestComposeWindow:
     def test_published_pair(self):
         # diagonal 0/1 matrices multiply entrywise: only the shared (4,4)
         # survives in the composition
-        f1 = Matrix.from_int_rows([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
-        f2 = Matrix.from_int_rows([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        f1 = Matrix(QQ, [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
+        f2 = Matrix(QQ, [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         prod = reference_compose_window([f1, f2], 1, 2)
-        expected = Matrix.from_int_rows(
-            [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]]
-        )
+        expected = Matrix(QQ, [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])
         assert prod == expected
 
     def test_identities(self):
@@ -330,7 +329,7 @@ class TestPrincipalBlock:
         assert principal_block(DIAG011, 3) == DIAG011
 
     def test_worked_example_restriction(self):
-        assert principal_block(DIAG011, 2) == Matrix.from_int_rows([[0, 0], [0, 1]])
+        assert principal_block(DIAG011, 2) == Matrix(QQ, [[0, 0], [0, 1]])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 16 - 1), st.integers(0, 2 ** 16 - 1), st.integers(1, 4))
@@ -393,7 +392,7 @@ class TestBReduce:
 
     def test_rejects_non_triangular(self):
         with pytest.raises(ValueError):
-            b_reduce(Matrix.from_int_rows([[0, 0], [1, 0]]))
+            b_reduce(Matrix(QQ, [[0, 0], [1, 0]]))
 
     def test_prime_field_reduction(self):
         rng = random.Random(17)
@@ -464,6 +463,17 @@ class TestPivotOnlyKernels:
                 b = Matrix(field, [[draw(rng) for _ in range(size)] for _ in range(size)])
                 assert a @ b == reference_matmul(a, b)
                 assert b @ a == reference_matmul(b, a)
+
+
+def test_matmul_refuses_mixed_fields():
+    # a product runs on the left operand's arithmetic, which would read the
+    # right operand's entries as its own: QQ's 2 as GF(3)'s, 1/2 as a table index
+    gf3 = Matrix(GF(3), [[1, 2], [0, 1]])
+    qq = Matrix(QQ, [[1, 2], [0, 1]])
+    half = Matrix(QQ, [[Fraction(1, 2), 2], [0, 1]])
+    for left, right, text in ((gf3, qq, "GF(3) @ QQ"), (qq, gf3, "QQ @ GF(3)"), (gf3, half, "GF(3) @ QQ")):
+        with pytest.raises(ValueError, match=re.escape(f"field mismatch: {text}")):
+            left @ right
 
 
 def _apply(field, rows, x):

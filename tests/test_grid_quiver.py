@@ -5,7 +5,9 @@ import re
 import pytest
 
 from gridorbits import (
+    GF,
     Decomposition,
+    GridQuiverError,
     GridShape,
     HeightVectorError,
     InvalidDecomposition,
@@ -26,6 +28,7 @@ from gridorbits import (
     windows,
     zero_tuple,
 )
+from gridorbits import grid_quiver
 from gridorbits.grid_quiver import window_products
 from gridorbits.orbit_poset import enumerate_orbits
 
@@ -58,6 +61,14 @@ class TestMakePoint:
     def test_wrong_size(self, shape2):
         with pytest.raises(SizeMismatch):
             make_point(shape2, [[[0, 0], [0, 0]]])
+
+    def test_maps_share_one_field(self, shape3):
+        ident = [[int(i == j) for j in range(4)] for i in range(4)]
+        with pytest.raises(GridQuiverError, match=exact("map 2 is over GF(3), map 1 over QQ")):
+            make_point(shape3, [Matrix(QQ, ident), Matrix(GF(3), ident)])
+        with pytest.raises(GridQuiverError, match=exact("map 2 is over QQ, map 1 over GF(3)")):
+            make_point(shape3, [Matrix(GF(3), ident), ident])  # a nested list is taken over Q
+        assert make_point(shape3, [Matrix(GF(3), ident)] * 2).maps[1].field is GF(3)
 
 
 def exact(message):
@@ -200,6 +211,22 @@ class TestBorelAct:
     def test_identity_action(self, shape2, diag011):
         hs = [Matrix.identity(QQ, 3)] * 2
         assert borel_act(diag011, hs) == diag011
+
+    def test_wrong_size_refused_before_any_inverse(self, diag011, monkeypatch):
+        monkeypatch.setattr(grid_quiver, "inverse", _no_inverse)
+        hs = [Matrix.identity(QQ, 3), Matrix.identity(QQ, 2)]
+        with pytest.raises(SizeMismatch, match=exact("base change 2 is 2x2, expected size 3")):
+            borel_act(diag011, hs)
+
+    def test_wrong_field_refused_before_any_inverse(self, diag011, monkeypatch):
+        monkeypatch.setattr(grid_quiver, "inverse", _no_inverse)
+        hs = [Matrix.identity(QQ, 3), Matrix.identity(GF(3), 3)]
+        with pytest.raises(GridQuiverError, match=exact("base change 2 is over GF(3), the point over QQ")):
+            borel_act(diag011, hs)
+
+
+def _no_inverse(m):
+    raise AssertionError("a base change was inverted before every one was checked")
 
 
 class TestWindowProducts:

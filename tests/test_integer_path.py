@@ -6,6 +6,7 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,7 @@ from gridorbits import (
 )
 from gridorbits.exact_linalg import _sweep, solve_unique
 from gridorbits.grid_quiver import window_products
-from gridorbits.serialize import map_tuple_to_json
+from gridorbits.serialize import map_tuple_to_json, scalar_to_str
 
 from reference_sweep import (
     reference_b_reduce,
@@ -140,3 +141,11 @@ class TestIntZeroAndOne:
         assert as_ints == as_fractions
         text = json.dumps(map_tuple_to_json(as_ints))
         assert text == json.dumps(map_tuple_to_json(as_fractions))
+
+    def test_an_int_enters_as_itself(self):
+        for x in (-3, 0, 1, 12):
+            assert type(QQ.from_int(x)) is int and QQ.from_int(x) == Fraction(x)
+            assert scalar_to_str(x) == scalar_to_str(Fraction(x)) == str(Fraction(x))
+        assert scalar_to_str(Fraction(-6, 4)) == "-3/2"
+        with pytest.raises(TypeError):
+            QQ.from_int(Fraction(1, 2))  # not an integer: from_fraction embeds it
