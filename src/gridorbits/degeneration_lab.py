@@ -12,7 +12,9 @@ dims, q), once per scan.  Every count meters its budget in closed form.
 The audit compares the codimension of the Hom scheme inside its ambient
 space against the rank of the defining bilinear system, computed exactly
 over Q at the first ``MAX_BASE_POINTS`` items of the uncapped stream of
-coordinate subrepresentations (see :func:`_coordinate_subreps`).  The
+coordinate subrepresentations (see :func:`_coordinate_subreps`).  It reads
+the canonical point's per-pair matchings: each arrow's map is the set of
+its 1s (:func:`_arrow_cells`), so no dense matrix is built per arrow.  The
 ambient space contains the variety of representations with one
 commutativity relation per square.
 Both are cut out by one list of equations over one index of unknowns (the
@@ -31,9 +33,9 @@ from dataclasses import dataclass
 from itertools import combinations, islice, product
 
 from .decomposition import thin_matchings
-from .exact_linalg import Matrix, principal_block, rank, solve_unique
+from .exact_linalg import Matrix, rank, solve_unique
 from .fields import GF, QQ, is_prime_power
-from .grid_quiver import GridQuiverError, GridShape, InfeasibleSize, rook_point
+from .grid_quiver import GridQuiverError, GridShape, InfeasibleSize, rook_cells, rook_point
 from .orbit_poset import array_order, orbit_nodes
 from .parametrizations import sw_array
 from .schubert import check_permutation, length, target_dims
@@ -284,8 +286,13 @@ def estimate_dim(point, e, qs, budget=DEFAULT_BUDGET):
 def euler_form(a, b):
     """Euler form of the grid quiver with one relation per commuting square:
     sum_v a_v b_v - sum_arrows a_s b_t + sum_squares a_(i,j) b_(i+1,j+1), for
-    (n+1) x n grids a and b, over their shape's arrows and squares."""
-    shape = GridShape(len(a[0]))
+    (n+1) x n grids a and b, over their shape's arrows and squares.  Any
+    other pair of grids, such as two of different shapes, is refused with a
+    ValueError naming both shapes (row lengths)."""
+    shape_a, shape_b = tuple(map(len, a)), tuple(map(len, b))
+    if shape_a != shape_b or shape_a != (len(a) - 1,) * len(a):
+        raise ValueError(f"euler_form needs two (n+1) x n grids, got row lengths {shape_a} and {shape_b}")
+    shape = GridShape(len(a) - 1)
     total = sum(x * y for row_a, row_b in zip(a, b) for x, y in zip(row_a, row_b))
     total -= sum(_edim(a, s) * _edim(b, t) for s, t in _grid_arrows(shape))
     total += sum(_edim(a, (i, j)) * _edim(b, (i + 1, j + 1)) for i, j in _squares(shape))
@@ -346,13 +353,15 @@ def _squares(shape):
     return product(range(1, shape.size), range(1, shape.n))
 
 
-def _arrow_map(point, s, t):
-    """The map the point puts on arrow (s, t), s = (i, j): the stored map
-    cut to row i if horizontal, the inclusion F^i -> F^(i+1) if vertical."""
+def _arrow_cells(shape, matchings, s, t):
+    """The 1s of the canonical point's map on arrow (s, t), s = (i, j), as a
+    dict column -> row (1-based): if horizontal, the ``rook_cells`` of
+    ``matchings[j-1]`` in columns <= i (the rook is upper triangular, so
+    these are its top-left i x i block's); if vertical, c -> c (F^i ⊂ F^(i+1))."""
     i, j = s
     if t[0] == i:
-        return principal_block(point.maps[j - 1], i)
-    return Matrix(QQ, [[QQ.one if c == r else QQ.zero for c in range(i)] for r in range(i + 1)])
+        return {c: r for r, c in rook_cells(shape.size, matchings[j - 1]) if c <= i}
+    return {c: c for c in range(1, i + 1)}
 
 
 def _edim(e, v):
@@ -404,17 +413,18 @@ def _square_relations(shape, e, index):
     return equations
 
 
-def _hom_conditions(point, e, index):
-    """The Hom conditions f·g_s = g_t·N_(s,t) over the point, f being
-    :func:`_arrow_map`, one equation per entry, in the format of
-    :func:`_square_relations`."""
+def _hom_conditions(shape, matchings, e, index):
+    """The Hom conditions f·g_s = g_t·N_(s,t) over the canonical point with
+    these matchings, f having its 1s at :func:`_arrow_cells`, one equation
+    per entry, in the format of :func:`_square_relations`."""
     equations = []
-    for (s, t) in _grid_arrows(point.shape):
-        for r, f_row in enumerate(_arrow_map(point, s, t).data):
+    for (s, t) in _grid_arrows(shape):
+        col_of = {r: c for c, r in _arrow_cells(shape, matchings, s, t).items()}
+        for r in range(1, t[0] + 1):
             for c in range(_edim(e, s)):
                 equations.append(
-                    [(x, index[(s, k, c)], None) for k, x in enumerate(f_row) if x]
-                    + [(-1, index[(t, r, u)], index[((s, t), u, c)]) for u in range(_edim(e, t))]
+                    ([(1, index[(s, col_of[r] - 1, c)], None)] if r in col_of else [])
+                    + [(-1, index[(t, r - 1, u)], index[((s, t), u, c)]) for u in range(_edim(e, t))]
                 )
     return equations
 
@@ -442,6 +452,14 @@ def _jacobian(equations, x):
     return rows
 
 
+def _check_rep_budget(nvars, q, budget):
+    """Refuse a count of the representation variety over F_q whose q^nvars
+    arrow tuples exceed the budget, nvars being the number of entries of
+    all arrow matrices (horizontal and vertical)."""
+    if q ** nvars > budget:
+        raise InfeasibleSize(f"representation variety has q^{nvars} candidate points")
+
+
 def rep_variety_count(shape, e, q, budget=DEFAULT_BUDGET):
     """Points over F_q of the variety of representations with dimension
     grid e satisfying every square's commutativity relation.
@@ -452,15 +470,15 @@ def rep_variety_count(shape, e, q, budget=DEFAULT_BUDGET):
     system in the nv vertical entries.
 
     Raises:
-        ValueError: :func:`_check_field_size` refuses q (before GF(q) is built).
-        InfeasibleSize: q^nvars exceeds the budget, nvars being the number
-            of entries of all arrow matrices (horizontal and vertical).
+        ValueError: :func:`_check_field_size` refuses q, or
+            :func:`_check_dim_grid` refuses e (both before GF(q) is built).
+        InfeasibleSize: :func:`_check_rep_budget` refuses q.
     """
     _check_field_size(q)
+    _check_dim_grid(shape, e)
     arrows, _frames = _unknowns(shape, e)
     nvars = len(arrows)
-    if q ** nvars > budget:
-        raise InfeasibleSize(f"representation variety has q^{nvars} candidate points")
+    _check_rep_budget(nvars, q, budget)
     field = GF(q)
     nh = sum(1 for (s, t), _r, _c in arrows if s[0] == t[0])
     nv = nvars - nh
@@ -482,14 +500,16 @@ def rep_variety_count(shape, e, q, budget=DEFAULT_BUDGET):
     return count
 
 
-def _coordinate_subreps(point, e):
+def _coordinate_subreps(shape, matchings, e):
     """Every subrepresentation spanned by standard basis vectors: the
-    torus-fixed points of the fibre over a canonical representative.
+    torus-fixed points of the fibre over the canonical point with these
+    matchings, read off its :func:`_arrow_cells`.
 
     Yields each as a dict from vertex to the sorted tuple of basis indices
-    spanning it, depth first: column by column, the bottom cell last.
+    spanning it, depth first: column by column, the bottom cell last.  A
+    cell's candidates must hold the images of the basis vectors chosen at
+    the cells below it and left of it.
     """
-    shape = point.shape
     cells = [(i, j) for j in range(1, shape.n + 1) for i in range(1, shape.size + 1)]
 
     def extend(idx, assign):
@@ -497,39 +517,28 @@ def _coordinate_subreps(point, e):
             yield assign
             return
         i, j = cells[idx]
-        below = set(assign.get((i - 1, j), ()))
-        images = []
-        if j >= 2:
-            f = _arrow_map(point, (i, j - 1), (i, j))
-            images = [{r for r in range(1, i + 1) if f.entry(r, t)} for t in assign[(i, j - 1)]]
+        image = set()
+        for s in ((i - 1, j), (i, j - 1)):
+            if s in assign:
+                f = _arrow_cells(shape, matchings, s, (i, j))
+                image.update(f[c] for c in assign[s] if c in f)
         for cand in combinations(range(1, i + 1), _edim(e, (i, j))):
-            if below.union(*images) <= set(cand):
+            if image <= set(cand):
                 yield from extend(idx + 1, {**assign, (i, j): cand})
 
     yield from extend(0, {})
 
 
-def _hom_point_from_subrep(point, e, assign):
-    """Exact (N, g) pair over Q for a coordinate subrepresentation."""
-    g = {
-        (i, j): Matrix(QQ, [[QQ.one if t == r else QQ.zero for t in basis] for r in range(1, i + 1)])
-        for (i, j), basis in assign.items()
-    }
-    n_mats = {}
-    for (s, t) in _grid_arrows(point.shape):
-        if not (_edim(e, s) and _edim(e, t)):
-            continue
-        ambient = _arrow_map(point, s, t)
-        n_mats[(s, t)] = Matrix(
-            QQ, [[ambient.entry(dst, src) for src in assign[s]] for dst in assign[t]]
-        )
-    return n_mats, g
-
-
-def _values(keys, n_mats, g):
-    """The point (N, g) as the vector x of the unknowns with these keys."""
-    mats = {**n_mats, **g}
-    return [mats[key].data[r][c] for key, r, c in keys]
+def _base_point(shape, matchings, arrows, frames, assign):
+    """The unknowns x, keyed by ``arrows + frames`` (see :func:`_unknowns`),
+    at the coordinate subrepresentation ``assign``: N_(s,t) holds the
+    arrow's 1s between the chosen basis vectors and the frame g_v the
+    chosen basis vectors of F^i."""
+    f = {(s, t): _arrow_cells(shape, matchings, s, t) for s, t in _grid_arrows(shape)}
+    one, zero = QQ.one, QQ.zero
+    return [
+        one if f[(s, t)].get(assign[s][c]) == assign[t][r] else zero for (s, t), r, c in arrows
+    ] + [one if assign[v][c] == r + 1 else zero for v, r, c in frames]
 
 
 def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
@@ -537,10 +546,13 @@ def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
 
     All reported quantities are orbit invariants, so the audit runs on the
     canonical representative of the point's orbit, where coordinate
-    subrepresentations provide exact rational points of the scheme.  The
-    field sizes are checked before anything is counted; the representation
-    variety is counted first, so a run whose q^nvars exceeds the budget is
-    refused before the fibre is counted.
+    subrepresentations provide exact rational points of the scheme.  It
+    reads that representative's per-pair matchings, ``thin_matchings`` of
+    the point's south-west array: the Hom conditions, the coordinate
+    subrepresentations and the base points all come from the 1s of its
+    arrow maps (:func:`_arrow_cells`), and its dense rook point is built
+    only for the fibre count.  The field sizes and the budget at the
+    largest q are checked before anything is counted.
 
     A base change a in GL(e) = prod_v GL(e_v), (N, g) -> (a_t N a_s^-1,
     g_v a_v^-1), is a linear automorphism of the unknowns that multiplies
@@ -554,8 +566,8 @@ def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
         ValueError: the field sizes are refused by :func:`_check_field_sizes`.
         SolveFailure: the point has no thin decomposition (so no canonical
             representative); raised before anything is counted.
-        InfeasibleSize: q^nvars exceeds the budget for some q (see
-            :func:`rep_variety_count`), or the fibre's counts exceed it.
+        InfeasibleSize: q^nvars exceeds the budget at the largest q (see
+            :func:`_check_rep_budget`), or the fibre's counts exceed it.
         NoPointFound: the canonical point has no coordinate
             subrepresentation, so there is no exact point to start from.
     """
@@ -565,28 +577,28 @@ def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
         raise ValueError("permutation size does not match the shape")
     _check_field_sizes(qs)
     e = target_dims(w)
-    canon = rook_point(shape, thin_matchings(sw_array(point)))
+    matchings = thin_matchings(sw_array(point))
+    arrows, frames = _unknowns(shape, e)
+    _check_rep_budget(len(arrows), max(qs), budget)
     dim_g = sum(x * x for row in e for x in row)
     total_e = sum(
         e[i - 1][j - 1] * i for i in range(1, shape.size + 1) for j in range(1, shape.n + 1)
     )
     re_counts = tuple((q, rep_variety_count(shape, e, q, budget)) for q in qs)
-    est_gr = estimate_dim(canon, e, qs, budget)
-    arrows, frames = _unknowns(shape, e)
+    est_gr = estimate_dim(rook_point(shape, matchings), e, qs, budget)
     est_re = fit_dimension(re_counts, len(arrows))
     dim_hom0 = est_gr.degree + dim_g
     dim_v = est_re.degree + total_e
     codim = dim_v - dim_hom0
-    base_points = list(islice(_coordinate_subreps(canon, e), MAX_BASE_POINTS))
+    base_points = list(islice(_coordinate_subreps(shape, matchings, e), MAX_BASE_POINTS))
     if not base_points:
         raise NoPointFound("no coordinate subrepresentation of the canonical point")
-    keys = arrows + frames
-    index = {key: pos for pos, key in enumerate(keys)}
-    hom = _hom_conditions(canon, e, index)
+    index = {key: pos for pos, key in enumerate(arrows + frames)}
+    hom = _hom_conditions(shape, matchings, e, index)
     equations = hom + _square_relations(shape, e, index)
     ranks = []
     for assign in base_points:
-        x = _values(keys, *_hom_point_from_subrep(canon, e, assign))
+        x = _base_point(shape, matchings, arrows, frames, assign)
         assert not any(_residuals(equations, x))
         jac = _jacobian(equations, x)
         # independent equations beyond the square relations

@@ -111,16 +111,6 @@ class Matrix:
             out.append(acc)
         return Matrix(f, out)
 
-    def entry(self, i, j):
-        """1-based entry access."""
-        return self.data[i - 1][j - 1]
-
-    def submatrix(self, row_range, col_range):
-        """Submatrix for 1-based inclusive ranges (r1, r2), (c1, c2)."""
-        r1, r2 = row_range
-        c1, c2 = col_range
-        return Matrix(self.field, [row[c1 - 1:c2] for row in self.data[r1 - 1:r2]])
-
 
 def is_upper_triangular(m):
     return not any(any(row[:i]) for i, row in enumerate(m.data))
@@ -212,13 +202,6 @@ def _sweep(m):
 def rank(m):
     """Rank over the matrix's field: the number of pivots of the sweep."""
     return len(_sweep(m)[0])
-
-
-def principal_block(m, i):
-    """Top-left i x i block (1-based size)."""
-    if not (1 <= i <= m.rows):
-        raise ValueError(f"principal block size {i} out of range for {m.rows}")
-    return m.submatrix((1, i), (1, i))
 
 
 def b_pivots(m):

@@ -3,6 +3,8 @@ composition, one south-west rank per cell, and the dimension of an image
 meeting the first k coordinates, each by plain products and ranks.  The
 ranks come from the reference sweep, not from the kernel under test."""
 
+from gridorbits.exact_linalg import Matrix
+
 from reference_sweep import reference_rank as rank
 
 
@@ -25,7 +27,7 @@ def reference_sw_rank(m, p, q):
     size = m.rows
     if not (1 <= p <= q <= size):
         raise ValueError(f"sw_rank window ({p},{q}) out of range for size {size}")
-    return rank(m.submatrix((p, size), (1, q)))
+    return rank(Matrix(m.field, [row[:q] for row in m.data[p - 1:size]]))
 
 
 def reference_image_meet_coord_dim(m, k):
@@ -40,5 +42,5 @@ def reference_image_meet_coord_dim(m, k):
         raise ValueError(f"coordinate index {k} out of range for size {i}")
     if k == i:
         return rank(m)
-    lower = m.submatrix((k + 1, i), (1, i))
+    lower = Matrix(m.field, [row[:i] for row in m.data[k:i]])
     return rank(m) - rank(lower)

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import permutations, product
@@ -45,6 +46,12 @@ from gridorbits.subspaces import (
 
 from conftest import CANONICAL_15, count_calls
 from reference_fit import reference_fit
+from reference_hom_audit import (
+    reference_coordinate_subreps,
+    reference_hom_conditions,
+    reference_hom_point_from_subrep,
+    reference_values,
+)
 from reference_subspaces import reference_in_span
 
 W231 = (2, 3, 1)
@@ -540,6 +547,19 @@ class TestEulerForm:
         z = tuple(tuple(0 for _ in range(2)) for _ in range(3))
         assert euler_form(d, z) == 0
 
+    def test_refuses_all_but_two_grids_of_one_shape(self, shape2):
+        # zip would drop the longer grid's extra row or cell without a word,
+        # and a grid that is not (n+1) x n would be read only in part
+        a = full_dim_grid(shape2)
+        for b in (a + ((9, 9),), a[:2], ((1, 1), (2,), (3, 3))):
+            for x, y in ((a, b), (b, a)):
+                message = f"euler_form needs two (n+1) x n grids, got row lengths {tuple(map(len, x))} and {tuple(map(len, y))}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    euler_form(x, y)
+        for c in (a + ((1, 1),), ((1, 1, 1), (1, 1, 1))):  # 4 x 2 and 2 x 3
+            with pytest.raises(ValueError, match="^euler_form needs two"):
+                euler_form(c, c)
+
 
 def brute_force_rep_count(shape, e, q):
     """Independent brute force: every tuple of arrow matrices over F_q,
@@ -633,6 +653,19 @@ class TestRepVarietyCount:
         monkeypatch.setattr(degeneration_lab, "GF", built)
         with pytest.raises(InfeasibleSize, match=r"^representation variety has q\^6 candidate points$"):
             rep_variety_count(shape2, target_dims(W231), 9, budget=10)
+
+    def test_dimension_grid_checked_first(self, shape2, monkeypatch):
+        # the rule of subrep_count: a grid of the wrong shape or with an
+        # entry out of range is refused before it is metered or counted
+        def built(q):
+            raise AssertionError(f"GF({q}) was built before the grid was checked")
+
+        monkeypatch.setattr(degeneration_lab, "GF", built)
+        with pytest.raises(ValueError, match="^dimension grid has the wrong shape$"):
+            rep_variety_count(shape2, ((1,),), 2)
+        fives = ((5, 5), (5, 5), (5, 5))  # would meter q^175 arrow tuples
+        with pytest.raises(ValueError, match=r"^dimension grid entry \(1,1\) out of range$"):
+            rep_variety_count(shape2, fives, 2)
 
     def test_field_rule_checked_before_the_field_is_built(self, shape2, monkeypatch):
         # the rule of subrep_count: GF(256)'s tables take seconds to build,
@@ -730,12 +763,44 @@ class TestCoordinateSubreps:
         # counting polynomial; the stream is not capped
         from gridorbits.degeneration_lab import _coordinate_subreps
 
-        canon = {node.id: assemble_canonical(node.decomposition) for node in orbit_nodes(shape2)}
+        matchings = {node.id: node.matchings for node in orbit_nodes(shape2)}
         for w in permutations((1, 2, 3)):
             e = target_dims(w)
             for row in flat_scan(w).rows:
-                fixed = sum(1 for _ in _coordinate_subreps(canon[row.orbit_id], e))
+                fixed = sum(1 for _ in _coordinate_subreps(shape2, matchings[row.orbit_id], e))
                 assert sum(row.estimate.coefficients) == fixed
+
+
+class TestHomAuditOracle:
+    # the audit reads the canonical point's matchings; the dense path of
+    # reference_hom_audit builds one Matrix per arrow from its rook point.
+    # Both must give the same equations, the same stream of coordinate
+    # subrepresentations in the same order and the same x at each of them:
+    # on every (w, orbit) pair at n = 2, and at n = 3 on every 211th orbit
+    # for all 24 w
+    @pytest.mark.parametrize("n,step,pairs,points", [(2, 1, 90, 358), (3, 211, 312, 7972)])
+    def test_matches_the_dense_path(self, n, step, pairs, points):
+        from gridorbits.degeneration_lab import _base_point, _coordinate_subreps, _hom_conditions, _unknowns
+
+        shape = GridShape(n)
+        nodes = list(orbit_nodes(shape))[::step]
+        seen = [0, 0]
+        for w in permutations(range(1, n + 2)):
+            e = target_dims(w)
+            arrows, frames = _unknowns(shape, e)
+            keys = arrows + frames
+            index = {key: pos for pos, key in enumerate(keys)}
+            for node in nodes:
+                canon = grid_quiver.rook_point(shape, node.matchings)
+                assert _hom_conditions(shape, node.matchings, e, index) == reference_hom_conditions(canon, e, index)
+                stream = list(_coordinate_subreps(shape, node.matchings, e))
+                assert stream == list(reference_coordinate_subreps(canon, e))
+                for assign in stream:
+                    want = reference_values(keys, *reference_hom_point_from_subrep(canon, e, assign))
+                    assert _base_point(shape, node.matchings, arrows, frames, assign) == want
+                seen[0] += 1
+                seen[1] += len(stream)
+        assert seen == [pairs, points]
 
 
 class TestHomReport:
@@ -769,6 +834,23 @@ class TestHomReport:
         monkeypatch.setattr(degeneration_lab, "subrep_count", fibre_count)
         with pytest.raises(InfeasibleSize, match=r"q\^32 candidate points"):
             hom_report((2, 3, 4, 1), identity_tuple(GridShape(3)))
+
+    @pytest.mark.parametrize("w,qs,budget,nvars", [
+        ((3, 4, 2, 1), DEFAULT_QS, 10 ** 9, 16),
+        ((4, 3, 1, 2), DEFAULT_QS, 10 ** 9, 13),
+        (W231, (2, 3, 4, 5), 1000, 6),
+    ])
+    def test_over_budget_schedule_refused_before_any_count(self, w, qs, budget, nvars, monkeypatch):
+        # the budget is checked at the largest q, so no smaller q is
+        # counted first only for the schedule to be refused later
+        def counted(*args, **kwargs):
+            raise AssertionError("counted before the budget was checked")
+
+        monkeypatch.setattr(degeneration_lab, "rep_variety_count", counted)
+        monkeypatch.setattr(degeneration_lab, "subrep_count", counted)
+        point = identity_tuple(GridShape(len(w) - 1))
+        with pytest.raises(InfeasibleSize, match=rf"^representation variety has q\^{nvars} candidate points$"):
+            hom_report(w, point, qs=qs, budget=budget)
 
     def test_point_without_thin_decomposition_refused_before_any_count(self, monkeypatch):
         # the README witness (E24 + E33, E11 + E13) has no canonical
@@ -820,36 +902,35 @@ class TestHomReport:
     def test_jacobian_is_the_derivative(self, shape2, w):
         # every equation is affine in each single unknown, so a unit step
         # changes the residuals by exactly the Jacobian's column
-        from gridorbits import assemble_canonical, decompose, enumerate_orbits
+        from gridorbits.decomposition import thin_matchings
         from gridorbits.degeneration_lab import (
             _coordinate_subreps,
             _hom_conditions,
-            _hom_point_from_subrep,
             _jacobian,
             _residuals,
             _square_relations,
             _unknowns,
-            _values,
         )
+        from gridorbits.parametrizations import sw_array
 
         e = target_dims(w)
-        decs = enumerate_orbits(shape2)
-        points = [decompose(identity_tuple(shape2)), decompose(zero_tuple(shape2))]
-        points += [decs[k - 1] for k in (3, 7, 11)]
+        nodes = list(orbit_nodes(shape2))
+        points = [thin_matchings(sw_array(p)) for p in (identity_tuple(shape2), zero_tuple(shape2))]
+        points += [nodes[k - 1].matchings for k in (3, 7, 11)]
         checked = 0
-        for dec in points:
-            canon = assemble_canonical(dec)
+        for matchings in points:
+            canon = grid_quiver.rook_point(shape2, matchings)
             arrows, frames = _unknowns(shape2, e)
             keys = arrows + frames
             index = {key: pos for pos, key in enumerate(keys)}
-            equations = _hom_conditions(canon, e, index) + _square_relations(shape2, e, index)
+            equations = _hom_conditions(shape2, matchings, e, index) + _square_relations(shape2, e, index)
             rng = random.Random(0)
-            for assign in _coordinate_subreps(canon, e):
-                n_mats, g = _hom_point_from_subrep(canon, e, assign)
+            for assign in _coordinate_subreps(shape2, matchings, e):
+                n_mats, g = reference_hom_point_from_subrep(canon, e, assign)
                 # the translate is a dense point, off the coordinate base points
                 for x in (
-                    _values(keys, n_mats, g),
-                    _values(keys, *reference_translate_point(shape2, e, n_mats, g, rng)),
+                    reference_values(keys, n_mats, g),
+                    reference_values(keys, *reference_translate_point(shape2, e, n_mats, g, rng)),
                 ):
                     base = _residuals(equations, x)
                     assert not any(base)
@@ -867,16 +948,13 @@ class TestHomReport:
         # of (N, g) is a linear automorphism of the unknowns, so neither rank
         # may move: checked on every w of size 3, orbit and coordinate
         # subrepresentation at n = 2, the ninth of w = 321's zero orbit too
-        from gridorbits import assemble_canonical, enumerate_orbits
         from gridorbits.degeneration_lab import (
             _coordinate_subreps,
             _hom_conditions,
-            _hom_point_from_subrep,
             _jacobian,
             _residuals,
             _square_relations,
             _unknowns,
-            _values,
         )
 
         def ranks(equations, split, x):
@@ -890,15 +968,15 @@ class TestHomReport:
             arrows, frames = _unknowns(shape2, e)
             keys = arrows + frames
             index = {key: pos for pos, key in enumerate(keys)}
-            for dec in enumerate_orbits(shape2):
-                canon = assemble_canonical(dec)
-                hom = _hom_conditions(canon, e, index)
+            for node in orbit_nodes(shape2):
+                canon = grid_quiver.rook_point(shape2, node.matchings)
+                hom = _hom_conditions(shape2, node.matchings, e, index)
                 equations = hom + _square_relations(shape2, e, index)
-                for assign in _coordinate_subreps(canon, e):
-                    n_mats, g = _hom_point_from_subrep(canon, e, assign)
-                    base = ranks(equations, len(hom), _values(keys, n_mats, g))
+                for assign in _coordinate_subreps(shape2, node.matchings, e):
+                    n_mats, g = reference_hom_point_from_subrep(canon, e, assign)
+                    base = ranks(equations, len(hom), reference_values(keys, n_mats, g))
                     for seed in range(6):
                         moved = reference_translate_point(shape2, e, n_mats, g, random.Random(seed))
-                        assert ranks(equations, len(hom), _values(keys, *moved)) == base
+                        assert ranks(equations, len(hom), reference_values(keys, *moved)) == base
                         translates += 1
         assert translates == 2148

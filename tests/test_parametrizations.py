@@ -33,7 +33,6 @@ from gridorbits import (
     validate_array_inequalities,
     zero_tuple,
 )
-from gridorbits.exact_linalg import principal_block
 from gridorbits.grid_quiver import (
     matching_of_rook,
     matchings_to_decomposition,
@@ -378,7 +377,7 @@ class TestOnePassKernel:
             for j1, j2 in windows(pt.shape):
                 comp = reference_compose_window(list(pt.maps), j1, j2)
                 for i in range(1, pt.shape.size + 1):
-                    block = principal_block(comp, i)
+                    block = Matrix(comp.field, [row[:i] for row in comp.data[:i]])
                     entries += [reference_image_meet_coord_dim(block, k) for k in range(1, i + 1)]
                     entries.append(reference_image_meet_coord_dim(block, i))  # the rank slot
             assert rank_vector(pt).inter == tuple(entries)

@@ -117,7 +117,7 @@ def test_public_api_inventory():
         "is_upper_triangular", "length", "make_point", "matchings_sw_array",
         "matchings_to_decomposition", "orbit_by_id", "orbit_count", "orbit_nodes",
         "orbit_poset", "order_matchings", "parametrizations", "pivots", "point_counts",
-        "principal_block", "r_grid", "rank", "rank_vector", "rank_vector_from_sw",
+        "r_grid", "rank", "rank_vector", "rank_vector_from_sw",
         "reconstruct", "rep_variety_count", "rook_table", "same_orbit",
         "same_rank_vector", "schubert", "subrep_count", "subspaces", "sw_array",
         "sw_table", "target_dims", "validate_array_inequalities", "validate_heights",
