@@ -14,7 +14,8 @@ space against the rank of the defining bilinear system, computed exactly
 over Q at the first ``MAX_BASE_POINTS`` items of the uncapped stream of
 coordinate subrepresentations (see :func:`_coordinate_subreps`).  It reads
 the canonical point's per-pair matchings: each arrow's map is the set of
-its 1s (:func:`_arrow_cells`), so no dense matrix is built per arrow.  The
+its 1s, built once per audit for every arrow (:func:`_arrow_maps`), so no
+dense matrix is built per arrow.  The
 ambient space contains the variety of representations with one
 commutativity relation per square.
 Both are cut out by one list of equations over one index of unknowns (the
@@ -353,15 +354,21 @@ def _squares(shape):
     return product(range(1, shape.size), range(1, shape.n))
 
 
-def _arrow_cells(shape, matchings, s, t):
-    """The 1s of the canonical point's map on arrow (s, t), s = (i, j), as a
-    dict column -> row (1-based): if horizontal, the ``rook_cells`` of
-    ``matchings[j-1]`` in columns <= i (the rook is upper triangular, so
-    these are its top-left i x i block's); if vertical, c -> c (F^i ⊂ F^(i+1))."""
-    i, j = s
-    if t[0] == i:
-        return {c: r for r, c in rook_cells(shape.size, matchings[j - 1]) if c <= i}
-    return {c: c for c in range(1, i + 1)}
+def _arrow_maps(shape, matchings):
+    """The 1s of the canonical point's map on every arrow (s, t) of the
+    grid, s = (i, j), as a dict from the arrow to a dict column -> row
+    (1-based): if horizontal, the ``rook_cells`` of ``matchings[j-1]`` in
+    columns <= i (the rook is upper triangular, so these are its top-left
+    i x i block's); if vertical, c -> c (F^i ⊂ F^(i+1))."""
+    size = shape.size
+    maps = {}
+    for s, t in _grid_arrows(shape):
+        i, j = s
+        if t[0] == i:
+            maps[s, t] = {c: r for r, c in rook_cells(size, matchings[j - 1]) if c <= i}
+        else:
+            maps[s, t] = {c: c for c in range(1, i + 1)}
+    return maps
 
 
 def _edim(e, v):
@@ -413,13 +420,13 @@ def _square_relations(shape, e, index):
     return equations
 
 
-def _hom_conditions(shape, matchings, e, index):
-    """The Hom conditions f·g_s = g_t·N_(s,t) over the canonical point with
-    these matchings, f having its 1s at :func:`_arrow_cells`, one equation
-    per entry, in the format of :func:`_square_relations`."""
+def _hom_conditions(shape, maps, e, index):
+    """The Hom conditions f·g_s = g_t·N_(s,t) over the canonical point whose
+    arrow maps f have their 1s at ``maps`` (:func:`_arrow_maps`), one
+    equation per entry, in the format of :func:`_square_relations`."""
     equations = []
     for (s, t) in _grid_arrows(shape):
-        col_of = {r: c for c, r in _arrow_cells(shape, matchings, s, t).items()}
+        col_of = {r: c for c, r in maps[s, t].items()}
         for r in range(1, t[0] + 1):
             for c in range(_edim(e, s)):
                 equations.append(
@@ -500,10 +507,10 @@ def rep_variety_count(shape, e, q, budget=DEFAULT_BUDGET):
     return count
 
 
-def _coordinate_subreps(shape, matchings, e):
+def _coordinate_subreps(shape, maps, e):
     """Every subrepresentation spanned by standard basis vectors: the
-    torus-fixed points of the fibre over the canonical point with these
-    matchings, read off its :func:`_arrow_cells`.
+    torus-fixed points of the fibre over the canonical point whose arrow
+    maps have their 1s at ``maps`` (:func:`_arrow_maps`).
 
     Yields each as a dict from vertex to the sorted tuple of basis indices
     spanning it, depth first: column by column, the bottom cell last.  A
@@ -520,7 +527,7 @@ def _coordinate_subreps(shape, matchings, e):
         image = set()
         for s in ((i - 1, j), (i, j - 1)):
             if s in assign:
-                f = _arrow_cells(shape, matchings, s, (i, j))
+                f = maps[s, (i, j)]
                 image.update(f[c] for c in assign[s] if c in f)
         for cand in combinations(range(1, i + 1), _edim(e, (i, j))):
             if image <= set(cand):
@@ -529,15 +536,14 @@ def _coordinate_subreps(shape, matchings, e):
     yield from extend(0, {})
 
 
-def _base_point(shape, matchings, arrows, frames, assign):
+def _base_point(maps, arrows, frames, assign):
     """The unknowns x, keyed by ``arrows + frames`` (see :func:`_unknowns`),
     at the coordinate subrepresentation ``assign``: N_(s,t) holds the
-    arrow's 1s between the chosen basis vectors and the frame g_v the
-    chosen basis vectors of F^i."""
-    f = {(s, t): _arrow_cells(shape, matchings, s, t) for s, t in _grid_arrows(shape)}
+    arrow's 1s (``maps``, :func:`_arrow_maps`) between the chosen basis
+    vectors and the frame g_v the chosen basis vectors of F^i."""
     one, zero = QQ.one, QQ.zero
     return [
-        one if f[(s, t)].get(assign[s][c]) == assign[t][r] else zero for (s, t), r, c in arrows
+        one if maps[s, t].get(assign[s][c]) == assign[t][r] else zero for (s, t), r, c in arrows
     ] + [one if assign[v][c] == r + 1 else zero for v, r, c in frames]
 
 
@@ -550,7 +556,7 @@ def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     reads that representative's per-pair matchings, ``thin_matchings`` of
     the point's south-west array: the Hom conditions, the coordinate
     subrepresentations and the base points all come from the 1s of its
-    arrow maps (:func:`_arrow_cells`), and its dense rook point is built
+    arrow maps (:func:`_arrow_maps`, made once per call), and its dense rook point is built
     only for the fibre count.  The field sizes and the budget at the
     largest q are checked before anything is counted.
 
@@ -590,15 +596,16 @@ def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     dim_hom0 = est_gr.degree + dim_g
     dim_v = est_re.degree + total_e
     codim = dim_v - dim_hom0
-    base_points = list(islice(_coordinate_subreps(shape, matchings, e), MAX_BASE_POINTS))
+    maps = _arrow_maps(shape, matchings)
+    base_points = list(islice(_coordinate_subreps(shape, maps, e), MAX_BASE_POINTS))
     if not base_points:
         raise NoPointFound("no coordinate subrepresentation of the canonical point")
     index = {key: pos for pos, key in enumerate(arrows + frames)}
-    hom = _hom_conditions(shape, matchings, e, index)
+    hom = _hom_conditions(shape, maps, e, index)
     equations = hom + _square_relations(shape, e, index)
     ranks = []
     for assign in base_points:
-        x = _base_point(shape, matchings, arrows, frames, assign)
+        x = _base_point(maps, arrows, frames, assign)
         assert not any(_residuals(equations, x))
         jac = _jacobian(equations, x)
         # independent equations beyond the square relations

@@ -4,10 +4,14 @@ Decomposable orbits are enumerated combinatorially: between each pair of
 adjacent columns, the heights 1..n+1 are partially matched with every
 matched pair weakly increasing, and matchings of different column pairs are
 independent.  Chaining the matchings yields the decomposition, its summands
-walked in sorted order; their rooks (0/1 partial permutation matrices) form
+listed in sorted order; their rooks (0/1 partial permutation matrices) form
 the canonical representative, whose south-west array is read off the
 matchings, one table per composed matching shared by all orbits, so no
-matrix is built, multiplied or reduced.  The array order is one
+matrix is built, multiplied or reduced.  The listing walks the product of
+the matchings once: each prefix's chains and composed image vectors are
+extended by one matching at a time, with the chaining and composing step
+(:func:`~gridorbits.grid_quiver.carry`) that the single-orbit builds
+share.  The array order is one
 up-set per array, a Python int used as a bitset: the AND of one up-set per
 window, each made once per distinct table there; the poset's covers are
 read off the up-sets.  The product order of the matchings numbers the
@@ -16,29 +20,33 @@ experiment commands.  An exhaustive F_2 census of south-west arrays
 provides an independent check for n <= 3: it holds every enumerated orbit's
 array, plus those of tuples with no thin decomposition.  It runs over the
 tuples whose first map is a rook (a partial permutation matrix), which over
-F_2 realise every array, keys them by the ids of their window tables, and
-keeps one such tuple per array.
+F_2 realise every array, keys them by the rooks of their windows, and keeps
+one such tuple per array.  Each 0/1 matrix's rook is found by walking the
+elementary row and column moves of B x B out from the rooks, so its table
+is its rook's and no matrix is swept.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import comb
 
-from .exact_linalg import Matrix
-from .fields import GF
 from .grid_quiver import (
     Decomposition,
     GridQuiverError,
     InfeasibleSize,
+    carry,
+    chain_starts,
+    chained_decomposition,
     decomposition_text,
     matchings_to_decomposition,
     rook_cells,
 )
-# sw_array is no longer called here; it stays bound because the benchmark's
+# sw_array is not called here; it stays bound because the benchmark's
 # self-test (bench/selftest.py) lists orbit_poset among its binders.
-from .parametrizations import SWArray, matchings_sw_array, sw_array, sw_table  # noqa: F401
+from .parametrizations import SWArray, image_table, matchings_sw_array, rook_table, sw_array  # noqa: F401
 
 
 def bell(m):
@@ -91,22 +99,12 @@ def orbit_count(shape):
     return bell(shape.size + 1) ** shape.num_maps
 
 
-def _matching_tuples(shape):
-    """An iterator over each decomposable orbit's per-pair matchings in id
-    order.  Raises InfeasibleSize when called for n >= 4, where the orbit
-    listings stop."""
-    if shape.n >= 4:
-        count = orbit_count(shape) if shape.n <= MAX_COUNT_N else _PAST_MAX_COUNT
-        raise InfeasibleSize(f"n = {shape.n} has {count} orbit nodes; orbit listings stop at n = 3")
-    return itertools.product(order_matchings(shape.size), repeat=shape.num_maps)
-
-
 def enumerate_orbits(shape):
     """All decomposable orbits of the restricted space (those of points that
     are direct sums of thin summands), as decompositions, in a fixed order
     (the product order of the per-pair matchings), orbit id k at k - 1.
     Raises InfeasibleSize for n >= 4 before it builds any."""
-    return [matchings_to_decomposition(shape, combo) for combo in _matching_tuples(shape)]
+    return [node.decomposition for node in orbit_nodes(shape)]
 
 
 def orbit_by_id(shape, k):
@@ -146,10 +144,9 @@ def f2_census(shape):
     Returns a dict from each distinct array (an :class:`SWArray`) to one
     realising tuple whose first map is a rook, as nested 0/1 tuples in map
     order, in order of first appearance.  Pass a representative to
-    :func:`make_point` to read it over Q.  The 1024 codes at n = 3 have 52
-    distinct tables, so the loop keys each tuple by the triple of its
-    windows' table ids, small ints, and each distinct array is wrapped in
-    an :class:`SWArray` once at the end.
+    :func:`make_point` to read it over Q.  Each tuple is keyed by its
+    windows' rooks (:func:`_f2_keyed`), and each distinct array is wrapped
+    in an :class:`SWArray` once at the end.
 
     Ranks of the canonical 0/1 representatives are field independent, so
     every decomposable orbit's array shows up.  Read over Q, each
@@ -159,50 +156,104 @@ def f2_census(shape):
 
     Raises InfeasibleSize for n >= 4 before it allocates.
     """
+    keyed, tables, matrix = _f2_keyed(shape)
+    return {
+        SWArray(shape, tuple(tables[k] for k in key)): tuple(map(matrix, codes))
+        for key, codes in keyed.items()
+    }
+
+
+def _f2_keyed(shape):
+    """The census of :func:`f2_census` keyed by each window's rook, an
+    index into :func:`order_matchings`, with the rooks' tables and the
+    function that turns a code into its nested 0/1 tuple (made once per
+    code).  Each representative is given by its maps' codes, bit b of a
+    code being the entry at the b-th upper-triangular position in row
+    order.
+
+    Every code is labelled with the rook of its B x B orbit
+    (:func:`_rook_labels`), and its table is that rook's
+    :func:`~gridorbits.parametrizations.rook_table`, so no matrix is built
+    or swept.  At n = 3 the windows run (1,1), (1,2), (2,2), and window
+    (1,2) of (r, f2) is the product f2·r.
+    """
     if shape.n > 3:
         raise InfeasibleSize("exhaustive F_2 census implemented for n <= 3 only")
     size = shape.size
-    # a 0/1 matrix's code has bit b set when its entry at positions[b] is 1
     positions = [(i, j) for i in range(size) for j in range(i, size)]
     bit = {cell: 1 << b for b, cell in enumerate(positions)}
-    codes = range(1 << len(positions))
-    code_mats = [
-        tuple(tuple(1 if code & bit.get((i, j), 0) else 0 for j in range(size)) for i in range(size))
-        for code in codes
-    ]
-    tables = [sw_table(Matrix(GF(2), mat)) for mat in code_mats]
-    # each rook as a 0-based row -> column dict of its 1s
-    rooks = [{p - 1: q - 1 for p, q in rook_cells(size, m)} for m in order_matchings(size)]
-    rook_codes = [sum(bit[cell] for cell in rook.items()) for rook in rooks]
+    cells = [rook_cells(size, m) for m in order_matchings(size)]
+    tables = [rook_table(size, rook) for rook in cells]
+    rook_codes = [sum(bit[p - 1, q - 1] for p, q in rook) for rook in cells]
+
+    @functools.cache
+    def matrix(code):
+        rows = [[0] * size for _ in range(size)]
+        for b, (i, j) in enumerate(positions):
+            if code >> b & 1:
+                rows[i][j] = 1
+        return tuple(map(tuple, rows))
+
     if shape.num_maps == 1:
-        return {SWArray(shape, (tables[r],)): (code_mats[r],) for r in rook_codes}
-    ids = {}  # each distinct table's id, in order of first appearance
-    table_id = [ids.setdefault(table, len(ids)) for table in tables]
-    census = {}  # keyed by the triple of table ids; each is wrapped once
-    for rook, r in zip(rooks, rook_codes):
-        # windows run (1,1), (1,2), (2,2); window (1,2) is f2·r, whose column
-        # k is f2's column j when r has its 1 in row j at column k, so each
-        # bit of f2 moves to one place or drops, and f2·r is the OR of its
-        # bits' images
-        moved = {bit[i, j]: bit[i, rook[j]] if j in rook else 0 for i, j in positions}
+        return {(k,): (r,) for k, r in enumerate(rook_codes)}, tables, matrix
+    label = _rook_labels(size, bit, rook_codes)
+    codes = range(len(label))
+    census = {}
+    for k, (rook, r) in enumerate(zip(cells, rook_codes)):
+        # column c of f2·r is f2's column j when r has its 1 in row j at
+        # column c, so each bit of f2 moves to one place or drops, and f2·r
+        # is the OR of its bits' images
+        col = {p - 1: q - 1 for p, q in rook}
+        moved = {bit[i, j]: bit[i, col[j]] if j in col else 0 for i, j in positions}
         prods = [0] * len(codes)
         for f2 in codes[1:]:
             low = f2 & -f2
             prods[f2] = prods[f2 ^ low] | moved[low]
-        first, rook_mat = table_id[r], code_mats[r]
         for f2, p in enumerate(prods):
-            key = (first, table_id[p], table_id[f2])
+            key = (k, label[p], label[f2])
             if key not in census:
-                census[key] = (rook_mat, code_mats[f2])
-    distinct = list(ids)
-    return {
-        SWArray(shape, tuple(distinct[k] for k in key)): rep for key, rep in census.items()
-    }
+                census[key] = (r, f2)
+    return census, tables, matrix
+
+
+def _rook_labels(size, bit, rook_codes):
+    """The index of the rook in each code's B x B orbit, for every code of
+    a 0/1 upper-triangular matrix (bit ``bit[i, j]`` for entry (i, j)).
+
+    Over F_2, B is generated by the elementary matrices I + E_ab, a < b, so
+    each orbit is connected by the moves "row a += row b" (on the left) and
+    "column b += column a" (on the right).  Each move XORs a shifted copy
+    of one row's or one column's bits into the code, and the orbit of each
+    rook is walked out from its code.
+    """
+    moves = []  # (bits of the copied row or column, left shift, right shift)
+    for a in range(size):
+        for b in range(a + 1, size):
+            # row b's entries (b, j), j >= b, go to (a, j)
+            rise = bit[b, b].bit_length() - bit[a, b].bit_length()
+            moves.append((sum(bit[b, j] for j in range(b, size)), 0, rise))
+            # column a's entries (i, a), i <= a, go to (i, b)
+            moves.append((sum(bit[i, a] for i in range(a + 1)), b - a, 0))
+    label = [None] * (1 << len(bit))
+    todo = []
+    for k, r in enumerate(rook_codes):
+        label[r] = k
+        todo.append(r)
+    while todo:
+        code = todo.pop()
+        k = label[code]
+        for mask, up, down in moves:
+            other = code ^ ((code & mask) << up >> down)
+            if label[other] is None:
+                label[other] = k
+                todo.append(other)
+    return label
 
 
 def f2_distinct_count(shape):
-    """Number of distinct south-west arrays in :func:`f2_census`."""
-    return len(f2_census(shape))
+    """Number of distinct south-west arrays in :func:`f2_census`: the keys
+    of :func:`_f2_keyed`, with no :class:`SWArray` built."""
+    return len(_f2_keyed(shape)[0])
 
 
 @dataclass(frozen=True)
@@ -269,19 +320,65 @@ def orbit_nodes(shape):
     decomposition, its per-pair ``matchings`` and its canonical
     representative's south-west array.
 
-    The array is read off the orbit's matchings by
-    :func:`matchings_sw_array`, with one table per composed matching shared
-    by every node (52 rooks at n = 3), so no window is multiplied or
-    reduced.  The matchings are the dicts of :func:`order_matchings`,
-    shared between nodes.  Nodes are built one at a time; raises
-    InfeasibleSize when called for n >= 4 (b_6^3 = 8,365,427 nodes).
+    The nodes come from one walk of the product of :func:`order_matchings`
+    (:func:`_walk`), so each node costs one step from the node of its first
+    n - 2 matchings, and no window is multiplied or reduced.  The matchings
+    are the dicts of :func:`order_matchings`, shared between nodes.  Nodes
+    are built one at a time; raises InfeasibleSize for n >= 4
+    (b_6^3 = 8,365,427 nodes) before it builds any.
     """
+    if shape.n >= 4:
+        count = orbit_count(shape) if shape.n <= MAX_COUNT_N else _PAST_MAX_COUNT
+        raise InfeasibleSize(f"n = {shape.n} has {count} orbit nodes; orbit listings stop at n = 3")
+    return _walk(shape, [order_matchings(shape.size)] * shape.num_maps)
+
+
+def _walk(shape, choices):
+    """An :class:`OrbitNode` for each combination of one matching per pair,
+    ``choices[j-1]`` listing pair j's, in product order (the first pair's
+    choice leading), numbered from 1: the orbit ids when every pair may take
+    every matching (:func:`orbit_nodes`).
+
+    Each matching's own pieces are made once per call: its
+    :func:`~gridorbits.grid_quiver.chain_starts`, its image vector (the
+    heights carried through it) and that vector's table.  A prefix of
+    matchings keeps its chain columns, the image vectors of the windows
+    that end at its last pair, and each window's table so far, grouped by
+    the window's first pair; the next matching extends each by one
+    :func:`~gridorbits.grid_quiver.carry`, the same steps that
+    :func:`~gridorbits.grid_quiver.matchings_to_decomposition` and
+    :func:`~gridorbits.parametrizations.matchings_sw_array` take for one
+    combination.  Tables are memoised per image vector (52 at n = 3).
+    """
+    size = shape.size
     tables = {}
-    return (
-        OrbitNode(idx, matchings_to_decomposition(shape, combo),
-                  matchings_sw_array(shape, combo, tables), combo)
-        for idx, combo in enumerate(_matching_tuples(shape), start=1)
-    )
+    pieces = {}  # id of each matching -> (its chain starts, image vector, table)
+    for m in itertools.chain.from_iterable(choices):
+        if id(m) not in pieces:
+            image = carry(range(1, size + 1), m)
+            pieces[id(m)] = (tuple(chain_starts(size, m)), image,
+                             tables.get(image) or image_table(size, image, tables))
+    steps = [[(m, *pieces[id(m)]) for m in choice] for choice in choices]
+    last = len(steps) - 1
+    ids = itertools.count(1)
+
+    def extend(depth, combo, columns, images, rows):
+        # images[j1 - 1] is the image vector of window (j1, depth) and
+        # rows[j1 - 1] holds the tables of windows (j1, j1..depth)
+        for m, starts, image, table in steps[depth]:
+            here = combo + (m,)
+            chains = [*columns, carry(columns[-1], m, starts)]
+            ends = [carry(v, m) for v in images]
+            grown = [row + (tables.get(v) or image_table(size, v, tables),) for row, v in zip(rows, ends)]
+            grown.append((table,))
+            if depth == last:
+                yield OrbitNode(next(ids), chained_decomposition(shape, chains),
+                                SWArray(shape, sum(grown, ())), here)
+            else:
+                ends.append(image)
+                yield from extend(depth + 1, here, chains, ends, grown)
+
+    return extend(0, (), [range(size, 0, -1)], [], [])
 
 
 def array_order(arrays):

@@ -18,7 +18,7 @@ from operator import le
 
 from .exact_linalg import b_pivots
 from .grid_quiver import GridQuiverError, SizeMismatch, window_products, windows
-from .grid_quiver import matching_of_rook, rook_cells, rook_point
+from .grid_quiver import carry, matching_of_rook, rook_cells, rook_point
 
 
 class InvalidTable(GridQuiverError):
@@ -96,8 +96,9 @@ def matchings_sw_array(shape, matchings, tables=None):
     :func:`~gridorbits.grid_quiver.rook_cells`, so no matrix is built.  The
     composed matching is kept as its image vector, a tuple whose entry
     a - 1 is the height a reaches, or 0 once a's chain has dropped; one
-    more map ``step`` sends ``c`` to ``tuple(step.get(b, 0) for b in c)``.
-    ``tables`` memoises the table per image vector across calls.
+    more map ``step`` sends it to ``carry(image, step)``
+    (:func:`~gridorbits.grid_quiver.carry`).  ``tables`` memoises the table
+    per image vector across calls (:func:`image_table`).
     """
     if tables is None:
         tables = {}
@@ -106,13 +107,17 @@ def matchings_sw_array(shape, matchings, tables=None):
     for j1 in range(shape.num_maps):
         image = range(1, size + 1)
         for step in matchings[j1:]:
-            image = tuple([step.get(b, 0) for b in image])
-            table = tables.get(image)
-            if table is None:
-                composed = {a: b for a, b in enumerate(image, start=1) if b}
-                table = tables[image] = rook_table(size, rook_cells(size, composed))
-            out.append(table)
+            image = carry(image, step)
+            out.append(tables.get(image) or image_table(size, image, tables))
     return SWArray(shape, tuple(out))
+
+
+def image_table(size, image, tables):
+    """The :func:`rook_table` of the composed matching with this image
+    vector, entered in the memo ``tables``."""
+    composed = {a: b for a, b in enumerate(image, start=1) if b}
+    table = tables[image] = rook_table(size, rook_cells(size, composed))
+    return table
 
 
 def sw_array(point):

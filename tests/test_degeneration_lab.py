@@ -761,13 +761,13 @@ class TestCoordinateSubreps:
     def test_count_is_the_fit_at_one(self, shape2):
         # the torus-fixed points of a fibre number P(1), P the fitted
         # counting polynomial; the stream is not capped
-        from gridorbits.degeneration_lab import _coordinate_subreps
+        from gridorbits.degeneration_lab import _arrow_maps, _coordinate_subreps
 
-        matchings = {node.id: node.matchings for node in orbit_nodes(shape2)}
+        maps = {node.id: _arrow_maps(shape2, node.matchings) for node in orbit_nodes(shape2)}
         for w in permutations((1, 2, 3)):
             e = target_dims(w)
             for row in flat_scan(w).rows:
-                fixed = sum(1 for _ in _coordinate_subreps(shape2, matchings[row.orbit_id], e))
+                fixed = sum(1 for _ in _coordinate_subreps(shape2, maps[row.orbit_id], e))
                 assert sum(row.estimate.coefficients) == fixed
 
 
@@ -780,7 +780,13 @@ class TestHomAuditOracle:
     # for all 24 w
     @pytest.mark.parametrize("n,step,pairs,points", [(2, 1, 90, 358), (3, 211, 312, 7972)])
     def test_matches_the_dense_path(self, n, step, pairs, points):
-        from gridorbits.degeneration_lab import _base_point, _coordinate_subreps, _hom_conditions, _unknowns
+        from gridorbits.degeneration_lab import (
+            _arrow_maps,
+            _base_point,
+            _coordinate_subreps,
+            _hom_conditions,
+            _unknowns,
+        )
 
         shape = GridShape(n)
         nodes = list(orbit_nodes(shape))[::step]
@@ -792,12 +798,13 @@ class TestHomAuditOracle:
             index = {key: pos for pos, key in enumerate(keys)}
             for node in nodes:
                 canon = grid_quiver.rook_point(shape, node.matchings)
-                assert _hom_conditions(shape, node.matchings, e, index) == reference_hom_conditions(canon, e, index)
-                stream = list(_coordinate_subreps(shape, node.matchings, e))
+                maps = _arrow_maps(shape, node.matchings)
+                assert _hom_conditions(shape, maps, e, index) == reference_hom_conditions(canon, e, index)
+                stream = list(_coordinate_subreps(shape, maps, e))
                 assert stream == list(reference_coordinate_subreps(canon, e))
                 for assign in stream:
                     want = reference_values(keys, *reference_hom_point_from_subrep(canon, e, assign))
-                    assert _base_point(shape, node.matchings, arrows, frames, assign) == want
+                    assert _base_point(maps, arrows, frames, assign) == want
                 seen[0] += 1
                 seen[1] += len(stream)
         assert seen == [pairs, points]
@@ -817,6 +824,15 @@ class TestHomReport:
             rep.lci,
         ) == (7, 2, 9, 17, 4, 8, 8, True)
         assert len(rep.per_point_ranks) >= 5
+
+    def test_arrow_maps_made_once_per_report(self, shape2, monkeypatch):
+        # the Hom conditions, the fixed-point stream and every base point
+        # read one arrow -> cells map
+        from gridorbits import degeneration_lab
+
+        calls = count_calls(monkeypatch, [(degeneration_lab, "_arrow_maps")])
+        hom_report(W231, identity_tuple(shape2), qs=(2, 3, 4, 5, 7, 8))
+        assert calls == {"_arrow_maps": 1}
 
     def test_zero_orbit_recorded(self, shape2):
         rep = hom_report(W231, zero_tuple(shape2), qs=(2, 3, 4, 5, 7, 8))
@@ -904,6 +920,7 @@ class TestHomReport:
         # changes the residuals by exactly the Jacobian's column
         from gridorbits.decomposition import thin_matchings
         from gridorbits.degeneration_lab import (
+            _arrow_maps,
             _coordinate_subreps,
             _hom_conditions,
             _jacobian,
@@ -923,9 +940,10 @@ class TestHomReport:
             arrows, frames = _unknowns(shape2, e)
             keys = arrows + frames
             index = {key: pos for pos, key in enumerate(keys)}
-            equations = _hom_conditions(shape2, matchings, e, index) + _square_relations(shape2, e, index)
+            maps = _arrow_maps(shape2, matchings)
+            equations = _hom_conditions(shape2, maps, e, index) + _square_relations(shape2, e, index)
             rng = random.Random(0)
-            for assign in _coordinate_subreps(shape2, matchings, e):
+            for assign in _coordinate_subreps(shape2, maps, e):
                 n_mats, g = reference_hom_point_from_subrep(canon, e, assign)
                 # the translate is a dense point, off the coordinate base points
                 for x in (
@@ -949,6 +967,7 @@ class TestHomReport:
         # may move: checked on every w of size 3, orbit and coordinate
         # subrepresentation at n = 2, the ninth of w = 321's zero orbit too
         from gridorbits.degeneration_lab import (
+            _arrow_maps,
             _coordinate_subreps,
             _hom_conditions,
             _jacobian,
@@ -970,9 +989,10 @@ class TestHomReport:
             index = {key: pos for pos, key in enumerate(keys)}
             for node in orbit_nodes(shape2):
                 canon = grid_quiver.rook_point(shape2, node.matchings)
-                hom = _hom_conditions(shape2, node.matchings, e, index)
+                maps = _arrow_maps(shape2, node.matchings)
+                hom = _hom_conditions(shape2, maps, e, index)
                 equations = hom + _square_relations(shape2, e, index)
-                for assign in _coordinate_subreps(shape2, node.matchings, e):
+                for assign in _coordinate_subreps(shape2, maps, e):
                     n_mats, g = reference_hom_point_from_subrep(canon, e, assign)
                     base = ranks(equations, len(hom), reference_values(keys, n_mats, g))
                     for seed in range(6):

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import json
+import pickle
 import random
 import re
 import tracemalloc
@@ -38,7 +40,7 @@ from gridorbits import (
 import gridorbits.cli as cli
 import gridorbits.degeneration_lab as degeneration_lab
 import gridorbits.orbit_poset as orbit_poset
-from gridorbits.grid_quiver import rook_cells, rook_point
+from gridorbits.grid_quiver import check_full_decomposition, rook_cells, rook_point
 from gridorbits.parametrizations import rook_table
 from gridorbits.serialize import map_tuple_to_json
 
@@ -212,6 +214,94 @@ class TestCountReport:
         assert rep.f2_distinct == 3402
 
 
+class TestF2Labels:
+    # f2_census labels each 0/1 code with the rook of its B x B orbit and
+    # reads the code's table off that rook; the sweep of the code's matrix
+    # is the oracle
+    @pytest.mark.parametrize("n,codes", [(2, 64), (3, 1024)])
+    def test_propagated_tables_are_the_swept_ones(self, n, codes):
+        from gridorbits.exact_linalg import Matrix
+        from gridorbits.fields import GF
+        from gridorbits.parametrizations import sw_table
+
+        size = n + 1
+        positions = [(i, j) for i in range(size) for j in range(i, size)]
+        bit = {cell: 1 << b for b, cell in enumerate(positions)}
+        cells = [rook_cells(size, m) for m in order_matchings(size)]
+        rook_codes = [sum(bit[p - 1, q - 1] for p, q in rook) for rook in cells]
+        label = orbit_poset._rook_labels(size, bit, rook_codes)
+        assert len(label) == codes
+        for code, k in enumerate(label):
+            mat = [[1 if code & bit.get((i, j), 0) else 0 for j in range(size)] for i in range(size)]
+            assert rook_table(size, cells[k]) == sw_table(Matrix(GF(2), mat))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_distinct_count_is_the_census_size(self, n):
+        shape = GridShape(n)
+        assert f2_distinct_count(shape) == len(f2_census(shape)) == len(reference_census(shape))
+
+    # sha256 of the pickled census items, recorded from the census that swept
+    # each code's matrix: arrays, representatives, their order and the
+    # objects they share are unchanged
+    PICKLE_SHA256 = {
+        2: "5ba6b31ac4a5d7a392d1bb38b54a7105cd68c30291ee2c8117abc490c2311002",
+        3: "31bf87fd2c3c23fe421873759ad1ee8d074bb01b95f49cacd6afad5b8cc91d0f",
+    }
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_census_pickle_unchanged(self, n):
+        items = list(f2_census(GridShape(n)).items())
+        assert hashlib.sha256(pickle.dumps(items, protocol=4)).hexdigest() == self.PICKLE_SHA256[n]
+
+
+class TestWalk:
+    # orbit_nodes walks the product of order_matchings once; each node must
+    # be what the per-node builds give for its matchings
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_nodes_are_the_per_node_builds(self, n):
+        shape = GridShape(n)
+        nodes = list(orbit_nodes(shape))
+        combos = list(itertools.product(order_matchings(shape.size), repeat=shape.num_maps))
+        assert len(nodes) == len(combos) == orbit_count(shape)
+        for k, (node, combo) in enumerate(zip(nodes, combos), start=1):
+            assert node.id == k and node.matchings == combo
+            assert node.decomposition == matchings_to_decomposition(shape, combo)
+            assert node.sw == matchings_sw_array(shape, combo)
+        # the matchings are the shared dicts of one order_matchings call
+        shared = {id(m) for node in nodes for m in node.matchings}
+        assert len(shared) == bell(shape.size + 1)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_single_combinations_past_the_listing(self, n):
+        shape = GridShape(n)
+        per_pair = order_matchings(shape.size)
+        rng = random.Random(n)
+        for _ in range(30):
+            combo = tuple(rng.choice(per_pair) for _ in range(shape.num_maps))
+            (node,) = orbit_poset._walk(shape, [[m] for m in combo])
+            assert node.id == 1 and all(a is b for a, b in zip(node.matchings, combo))
+            assert node.decomposition == matchings_to_decomposition(shape, combo)
+            assert node.sw == matchings_sw_array(shape, combo)
+            # oracles that share no step with the walk: the summands chain
+            # these matchings, and the dense sweep of the rook point
+            check_full_decomposition(node.decomposition)
+            assert matchings_of(node.decomposition) == [dict(sorted(m.items())) for m in combo]
+            assert node.sw == sw_array(rook_point(shape, combo))
+
+    def test_sub_product_in_product_order(self):
+        # prefixes shared at every depth: three matchings per pair at n = 4
+        shape = GridShape(4)
+        rng = random.Random(4)
+        choices = [rng.sample(order_matchings(5), 3) for _ in range(shape.num_maps)]
+        nodes = list(orbit_poset._walk(shape, choices))
+        combos = list(itertools.product(*choices))
+        assert [node.id for node in nodes] == list(range(1, 28))
+        for node, combo in zip(nodes, combos):
+            assert node.matchings == combo
+            assert node.decomposition == matchings_to_decomposition(shape, combo)
+            assert node.sw == matchings_sw_array(shape, combo)
+
+
 class TestPoset:
     def test_published_hasse_diagram(self, shape2):
         poset = build_poset(shape2)
@@ -248,7 +338,7 @@ class TestPoset:
         def enumerate_nothing(*args):
             raise AssertionError("enumerated before refusing")
 
-        monkeypatch.setattr(orbit_poset, "matchings_to_decomposition", enumerate_nothing)
+        monkeypatch.setattr(orbit_poset, "order_matchings", enumerate_nothing)
         with pytest.raises(InfeasibleSize, match=f"has {nodes} orbit nodes"):
             build_poset(GridShape(n))
         with pytest.raises(InfeasibleSize, match=f"has {nodes} orbit nodes"):
@@ -257,31 +347,33 @@ class TestPoset:
         assert degeneration_lab.InfeasibleSize is InfeasibleSize
 
     def test_orbit_nodes_streams(self, monkeypatch):
-        # the first node is built from one decomposition, not from all 2,704
-        calls = []
-        built = orbit_poset.matchings_to_decomposition
+        # the first node is built from one chaining of its columns and one
+        # step per pair, not from all 2,704
+        from gridorbits import grid_quiver
 
-        def counted(*args):
-            calls.append(args)
-            return built(*args)
-
-        monkeypatch.setattr(orbit_poset, "matchings_to_decomposition", counted)
+        calls = count_calls(monkeypatch, [
+            (grid_quiver, "chained_decomposition"), (grid_quiver, "carry"), (orbit_poset, "OrbitNode"),
+        ])
         first = next(orbit_nodes(GridShape(3)))
-        assert len(calls) == 1
+        # 52 image vectors of the per-pair pieces, then two chain columns
+        # and one window (1, 2) image for the first node
+        assert calls == {"chained_decomposition": 1, "carry": 52 + 3, "OrbitNode": 1}
         assert first.id == 1 and first.decomposition == enumerate_orbits(GridShape(3))[0]
 
     def test_listings_refuse_before_building(self, monkeypatch):
-        # n = 4 would list 8,365,427 decompositions, or tabulate 32,768
+        # n = 4 would list 8,365,427 decompositions, or label 32,768
         # F_2 matrices before the census gave up
         def built(*args):
             raise AssertionError("built before refusing")
 
-        monkeypatch.setattr(orbit_poset, "matchings_to_decomposition", built)
-        monkeypatch.setattr(orbit_poset, "sw_table", built)
+        for name in ("order_matchings", "rook_table", "_rook_labels"):
+            monkeypatch.setattr(orbit_poset, name, built)
         with pytest.raises(InfeasibleSize, match="has 8365427 orbit nodes"):
             enumerate_orbits(GridShape(4))
         with pytest.raises(InfeasibleSize, match="^exhaustive F_2 census implemented for n <= 3 only$"):
             f2_census(GridShape(4))
+        with pytest.raises(InfeasibleSize, match="^exhaustive F_2 census implemented for n <= 3 only$"):
+            f2_distinct_count(GridShape(4))
 
     def test_larger_poset_extremes(self, poset3):
         poset = poset3
@@ -370,13 +462,14 @@ class TestClosedFormArrays:
 
         calls = count_calls(monkeypatch, (
             (parametrizations, "sw_array"),
+            (parametrizations, "sw_table"),
             (exact_linalg, "b_pivots"),
             (grid_quiver, "window_products"),
         ))
-        for command in ("orbits", "poset"):
+        for command in ("orbits", "poset", "count-report"):
             assert cli.main([command, "--n", "3"]) == 0
         assert capsys.readouterr().out
-        assert calls == {"sw_array": 0, "b_pivots": 0, "window_products": 0}
+        assert calls == {"sw_array": 0, "sw_table": 0, "b_pivots": 0, "window_products": 0}
 
     @pytest.mark.parametrize("argv,made", [
         (["poset", "--n", "3"], 0),

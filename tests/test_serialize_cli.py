@@ -391,11 +391,12 @@ class TestCli:
         assert len(lines) == 16
 
     def test_orbit_records_compute_one_array_per_orbit(self, monkeypatch, capsys):
-        # each array is read off the orbit's matchings, none off its point
+        # each array is read off the orbit's matchings by the node walk, one
+        # SWArray per orbit, and none off its point
         from gridorbits import orbit_poset, parametrizations
 
-        calls = {"matchings_sw_array": [], "sw_array": []}
-        for defined, attr in ((orbit_poset, "matchings_sw_array"), (parametrizations, "sw_array")):
+        calls = {"SWArray": [], "sw_array": []}
+        for defined, attr in ((orbit_poset, "SWArray"), (parametrizations, "sw_array")):
             original = getattr(defined, attr)
 
             def counted(*args, _calls=calls[attr], _original=original):
@@ -406,7 +407,7 @@ class TestCli:
                 if name.split(".")[0] == "gridorbits" and getattr(module, attr, None) is original:
                     monkeypatch.setattr(module, attr, counted)
         assert main(["orbits", "--n", "2"]) == 0
-        assert len(json.loads(capsys.readouterr().out)) == len(calls["matchings_sw_array"]) == 15
+        assert len(json.loads(capsys.readouterr().out)) == len(calls["SWArray"]) == 15
         assert calls["sw_array"] == []
 
     def test_poset_dot(self):
