@@ -10,22 +10,21 @@ from gridorbits import (
     b_reduce,
     decompose,
     degenerates,
-    flat_intersections,
     make_point,
     pivots,
-    rank_vector,
     reconstruct,
     sw_array,
     same_orbit,
 )
+from gridorbits.decomposition import flat_entries, table_intersections
 
 shape = GridShape(2)  # 3x2 grid of vertices, one stored map
 f = make_point(shape, [[[0, 0, 0], [0, 1, 0], [0, 0, 1]]])
+arr = sw_array(f)
 
 print("point f: diag(0,1,1)")
-print("rank vector:", flat_intersections(rank_vector(f)))
+print("rank vector:", tuple(flat_entries(table_intersections(arr.tables[0]), shape.size)))
 
-arr = sw_array(f)
 print("south-west table (rows p, columns q >= p):")
 for p, row in enumerate(arr.tables[0], start=1):
     print("   " * (p - 1), row)

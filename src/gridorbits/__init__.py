@@ -5,13 +5,9 @@ from .decomposition import (
     RankVector,
     SolveFailure,
     decompose,
-    flat_intersections,
-    full_vector,
-    heights_rank_vector,
     independence_check,
     inter_order,
     rank_vector,
-    rank_vector_from_sw,
     same_rank_vector,
 )
 from .degeneration_lab import (

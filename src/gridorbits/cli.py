@@ -17,13 +17,7 @@ import io
 import json
 import sys
 
-from .decomposition import (
-    decompose,
-    flat_entries,
-    flat_intersections,
-    rank_vector,
-    table_intersections,
-)
+from .decomposition import decompose, flat_entries, table_intersections
 from .degeneration_lab import DEFAULT_BUDGET, DEFAULT_QS, flat_scan, hom_report
 from .grid_quiver import (
     GridQuiverError,
@@ -119,12 +113,11 @@ def _orbit_by_id(shape, token):
 
 
 def _cmd_rank_vector(args):
-    point = map_tuple_from_json(_read_json(args.input))
-    rv = rank_vector(point)
-    if point.shape.n == 2:
-        flat = flat_intersections(rv)
+    arr = sw_array(map_tuple_from_json(_read_json(args.input)))
+    if arr.shape.n == 2:
+        flat = flat_entries(table_intersections(arr.tables[0]), arr.shape.size)
         return "(" + ",".join(str(x) for x in flat) + ")\n"
-    return _dump(rank_vector_to_json(rv))
+    return _dump(rank_vector_to_json(arr))
 
 
 def _cmd_sw_array(args):

@@ -6,7 +6,10 @@ top-left i x i block) intersected with each coordinate subspace.  Window
 products are upper-triangular, so each entry is a difference of two
 south-west ranks and the rank vector is a reindexing of the south-west
 array: it is an orbit invariant, complete for n = 2 and not for n >= 3 (see
-:mod:`gridorbits.parametrizations`).  Points are decomposed into thin
+:mod:`gridorbits.parametrizations`).  It is rendered from the array's
+tables: each window's :func:`table_intersections`, in window order, read
+flat by :func:`flat_entries`; :class:`RankVector` remains for the
+benchmark's invariants op.  Points are decomposed into thin
 indecomposables by :func:`~gridorbits.parametrizations.reconstruct_matchings`
 of their south-west array, one height matching per single-map table,
 accepted only if their rook point has the same array; the matchings chain
@@ -23,13 +26,11 @@ from .grid_quiver import (
     GridQuiverError,
     dims_of_heights,
     enumerate_indecomposables,
-    full_dim_grid,
     height_matchings,
     matchings_to_decomposition,
     windows,
 )
-from .parametrizations import ReconstructInvalid, reconstruct_matchings, sw_array
-from .parametrizations import matchings_sw_array
+from .parametrizations import ReconstructInvalid, matchings_sw_array, reconstruct_matchings, sw_array
 
 
 class SolveFailure(GridQuiverError):
@@ -41,17 +42,17 @@ class SolveFailure(GridQuiverError):
     every tuple reduces to partial permutation form simultaneously."""
 
 
+# RankVector, rank_vector and same_rank_vector serve the benchmark's invariants op only
 @dataclass(frozen=True)
 class RankVector:
-    """Dimension grid plus intersection entries, flattened in a fixed order.
-
-    ``inter`` holds the entries keyed by (i, j1, j2, k) in the order of
-    :func:`inter_order`; k runs 1..i for the coordinate intersections and
-    k = i+1 stores the plain rank of the windowed block.
+    """Intersection entries of a rank vector, keyed by (i, j1, j2, k) in the
+    order of :func:`inter_order`; k runs 1..i for the coordinate
+    intersections and k = i+1 stores the plain rank of the windowed block.
+    The dimension part is :func:`~gridorbits.grid_quiver.full_dim_grid` on
+    every point of the restricted space, so it is not stored.
     """
 
     shape: object
-    dims: tuple
     inter: tuple
 
 
@@ -70,20 +71,12 @@ def rank_vector(point):
 
     For each window (j1, j2) and row i, the windowed composition is cut to
     its top-left i x i block; entry k <= i is dim(im ∩ span(e_1..e_k)),
-    entry k = i+1 is the block's rank.  It is read off the point's
-    south-west array by :func:`rank_vector_from_sw`.
+    entry k = i+1 is the block's rank.  The intersection part joins the
+    :func:`table_intersections` of the point's south-west tables in window
+    order.
     """
-    return rank_vector_from_sw(sw_array(point))
-
-
-def rank_vector_from_sw(arr):
-    """Rank vector of the points whose south-west array is ``arr``: its
-    intersection part joins the windows' :func:`table_intersections` in
-    window order."""
-    entries = []
-    for table in arr.tables:
-        entries += table_intersections(table)
-    return RankVector(arr.shape, full_dim_grid(arr.shape), tuple(entries))
+    arr = sw_array(point)
+    return RankVector(arr.shape, tuple(x for table in arr.tables for x in table_intersections(table)))
 
 
 def table_intersections(table):
@@ -103,29 +96,17 @@ def table_intersections(table):
     return entries
 
 
-def heights_rank_vector(shape, h):
-    """Rank vector of the thin indecomposable with height vector ``h``: the
-    intersection part is read off the summand's matchings, the dimension
-    part is its own grid."""
-    arr = matchings_sw_array(shape, height_matchings(shape, [h]))
-    return RankVector(shape, dims_of_heights(shape, h), rank_vector_from_sw(arr).inter)
-
-
 def same_rank_vector(a, b):
     """Orbit-level equality: the intersection parts coincide (the dimension
     part never varies on the restricted space)."""
     return a.shape == b.shape and a.inter == b.inter
 
 
-def flat_intersections(rv):
-    """Flat reading order: per window, rows top to bottom, the k = 1..i
-    coordinate intersections (without the duplicate rank slot)."""
-    return tuple(flat_entries(rv.inter, rv.shape.size))
-
-
 def flat_entries(inter, size):
-    """The flat reading of ``inter``, the entries of whole windows of a rank
-    vector whose maps have size ``size``, as a list."""
+    """Flat reading order of ``inter``, the entries of whole windows of a
+    rank vector whose maps have size ``size``, as a list: per window, rows
+    top to bottom, the k = 1..i coordinate intersections (without the
+    duplicate rank slot)."""
     out = []
     pos = 0
     while pos < len(inter):
@@ -135,21 +116,26 @@ def flat_entries(inter, size):
     return out
 
 
-def full_vector(rv):
-    """Dimension part (column-major) followed by all intersection entries."""
-    dims = tuple(
-        rv.dims[i][j] for j in range(rv.shape.n) for i in range(rv.shape.size)
-    )
-    return dims + rv.inter
+def _indecomposable_vector(shape, h):
+    """The vector of the thin indecomposable with height vector ``h``: its
+    dimension grid (:func:`~gridorbits.grid_quiver.dims_of_heights`)
+    column-major, then the :func:`table_intersections` of the south-west
+    array read off its matchings."""
+    dims = dims_of_heights(shape, h)
+    arr = matchings_sw_array(shape, height_matchings(shape, [h]))
+    return [dims[i][j] for j in range(shape.n) for i in range(shape.size)] + [
+        x for table in arr.tables for x in table_intersections(table)
+    ]
 
 
 def independence_check(shape):
-    """Whether the indecomposables' rank vectors are linearly independent.
+    """Whether the indecomposables' vectors (:func:`_indecomposable_vector`)
+    are linearly independent.
 
     A family larger than the vector length is dependent outright; otherwise
     the rank is computed exactly over Q.
     """
-    vecs = [full_vector(heights_rank_vector(shape, h)) for h in enumerate_indecomposables(shape)]
+    vecs = [_indecomposable_vector(shape, h) for h in enumerate_indecomposables(shape)]
     if len(vecs) > len(vecs[0]):
         return False
     return rank(Matrix(QQ, vecs)) == len(vecs)

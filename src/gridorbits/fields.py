@@ -9,6 +9,7 @@ exact; nothing here ever touches floating point.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -22,8 +23,8 @@ class RationalField:
     as that ``Fraction`` does, so no ``Fraction`` is built around an int:
     ``zero``, ``one`` and ``from_int`` give ints, and the ring operations
     are ``operator``'s, whose int results stay ints.  A ``Fraction`` is
-    built where a value enters (``from_fraction``) or is divided: ``inv``
-    refuses 0 and ``div`` divides a ``Fraction``, so int / int is exact."""
+    built where a value enters (``from_fraction``) or is inverted: ``inv``
+    refuses 0 and inverts a ``Fraction``, so 1 / int is exact."""
 
     zero = 0
     one = 1
@@ -40,10 +41,6 @@ class RationalField:
             raise ZeroDivisionError("inverse of 0")
         return 1 / Fraction(a)
 
-    @staticmethod
-    def div(a, b):
-        return Fraction(a) / b
-
     def __repr__(self):
         return "QQ"
 
@@ -57,17 +54,19 @@ MAX_Q = 64  # the largest q for which GF(q) builds its q x q tables
 
 
 def _factor_prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, k
-    raise ValueError(f"{q} is not a prime power")
+    """(p, k) with q = p^k.  Trial division stops at isqrt(q): a q >= 2 with
+    no factor up to there is prime."""
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = next((p for p in range(2, math.isqrt(q) + 1) if q % p == 0), q)
+    k = 0
+    m = q
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return p, k
 
 
 def _poly_mul_mod(a, b, mod_poly, p):
@@ -155,9 +154,6 @@ class GaloisField:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return self._inv[a]
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def from_int(self, n):
         return n % self.p

@@ -87,7 +87,7 @@ def rook_table(size, cells):
     return tuple(table)
 
 
-def matchings_sw_array(shape, matchings, tables=None):
+def matchings_sw_array(shape, matchings):
     """South-west array of the rook point of these per-pair matchings
     (:func:`~gridorbits.grid_quiver.rook_point`), read off the matchings.
 
@@ -97,11 +97,10 @@ def matchings_sw_array(shape, matchings, tables=None):
     composed matching is kept as its image vector, a tuple whose entry
     a - 1 is the height a reaches, or 0 once a's chain has dropped; one
     more map ``step`` sends it to ``carry(image, step)``
-    (:func:`~gridorbits.grid_quiver.carry`).  ``tables`` memoises the table
-    per image vector across calls (:func:`image_table`).
+    (:func:`~gridorbits.grid_quiver.carry`).  Tables are memoised per image
+    vector within the call (:func:`image_table`).
     """
-    if tables is None:
-        tables = {}
+    tables = {}
     size = shape.size
     out = []
     for j1 in range(shape.num_maps):

@@ -11,10 +11,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .decomposition import flat_intersections, inter_order
+from .decomposition import flat_entries, inter_order, table_intersections
 from .exact_linalg import Matrix
 from .fields import QQ
-from .grid_quiver import GridQuiverError, GridShape, SizeMismatch, make_point, windows
+from .grid_quiver import GridQuiverError, GridShape, SizeMismatch, full_dim_grid, make_point, windows
 from .parametrizations import SWArray
 
 
@@ -88,16 +88,20 @@ def decomposition_to_json(dec):
     }
 
 
-def rank_vector_to_json(rv):
+def rank_vector_to_json(arr):
+    """The rank vector of the points whose south-west array is ``arr``,
+    rendered from its tables (:func:`~gridorbits.decomposition.table_intersections`)."""
+    shape = arr.shape
+    inter = [x for table in arr.tables for x in table_intersections(table)]
     entries = [
         {"i": i, "j1": j1, "j2": j2, "k": k, "v": v}
-        for (i, j1, j2, k), v in zip(inter_order(rv.shape), rv.inter)
+        for (i, j1, j2, k), v in zip(inter_order(shape), inter)
     ]
     return {
-        "n": rv.shape.n,
-        "dims": [list(row) for row in rv.dims],
+        "n": shape.n,
+        "dims": [list(row) for row in full_dim_grid(shape)],
         "entries": entries,
-        "flat": list(flat_intersections(rv)),
+        "flat": flat_entries(inter, shape.size),
     }
 
 

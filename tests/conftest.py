@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from gridorbits import GridShape, Matrix, QQ, make_point
+from gridorbits import GridShape, Matrix, QQ, make_point, sw_array
+from gridorbits.decomposition import flat_entries, table_intersections
 
 # The fifteen canonical 3x3 representatives, in the source's numbering.
 CANONICAL_15 = {
@@ -110,6 +111,14 @@ def pair_n3(shape3):
 @pytest.fixture
 def paper_points(shape2):
     return {k: make_point(shape2, [m]) for k, m in CANONICAL_15.items()}
+
+
+def flat_rank_vector(point):
+    """The flat rank vector of a point as ``rank-vector`` and the orbit
+    listing print it: each south-west table's intersections read flat, in
+    window order."""
+    size = point.shape.size
+    return tuple(x for table in sw_array(point).tables for x in flat_entries(table_intersections(table), size))
 
 
 def random_ut(size, rng, invertible=False):

@@ -9,14 +9,16 @@ import hashlib
 import io
 import json
 
-from gridorbits.decomposition import RankVector, flat_intersections
-from gridorbits.grid_quiver import full_dim_grid, rook_of_matching
+from gridorbits.decomposition import flat_entries
+from gridorbits.grid_quiver import rook_of_matching
 from gridorbits.orbit_poset import orbit_nodes
 from gridorbits.parametrizations import table_entry
 from gridorbits.serialize import sw_array_to_json
 
 
 def reference_rank_vector_from_sw(arr):
+    """The intersection entries of the rank vector of the points whose
+    south-west array is ``arr``, in the order of ``inter_order``."""
     shape = arr.shape
     entries = []
     for table in arr.tables:
@@ -26,11 +28,11 @@ def reference_rank_vector_from_sw(arr):
                 entries.append(full - table_entry(table, k + 1, i))
             entries.append(full)  # k = i: im is contained in C^i already
             entries.append(full)  # k = i+1: the plain rank slot
-    return RankVector(shape, full_dim_grid(shape), tuple(entries))
+    return tuple(entries)
 
 
 def reference_flat_rank_vector(arr):
-    return list(flat_intersections(reference_rank_vector_from_sw(arr)))
+    return flat_entries(reference_rank_vector_from_sw(arr), arr.shape.size)
 
 
 def reference_sw_array_hash(arr):

@@ -1,8 +1,8 @@
-"""The rank vector :func:`gridorbits.decomposition.heights_rank_vector` of a
-thin indecomposable is tested against: its entries read off the height
-vector directly."""
+"""The vector of a thin indecomposable that
+:func:`gridorbits.decomposition.independence_check` builds from the tables
+is tested against: its dimension grid column-major, then its intersection
+entries read off the height vector directly."""
 
-from gridorbits.decomposition import RankVector
 from gridorbits.grid_quiver import dims_of_heights, windows
 
 
@@ -19,4 +19,5 @@ def reference_heights_rank_vector(shape, h):
             for k in range(1, i + 1):
                 entries.append(1 if alive and h[j2] >= size + 1 - k else 0)
             entries.append(1 if alive else 0)
-    return RankVector(shape, dims_of_heights(shape, h), tuple(entries))
+    dims = dims_of_heights(shape, h)
+    return tuple(dims[i][j] for j in range(shape.n) for i in range(size)) + tuple(entries)

@@ -17,6 +17,7 @@ import random
 import time
 from contextlib import contextmanager
 
+from gridorbits import decomposition
 from gridorbits import (
     GridShape,
     SolveFailure,
@@ -31,10 +32,8 @@ from gridorbits import (
     estimate_dim,
     euler_form,
     f2_census,
-    flat_intersections,
     flat_scan,
     full_dim_grid,
-    heights_rank_vector,
     hom_report,
     identity_tuple,
     independence_check,
@@ -54,6 +53,7 @@ from conftest import (
     HASSE_EDGES_15,
     INDECOMPOSABLE_VECTORS_12,
     RANK_VECTORS_15,
+    flat_rank_vector,
     random_borel,
     random_point,
 )
@@ -76,7 +76,7 @@ def criterion(num, text, budget_s):
 
 def test_criterion_1_worked_example_exactness(shape2, diag011):
     with criterion(1, "worked-example rank vector and south-west table", 1.0):
-        assert flat_intersections(rank_vector(diag011)) == (0, 0, 1, 0, 1, 2)
+        assert flat_rank_vector(diag011) == (0, 0, 1, 0, 1, 2)
         assert sw_array(diag011).tables[0] == ((0, 1, 2), (1, 2), (1,))
 
 
@@ -93,7 +93,7 @@ def test_criterion_2_orbit_census(shape2):
         assert set(points) == set(published)
         for mat, pt in points.items():
             idx = published[mat]
-            assert flat_intersections(rank_vector(pt)) == RANK_VECTORS_15[idx]
+            assert flat_rank_vector(pt) == RANK_VECTORS_15[idx]
 
 
 def test_criterion_3_poset(shape2):
@@ -118,9 +118,8 @@ def test_criterion_5_indecomposables(shape2):
         indecs = enumerate_indecomposables(shape2)
         assert len(indecs) == 12
         for h in indecs:
-            rv = heights_rank_vector(shape2, h)
-            dims = tuple(rv.dims[i][j] for j in range(2) for i in range(3))
-            assert dims + flat_intersections(rv) == INDECOMPOSABLE_VECTORS_12[h]
+            vec = decomposition._indecomposable_vector(shape2, h)
+            assert tuple(vec[:6] + decomposition.flat_entries(vec[6:], 3)) == INDECOMPOSABLE_VECTORS_12[h]
         assert independence_check(shape2) is True
 
 

@@ -11,8 +11,7 @@ from gridorbits import (
     decompose,
     enumerate_indecomposables,
     enumerate_orbits,
-    flat_intersections,
-    heights_rank_vector,
+    full_dim_grid,
     identity_tuple,
     independence_check,
     make_point,
@@ -26,11 +25,12 @@ from gridorbits import (
     windows,
     zero_tuple,
 )
-from gridorbits.decomposition import full_vector
+from gridorbits.decomposition import _indecomposable_vector, flat_entries
 from gridorbits.exact_linalg import solve_unique
 from gridorbits.parametrizations import pivots
+from gridorbits.serialize import rank_vector_to_json
 
-from conftest import DECOMP_N3, INDECOMPOSABLE_VECTORS_12, random_borel, random_point
+from conftest import DECOMP_N3, INDECOMPOSABLE_VECTORS_12, flat_rank_vector, random_borel, random_point
 from reference_decomposition import (
     decomposition_from_heights,
     reference_matchings_to_decomposition,
@@ -40,17 +40,17 @@ from reference_rank_vectors import reference_heights_rank_vector
 
 class TestRankVector:
     def test_worked_example(self, diag011):
-        assert flat_intersections(rank_vector(diag011)) == (0, 0, 1, 0, 1, 2)
+        assert flat_rank_vector(diag011) == (0, 0, 1, 0, 1, 2)
 
     def test_identity(self, shape2):
-        assert flat_intersections(rank_vector(identity_tuple(shape2))) == (1, 1, 2, 1, 2, 3)
+        assert flat_rank_vector(identity_tuple(shape2)) == (1, 1, 2, 1, 2, 3)
 
     def test_zero(self, shape2):
-        assert flat_intersections(rank_vector(zero_tuple(shape2))) == (0,) * 6
+        assert flat_rank_vector(zero_tuple(shape2)) == (0,) * 6
 
     def test_dims_part_constant(self, shape3, pair_n3):
-        rv = rank_vector(pair_n3)
-        assert rv.dims == tuple(tuple(i for _ in range(3)) for i in range(1, 5))
+        dims = rank_vector_to_json(sw_array(pair_n3))["dims"]
+        assert dims == [[i for _ in range(3)] for i in range(1, 5)]
 
     def test_rank_slot_duplicates_last_intersection(self, rng, shape3):
         rv = rank_vector(random_point(shape3, rng))
@@ -67,9 +67,8 @@ class TestRankVector:
 class TestHeightsRankVector:
     @pytest.mark.parametrize("h,expected", sorted(INDECOMPOSABLE_VECTORS_12.items()))
     def test_published_list(self, shape2, h, expected):
-        rv = heights_rank_vector(shape2, validate_heights(shape2, h))
-        dims = tuple(rv.dims[i][j] for j in range(2) for i in range(3))
-        assert dims + flat_intersections(rv) == expected
+        vec = _indecomposable_vector(shape2, validate_heights(shape2, h))
+        assert tuple(vec[:6] + flat_entries(vec[6:], 3)) == expected
 
     def test_all_twelve_covered(self, shape2):
         assert set(enumerate_indecomposables(shape2)) == set(
@@ -78,12 +77,13 @@ class TestHeightsRankVector:
 
     @pytest.mark.parametrize("n,count", [(2, 12), (3, 52), (4, 205)])
     def test_matches_reference(self, n, count):
-        # rank_vector of the one-summand point against the 0/1 formula
+        # the vector rendered from the one-summand tables against the 0/1
+        # formula
         shape = GridShape(n)
         indecs = enumerate_indecomposables(shape)
         assert len(indecs) == count
         for h in indecs:
-            assert heights_rank_vector(shape, h) == reference_heights_rank_vector(shape, h)
+            assert tuple(_indecomposable_vector(shape, h)) == reference_heights_rank_vector(shape, h)
 
 
 def solve_decomposition(point):
@@ -93,8 +93,10 @@ def solve_decomposition(point):
     integers (the multiplicities)."""
     shape = point.shape
     indecs = enumerate_indecomposables(shape)
-    columns = [[Fraction(x) for x in full_vector(heights_rank_vector(shape, h))] for h in indecs]
-    target = [Fraction(x) for x in full_vector(rank_vector(point))]
+    columns = [[Fraction(x) for x in _indecomposable_vector(shape, h)] for h in indecs]
+    dims = full_dim_grid(shape)
+    column_major = [dims[i][j] for j in range(shape.n) for i in range(shape.size)]
+    target = [Fraction(x) for x in column_major + list(rank_vector(point).inter)]
     heights = []
     for h, mult in zip(indecs, solve_unique(columns, target)):
         assert mult.denominator == 1 and mult >= 0, (h, mult)
@@ -229,8 +231,8 @@ class TestDecompose:
 
     def test_arrays_read_off_matchings(self, rng, monkeypatch):
         # decompose computes the point's array once; reconstruct and the
-        # summands' rank vectors read theirs off matchings, so they call no
-        # sw_array, multiply no window and sweep no matrix
+        # independence check's summand vectors read theirs off matchings, so
+        # they call no sw_array, multiply no window and sweep no matrix
         from gridorbits import exact_linalg, grid_quiver, parametrizations
 
         shape = GridShape(3)
@@ -257,8 +259,7 @@ class TestDecompose:
         for made in calls.values():
             made.clear()
         assert reconstruct(arr) == assemble_canonical(dec)
-        for h in enumerate_indecomposables(shape):
-            heights_rank_vector(shape, h)
+        assert independence_check(shape) is False
         assert calls == {"sw_array": [], "window_products": [], "b_pivots": []}
 
 
@@ -273,7 +274,7 @@ class TestIndependence:
         assert independence_check(GridShape(4)) is False
 
     def test_vector_lengths(self, shape2):
-        vec = full_vector(heights_rank_vector(shape2, validate_heights(shape2, (1, 1))))
+        vec = _indecomposable_vector(shape2, validate_heights(shape2, (1, 1)))
         assert len(vec) == 15  # 6 dims + 9 window entries
 
 

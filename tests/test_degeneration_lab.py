@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -231,6 +232,19 @@ class TestFields:
         assert not is_prime_power(6)
         with pytest.raises(ValueError):
             GaloisField(6)
+
+    def test_prime_power_trial_division_stops_at_the_root(self):
+        # the Mersenne prime 2^31 - 1 is decided at once (trial division up
+        # to q took minutes); on 1..2000 the answers are a sieve's
+        from gridorbits import is_prime_power
+
+        start = time.perf_counter()
+        assert is_prime_power(2_147_483_647)
+        assert time.perf_counter() - start < 0.1
+        primes = [p for p in range(2, 2001) if all(p % d for d in range(2, p))]
+        powers = {p ** k: (p, k) for p in primes for k in range(1, 12) if p ** k <= 2000}
+        assert [q for q in range(1, 2001) if is_prime_power(q)] == sorted(powers)
+        assert all(fields._factor_prime_power(q) == pk for q, pk in powers.items())
 
     def test_refuses_q_past_the_cap_before_building(self, monkeypatch):
         assert fields.MAX_Q == 64 and GF(64).q == 64

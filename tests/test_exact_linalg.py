@@ -159,7 +159,7 @@ def reference_inverse_upper_triangular(m):
             s = f.one if i == col else zero
             for j in range(i + 1, n):
                 s = f.sub(s, f.mul(m.data[i][j], x[j]))
-            x[i] = f.div(s, m.data[i][i])
+            x[i] = f.mul(s, f.inv(m.data[i][i]))
         for i in range(n):
             inv[i][col] = x[i]
     return Matrix(f, inv)

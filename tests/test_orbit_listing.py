@@ -10,10 +10,11 @@ import random
 import pytest
 
 from gridorbits import GridShape, cli, decomposition
-from gridorbits.decomposition import flat_intersections, rank_vector_from_sw
+from gridorbits.decomposition import rank_vector
 from gridorbits.grid_quiver import assemble_canonical
 from gridorbits.orbit_poset import orbit_by_id, orbit_count, orbit_nodes
 from gridorbits.parametrizations import sw_array
+from gridorbits.serialize import rank_vector_to_json
 
 from conftest import count_calls
 from reference_orbit_listing import (
@@ -80,13 +81,13 @@ def test_json_listing_reads_each_table_once(monkeypatch):
     # built whole and no encoder pass runs over the records
     calls = count_calls(monkeypatch, [
         (decomposition, "table_intersections"),
-        (decomposition, "rank_vector_from_sw"),
+        (decomposition, "rank_vector"),
         (cli, "_dump"),
     ])
     indented = indented_dumps(monkeypatch)
     listing(3, "json")
     assert 0 < calls["table_intersections"] <= 52
-    assert calls["rank_vector_from_sw"] == calls["_dump"] == 0
+    assert calls["rank_vector"] == calls["_dump"] == 0
     # the indented texts are the matchings' rows, 52 rooks of size 4
     assert 0 < len(indented) <= 52
     assert all(len(rows) == 4 and all(isinstance(x, str) for row in rows for x in row) for rows in indented)
@@ -104,11 +105,12 @@ def test_csv_listing_writes_no_json_text(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_rank_vector_per_table_on_every_node(n):
+    # the rank-vector JSON, rendered from the tables, against the entries
+    # read cell by cell
     for node in orbit_nodes(GridShape(n)):
-        want = reference_rank_vector_from_sw(node.sw)
-        got = rank_vector_from_sw(node.sw)
-        assert got.inter == want.inter
-        assert flat_intersections(got) == flat_intersections(want)
+        got = rank_vector_to_json(node.sw)
+        assert tuple(e["v"] for e in got["entries"]) == reference_rank_vector_from_sw(node.sw)
+        assert got["flat"] == reference_flat_rank_vector(node.sw)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -116,8 +118,8 @@ def test_rank_vector_per_table_on_sampled_orbits(n):
     shape = GridShape(n)
     ids = [1, orbit_count(shape)] + random.Random(n).sample(range(2, orbit_count(shape)), 12)
     for k in ids:
-        arr = sw_array(assemble_canonical(orbit_by_id(shape, k).decomposition))
-        assert rank_vector_from_sw(arr) == reference_rank_vector_from_sw(arr)
+        point = assemble_canonical(orbit_by_id(shape, k).decomposition)
+        assert rank_vector(point).inter == reference_rank_vector_from_sw(sw_array(point))
 
 
 @pytest.mark.parametrize("n", [2, 3])

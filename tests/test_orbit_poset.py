@@ -24,7 +24,6 @@ from gridorbits import (
     export_dot,
     f2_census,
     f2_distinct_count,
-    flat_intersections,
     make_point,
     matchings_sw_array,
     matchings_to_decomposition,
@@ -32,7 +31,6 @@ from gridorbits import (
     orbit_count,
     orbit_nodes,
     order_matchings,
-    rank_vector,
     sw_array,
     windows,
 )
@@ -44,7 +42,7 @@ from gridorbits.grid_quiver import check_full_decomposition, rook_cells, rook_po
 from gridorbits.parametrizations import rook_table
 from gridorbits.serialize import map_tuple_to_json
 
-from conftest import CANONICAL_15, HASSE_EDGES_15, RANK_VECTORS_15, count_calls
+from conftest import CANONICAL_15, HASSE_EDGES_15, RANK_VECTORS_15, count_calls, flat_rank_vector
 from reference_array_order import reference_array_order
 from reference_census import reference_census
 from reference_covers import reference_covers
@@ -136,7 +134,7 @@ class TestEnumeration:
 
     def test_rank_vectors_match_published(self, paper_points):
         for idx, pt in paper_points.items():
-            assert flat_intersections(rank_vector(pt)) == RANK_VECTORS_15[idx]
+            assert flat_rank_vector(pt) == RANK_VECTORS_15[idx]
 
     def test_column_height_invariant(self, shape3):
         from gridorbits import column_heights
@@ -150,11 +148,10 @@ class TestBijectivity:
     @pytest.mark.parametrize("n", [2, 3])
     def test_orbits_rank_vectors_arrays_in_bijection(self, n):
         from gridorbits import GridShape, rank_vector, sw_array
-        from gridorbits.decomposition import full_vector
 
         decs = enumerate_orbits(GridShape(n))
         points = [assemble_canonical(dec) for dec in decs]
-        rvs = {full_vector(rank_vector(pt)) for pt in points}
+        rvs = {rank_vector(pt).inter for pt in points}
         arrays = {sw_array(pt) for pt in points}
         assert len(decs) == len(rvs) == len(arrays)
 
@@ -438,24 +435,27 @@ class TestClosedFormArrays:
             assert matchings_sw_array(shape, matchings) == sw_array(assemble_canonical(dec))
             assert node.sw == sw_array(assemble_canonical(dec))
 
-    def test_compositions_are_rooks(self, shape3, monkeypatch):
-        # every window of every n = 3 orbit is one of the 52 rooks of size 4,
-        # so a shared memo counts 52 tables for all 2,704 x 3 windows; the
-        # memo is keyed by image vectors, entry a - 1 the height a reaches
-        # (0 once dropped), one per matching; no dense rook is built
-        from gridorbits import grid_quiver
+    def test_compositions_are_rooks(self, monkeypatch):
+        # every window of every orbit is one of the rooks of its size, so one
+        # walk of orbit_nodes makes each rook's table once: 15 tables at
+        # n = 2, and 52 serve all 2,704 x 3 windows at n = 3; the memo is
+        # keyed by image vectors, entry a - 1 the height a reaches (0 once
+        # dropped); no dense rook is built
+        from gridorbits import grid_quiver, parametrizations
 
-        tables = {}
-        combos = list(itertools.product(order_matchings(4), repeat=2))
-        calls = count_calls(monkeypatch, [(grid_quiver, "rook_of_matching")])
-        arrays = [matchings_sw_array(shape3, combo, tables) for combo in combos]
-        assert calls == {"rook_of_matching": 0}
-        assert len(tables) == 52
-        assert tables == {
-            tuple(m.get(a, 0) for a in range(1, 5)): rook_table(4, rook_cells(4, m))
-            for m in order_matchings(4)
-        }
-        assert arrays == [matchings_sw_array(shape3, combo) for combo in combos]
+        calls = count_calls(monkeypatch, [
+            (grid_quiver, "rook_of_matching"),
+            (parametrizations, "image_table"),
+        ])
+        for n, rooks in ((2, 15), (3, 52)):
+            shape = GridShape(n)
+            size = shape.size
+            calls["image_table"] = 0
+            nodes = list(orbit_nodes(shape))
+            assert calls == {"rook_of_matching": 0, "image_table": rooks}
+            tables = {table for node in nodes for table in node.sw.tables}
+            assert len(order_matchings(size)) == len(tables) == rooks
+            assert tables == {rook_table(size, rook_cells(size, m)) for m in order_matchings(size)}
 
     def test_census_commands_neither_multiply_nor_reduce(self, monkeypatch, capsys):
         from gridorbits import exact_linalg, grid_quiver, parametrizations

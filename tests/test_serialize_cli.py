@@ -62,8 +62,7 @@ class TestJsonRoundTrips:
         assert map_tuple_from_json(json.loads(json.dumps(obj))) == pt
 
     def test_rank_vector(self, diag011):
-        rv = rank_vector(diag011)
-        obj = rank_vector_to_json(rv)
+        obj = rank_vector_to_json(sw_array(diag011))
         assert obj["flat"] == [0, 0, 1, 0, 1, 2]
 
     def test_sw_array_null_padding(self, diag011):
@@ -73,10 +72,9 @@ class TestJsonRoundTrips:
         assert sw_array_from_json(json.loads(json.dumps(obj))) == arr
 
     def test_multi_window_round_trips(self, pair_n3):
-        rv = rank_vector(pair_n3)
-        entries = rank_vector_to_json(rv)["entries"]
+        entries = rank_vector_to_json(sw_array(pair_n3))["entries"]
         assert [(e["i"], e["j1"], e["j2"], e["k"]) for e in entries] == inter_order(pair_n3.shape)
-        assert tuple(e["v"] for e in entries) == rv.inter
+        assert tuple(e["v"] for e in entries) == rank_vector(pair_n3).inter
         arr = sw_array(pair_n3)
         assert sw_array_from_json(json.loads(json.dumps(sw_array_to_json(arr)))) == arr
 
@@ -111,13 +109,13 @@ def test_public_api_inventory():
         "degeneration_lab", "dims_of_heights", "e_grid", "enumerate_indecomposables",
         "enumerate_orbits", "estimate_dim", "euler_form", "exact_linalg", "export_dot",
         "f2_census", "f2_distinct_count", "fields", "fit_dimension",
-        "flat_intersections", "flat_scan", "full_dim_grid", "full_vector",
-        "grid_quiver", "heights_rank_vector", "hom_report", "identity_tuple",
+        "flat_scan", "full_dim_grid",
+        "grid_quiver", "hom_report", "identity_tuple",
         "independence_check", "inter_order", "inverse", "is_prime_power", "is_smooth",
         "is_upper_triangular", "length", "make_point", "matchings_sw_array",
         "matchings_to_decomposition", "orbit_by_id", "orbit_count", "orbit_nodes",
         "orbit_poset", "order_matchings", "parametrizations", "pivots", "point_counts",
-        "r_grid", "rank", "rank_vector", "rank_vector_from_sw",
+        "r_grid", "rank", "rank_vector",
         "reconstruct", "rep_variety_count", "rook_table", "same_orbit",
         "same_rank_vector", "schubert", "subrep_count", "subspaces", "sw_array",
         "sw_table", "target_dims", "validate_array_inequalities", "validate_heights",
@@ -162,6 +160,24 @@ class TestCli:
     def test_rank_vector_stdin(self):
         code, out, _ = run_cli("rank-vector", "-", stdin=json.dumps(DIAG011_JSON))
         assert code == 0 and out.strip() == "(0,0,1,0,1,2)"
+
+    def test_rank_vector_builds_no_rank_vector(self, diag011, pair_n3, tmp_path, monkeypatch, capsys):
+        # the command renders its tables' intersections: no RankVector is
+        # made at n = 2 or n = 3
+        from gridorbits import decomposition
+
+        want = {2: "(0,0,1,0,1,2)\n", 3: json.dumps(rank_vector_to_json(sw_array(pair_n3)), indent=2) + "\n"}
+        calls = count_calls(monkeypatch, [
+            (decomposition, "rank_vector"),
+            (decomposition, "RankVector"),
+            (decomposition, "table_intersections"),
+        ])
+        for point in (diag011, pair_n3):
+            path = tmp_path / f"n{point.shape.n}.json"
+            path.write_text(json.dumps(map_tuple_to_json(point)))
+            assert main(["rank-vector", str(path)]) == 0
+            assert capsys.readouterr().out == want[point.shape.n]
+        assert calls == {"rank_vector": 0, "RankVector": 0, "table_intersections": 1 + 3}
 
     def test_zero_point(self):
         zero = {"n": 2, "maps": [[["0"] * 3 for _ in range(3)]]}
