@@ -54,6 +54,7 @@ from .grid_quiver import (
     full_dim_grid,
     identity_tuple,
     make_point,
+    matchings_to_decomposition,
     validate_heights,
     windows,
     zero_tuple,
@@ -70,7 +71,6 @@ from .orbit_poset import (
     export_dot,
     f2_census,
     f2_distinct_count,
-    matchings_to_decomposition,
     orbit_by_id,
     orbit_count,
     orbit_nodes,

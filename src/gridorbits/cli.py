@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import itertools
 import json
 import sys
 
@@ -30,7 +31,7 @@ from .grid_quiver import (
     windows,
     zero_tuple,
 )
-from .orbit_poset import build_poset, count_report, export_dot, orbit_by_id, orbit_nodes
+from .orbit_poset import build_poset, count_report, export_dot, orbit_by_id, orbit_rows
 from .parametrizations import (
     degenerates,
     reconstruct,
@@ -71,11 +72,25 @@ def _read_json(path):
 
 
 def _emit(text, out):
+    """Write a command's output to the file ``out``, or to stdout when it
+    is None: ``text`` is a str, or an iterable of str written piece by
+    piece (the ``orbits`` JSON and CSV listings, one record at a time).  A
+    command runs its checks before it returns, so a refused command writes
+    nothing and opens no file."""
+    pieces = [text] if isinstance(text, str) else text
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
+
+
+class _Echo:
+    """A file whose ``write`` returns its text, so the ``writerow`` of a
+    ``csv.writer`` on it returns the row's line."""
+
+    def write(self, text):
+        return text
 
 
 def _dump(obj):
@@ -156,34 +171,42 @@ def _json_list(items, depth):
 
 
 def _orbit_listing(shape):
-    """What the JSON and CSV listings share: each orbit's node, its label
-    ``str(node.decomposition)`` and its ``sw_array_hash``, in id order.
+    """What the JSON and CSV listings share: each orbit's id, its row
+    ``(matchings, summands, tables)`` of :func:`orbit_rows`, its label
+    ``str(decomposition)`` and its ``sw_array_hash``, in id order, made as
+    they are read.  Refuses n >= 4 when called, before anything is built.
 
     The label joins the texts of its summands, each made once per listing
     (:func:`decomposition_text`).  The hash is the sha256 of
-    ``json.dumps(sw_array_to_json(node.sw), sort_keys=True)``, joined from
-    each window's part of that text, made once per (window, table) (156 at
-    n = 3).
+    ``json.dumps(sw_array_to_json(arr), sort_keys=True)`` for the orbit's
+    array, joined from each window's part of that text, made once per
+    (window, table) (156 at n = 3).
     """
-    nodes = orbit_nodes(shape)  # refuses n >= 4 before anything is built
+    rows = orbit_rows(shape)
 
     @functools.cache
     def hashed_part(win, table):
         return json.dumps(window_to_json(win, table), sort_keys=True)
 
-    summand_texts = {}
     head = json.dumps({"n": shape.n, "windows": []})[:-2]  # up to the windows' "["
     wins = windows(shape)
-    for node in nodes:
-        hashed = head + ", ".join(map(hashed_part, wins, node.sw.tables)) + "]}"
-        yield (node, decomposition_text(node.decomposition, summand_texts),
-               hashlib.sha256(hashed.encode()).hexdigest())
+
+    def listing():
+        summand_texts = {}
+        for k, row in enumerate(rows, start=1):
+            _, summands, tables = row
+            hashed = head + ", ".join(map(hashed_part, wins, tables)) + "]}"
+            yield (k, row, decomposition_text(summands, summand_texts),
+                   hashlib.sha256(hashed.encode()).hexdigest())
+
+    return listing()
 
 
 def _cmd_orbits(args):
     """The orbit listing as JSON, CSV or DOT.
 
-    JSON and CSV are written from :func:`_orbit_listing`.  A record's rank
+    JSON and CSV are written from :func:`_orbit_listing` one record at a
+    time, as an iterable of texts for :func:`_emit`.  A record's rank
     vector joins its tables' :func:`flat_entries` in window order and its
     ``maps`` are the rooks of its matchings, written as the strings of
     their 0/1 entries, which is what :func:`map_tuple_to_json` writes for
@@ -205,30 +228,37 @@ def _cmd_orbits(args):
         return sep.join(map(str, flat_entries(table_intersections(table), size)))
 
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", "decomposition", "rank_vector", "sw_array_hash"])
-        writer.writerows(
-            [node.id, label, "(" + " ".join(map(rank_vector_text, node.sw.tables)) + ")", digest]
-            for node, label, digest in listing
-        )
-        return buf.getvalue()
-
-    @functools.cache
-    def maps_text(items):
-        rows = [[str(x) for x in row] for row in rook_of_matching(size, dict(items))]
-        return json.dumps(rows, indent=2).replace("\n", "\n" + "  " * 3)
-
-    def record(node, label, digest):
-        rank_vector = _json_list(map(rank_vector_text, node.sw.tables), 2)
-        maps = _json_list([maps_text(tuple(sorted(m.items()))) for m in node.matchings], 2)
-        return (
-            f'{{\n    "id": {node.id},\n    "decomposition": {json.dumps(label)},\n'
-            f'    "rank_vector": {rank_vector},\n    "sw_array_hash": "{digest}",\n'
-            f'    "maps": {maps}\n  }}'
+        line = csv.writer(_Echo(), lineterminator="\n").writerow
+        return itertools.chain(
+            [line(["id", "decomposition", "rank_vector", "sw_array_hash"])],
+            (line([k, label, "(" + " ".join(map(rank_vector_text, row[2])) + ")", digest])
+             for k, row, label, digest in listing),
         )
 
-    return _json_list([record(*item) for item in listing], 0) + "\n"
+    maps_texts = {}  # keyed by the id of each matching dict, which the rows share
+
+    def maps_text(m):
+        text = maps_texts.get(id(m))
+        if text is None:
+            rows = [[str(x) for x in row] for row in rook_of_matching(size, m)]
+            text = maps_texts[id(m)] = json.dumps(rows, indent=2).replace("\n", "\n" + "  " * 3)
+        return text
+
+    def records():
+        # json.dumps(records, indent=2), one record at a time
+        opening = "[\n  "
+        for k, (matchings, _, tables), label, digest in listing:
+            rank_vector = _json_list(map(rank_vector_text, tables), 2)
+            maps = _json_list(map(maps_text, matchings), 2)
+            yield (
+                f'{opening}{{\n    "id": {k},\n    "decomposition": {json.dumps(label)},\n'
+                f'    "rank_vector": {rank_vector},\n    "sw_array_hash": "{digest}",\n'
+                f'    "maps": {maps}\n  }}'
+            )
+            opening = ",\n  "
+        yield "\n]\n"
+
+    return records()
 
 
 def _cmd_poset(args):
@@ -236,13 +266,14 @@ def _cmd_poset(args):
     if args.format == "dot":
         return export_dot(poset)
     # json.dumps(..., indent=2) of the nodes, edges, maximal and minimal ids,
-    # written from pieces, each summand's text made once
+    # written from pieces, each summand's text made once; the ids and labels
+    # are read off the poset's rows, with no node built
     summand_texts = {}
     inner, close = "\n" + "  " * 3, "\n" + "  " * 2
     nodes = [
-        f'{{{inner}"id": {node.id},{inner}"decomposition": '
-        f'{json.dumps(decomposition_text(node.decomposition, summand_texts))}{close}}}'
-        for node in poset.nodes
+        f'{{{inner}"id": {k},{inner}"decomposition": '
+        f'{json.dumps(decomposition_text(summands, summand_texts))}{close}}}'
+        for k, summands in poset.labels()
     ]
     lists = {
         "nodes": nodes,

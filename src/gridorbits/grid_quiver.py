@@ -105,12 +105,11 @@ def summand_text(h):
     return "U(" + ",".join(map(str, h)) + ")"
 
 
-def decomposition_text(dec, texts):
-    """``str(dec)``, joined from the texts of its summands.  ``texts`` is a
-    dict from height vectors to their :func:`summand_text`, filled as
-    needed, so a caller that labels many decompositions with one dict makes
-    each summand's text once."""
-    summands = dec.summands
+def decomposition_text(summands, texts):
+    """``str`` of the decomposition with these summands, joined from their
+    texts.  ``texts`` is a dict from height vectors to their
+    :func:`summand_text`, filled as needed, so a caller that labels many
+    decompositions with one dict makes each summand's text once."""
     for h in summands:
         if h not in texts:
             texts[h] = summand_text(h)
@@ -304,7 +303,7 @@ def carry(heights, matching, starts=()):
     (:func:`~gridorbits.parametrizations.matchings_sw_array`).  With the
     matching's :func:`chain_starts` it chains: a column of the heights of
     every chain so far becomes the next column's, the chains that start
-    there listed last (:func:`chained_decomposition`).
+    there listed last (:func:`chained_summands`).
     """
     return (*map(matching.get, heights, repeat(0)), *starts)
 
@@ -315,10 +314,11 @@ def chain_starts(size, matching):
     return filterfalse(set(matching.values()).__contains__, range(size, 0, -1))
 
 
-def chained_decomposition(shape, columns):
-    """The full decomposition whose summands are the chains of these
-    columns: the first column's heights downward, then one :func:`carry`
-    with :func:`chain_starts` per matching.
+def chained_summands(columns):
+    """The summand tuple of the full decomposition whose summands are the
+    chains of these columns (a :class:`Decomposition`'s ``summands``): the
+    first column's heights downward, then one :func:`carry` with
+    :func:`chain_starts` per matching.
 
     A chain's heights are its entries across the columns, 0 before it
     starts (an earlier column lists no chain that starts later, so
@@ -333,7 +333,7 @@ def chained_decomposition(shape, columns):
     # over thousands of orbits fills (0.27 MB more peak memory at n = 3)
     summands = list(zip_longest(*columns, fillvalue=0))
     summands.reverse()
-    return Decomposition(shape, tuple(summands))
+    return tuple(summands)
 
 
 def matchings_to_decomposition(shape, matchings):
@@ -342,13 +342,13 @@ def matchings_to_decomposition(shape, matchings):
     ``matchings[j-1]`` matches heights of column j to heights of column
     j+1 (weakly increasing pairs, each height used at most once per side).
     Heights with no left partner start a summand; following right partners
-    yields its height chain (:func:`carry`, :func:`chained_decomposition`).
+    yields its height chain (:func:`carry`, :func:`chained_summands`).
     """
     size = shape.size
     columns = [range(size, 0, -1)]
     for m in matchings:
         columns.append(carry(columns[-1], m, chain_starts(size, m)))
-    return chained_decomposition(shape, columns)
+    return Decomposition(shape, chained_summands(columns))
 
 
 def borel_act(point, hs):

@@ -11,12 +11,16 @@ matrix is built, multiplied or reduced.  The listing walks the product of
 the matchings once: each prefix's chains and composed image vectors are
 extended by one matching at a time, with the chaining and composing step
 (:func:`~gridorbits.grid_quiver.carry`) that the single-orbit builds
-share.  The array order is one
-up-set per array, a Python int used as a bitset: the AND of one up-set per
-window, each made once per distinct table there; the poset's covers are
-read off the up-sets.  The product order of the matchings numbers the
-orbits 1..b_(n+2)^(n-1); these ids index the census, the poset and the
-experiment commands.  An exhaustive F_2 census of south-west arrays
+share.  The walk yields plain rows, each orbit's matchings, summand tuple
+and table tuple (:func:`orbit_rows`); the :class:`OrbitNode` records are
+built from them only at the API edge (:func:`orbit_nodes`,
+:func:`orbit_by_id`, and a poset's ``nodes`` when read), while the
+listings, the poset's order and covers and the DOT export read the rows.
+The array order is one up-set per array, a Python int used as a bitset:
+the AND of one up-set per window, each made once per distinct table there;
+the poset's covers are read off the up-sets.  The product order of the
+matchings numbers the orbits 1..b_(n+2)^(n-1); these ids index the census,
+the poset and the experiment commands.  An exhaustive F_2 census of south-west arrays
 provides an independent check for n <= 3: it holds every enumerated orbit's
 array, plus those of tuples with no thin decomposition.  It runs over the
 tuples whose first map is a rook (a partial permutation matrix), which over
@@ -39,14 +43,13 @@ from .grid_quiver import (
     InfeasibleSize,
     carry,
     chain_starts,
-    chained_decomposition,
+    chained_summands,
     decomposition_text,
-    matchings_to_decomposition,
     rook_cells,
 )
 # sw_array is not called here; it stays bound because the benchmark's
 # self-test (bench/selftest.py) lists orbit_poset among its binders.
-from .parametrizations import SWArray, image_table, matchings_sw_array, rook_table, sw_array  # noqa: F401
+from .parametrizations import SWArray, image_table, rook_table, sw_array  # noqa: F401
 
 
 def bell(m):
@@ -104,16 +107,17 @@ def enumerate_orbits(shape):
     are direct sums of thin summands), as decompositions, in a fixed order
     (the product order of the per-pair matchings), orbit id k at k - 1.
     Raises InfeasibleSize for n >= 4 before it builds any."""
-    return [node.decomposition for node in orbit_nodes(shape)]
+    return [Decomposition(shape, summands) for _, summands, _ in orbit_rows(shape)]
 
 
 def orbit_by_id(shape, k):
     """The :class:`OrbitNode` with id k, the k-th of :func:`orbit_nodes`,
     decoded without enumerating: k - 1 is a mixed-radix number over the
-    per-pair matchings, the first map's digit leading.  The node holds the
-    decoded matchings as a tuple, their decomposition and their
-    :func:`matchings_sw_array`.  Raises GridQuiverError outside
-    1..orbit_count(shape)."""
+    per-pair matchings, the first map's digit leading.  The node wraps the
+    one row of :func:`_walk` over the decoded matchings: the matchings as
+    a tuple, their decomposition and their
+    :func:`~gridorbits.parametrizations.matchings_sw_array`.  Raises
+    GridQuiverError outside 1..orbit_count(shape)."""
     total = orbit_count(shape)
     if not (1 <= k <= total):
         raise GridQuiverError(f"orbit id {k} out of range 1..{total}")
@@ -123,9 +127,8 @@ def orbit_by_id(shape, k):
     for _ in range(shape.num_maps):
         rest, digit = divmod(rest, len(per_pair))
         combo.append(per_pair[digit])
-    combo = tuple(combo[::-1])
-    return OrbitNode(k, matchings_to_decomposition(shape, combo),
-                     matchings_sw_array(shape, combo), combo)
+    (row,) = _walk(shape, [[m] for m in reversed(combo)])
+    return _node(shape, k, row)
 
 
 def f2_census(shape):
@@ -146,7 +149,7 @@ def f2_census(shape):
     order, in order of first appearance.  Pass a representative to
     :func:`make_point` to read it over Q.  Each tuple is keyed by its
     windows' rooks (:func:`_f2_keyed`), and each distinct array is wrapped
-    in an :class:`SWArray` once at the end.
+    in an :class:`SWArray` once, for its first tuple.
 
     Ranks of the canonical 0/1 representatives are field independent, so
     every decomposable orbit's array shows up.  Read over Q, each
@@ -156,26 +159,37 @@ def f2_census(shape):
 
     Raises InfeasibleSize for n >= 4 before it allocates.
     """
-    keyed, tables, matrix = _f2_keyed(shape)
-    return {
-        SWArray(shape, tuple(tables[k] for k in key)): tuple(map(matrix, codes))
-        for key, codes in keyed.items()
-    }
+    tables, matrix, keyed = _f2_keyed(shape)
+    census = {}
+    for k, (r, keys) in enumerate(keyed):
+        if keys is None:
+            census[SWArray(shape, (tables[k],))] = (matrix(r),)
+            continue
+        # each key's least code: in code order, the keys' order of first
+        # appearance
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        for f2 in sorted(first.values()):
+            window12, window22 = divmod(keys[f2], len(tables))
+            census[SWArray(shape, (tables[k], tables[window12], tables[window22]))] = (matrix(r), matrix(f2))
+    return census
 
 
 def _f2_keyed(shape):
     """The census of :func:`f2_census` keyed by each window's rook, an
-    index into :func:`order_matchings`, with the rooks' tables and the
-    function that turns a code into its nested 0/1 tuple (made once per
-    code).  Each representative is given by its maps' codes, bit b of a
-    code being the entry at the b-th upper-triangular position in row
-    order.
+    index into :func:`order_matchings`: the rooks' tables, the function
+    that turns a code into its nested 0/1 tuple (made once per code), and
+    one ``(code, keys)`` pair per rook r.  A map is given by its code, bit
+    b being the entry at the b-th upper-triangular position in row order.
 
-    Every code is labelled with the rook of its B x B orbit
-    (:func:`_rook_labels`), and its table is that rook's
+    At n = 2 ``keys`` is None: the rook is the whole tuple.  At n = 3 the
+    windows run (1,1), (1,2), (2,2), and window (1,2) of (r, f2) is the
+    product f2·r, so ``keys[f2]`` is ``label[f2·r] · R + label[f2]``, R the
+    number of rooks; within one rook, equal keys mean equal arrays.  Every
+    code is labelled with the rook of its B x B orbit (:func:`_rook_labels`),
+    and its table is that rook's
     :func:`~gridorbits.parametrizations.rook_table`, so no matrix is built
-    or swept.  At n = 3 the windows run (1,1), (1,2), (2,2), and window
-    (1,2) of (r, f2) is the product f2·r.
+    or swept.  Each rook's keys are made in whole-list passes, with no
+    Python step per code.
     """
     if shape.n > 3:
         raise InfeasibleSize("exhaustive F_2 census implemented for n <= 3 only")
@@ -195,25 +209,23 @@ def _f2_keyed(shape):
         return tuple(map(tuple, rows))
 
     if shape.num_maps == 1:
-        return {(k,): (r,) for k, r in enumerate(rook_codes)}, tables, matrix
+        return tables, matrix, [(r, None) for r in rook_codes]
     label = _rook_labels(size, bit, rook_codes)
-    codes = range(len(label))
-    census = {}
-    for k, (rook, r) in enumerate(zip(cells, rook_codes)):
+    scaled = [k * len(tables) for k in label]
+
+    def keys(rook):
         # column c of f2·r is f2's column j when r has its 1 in row j at
         # column c, so each bit of f2 moves to one place or drops, and f2·r
-        # is the OR of its bits' images
+        # is the OR of its bits' images: the products of all codes below
+        # 2^(b+1) are those below 2^b, then the same with bit b's image
         col = {p - 1: q - 1 for p, q in rook}
-        moved = {bit[i, j]: bit[i, col[j]] if j in col else 0 for i, j in positions}
-        prods = [0] * len(codes)
-        for f2 in codes[1:]:
-            low = f2 & -f2
-            prods[f2] = prods[f2 ^ low] | moved[low]
-        for f2, p in enumerate(prods):
-            key = (k, label[p], label[f2])
-            if key not in census:
-                census[key] = (r, f2)
-    return census, tables, matrix
+        prods = [0]
+        for i, j in positions:
+            moved = bit[i, col[j]] if j in col else 0
+            prods += [p | moved for p in prods]
+        return list(map(int.__add__, map(scaled.__getitem__, prods), label))
+
+    return tables, matrix, ((r, keys(rook)) for rook, r in zip(cells, rook_codes))
 
 
 def _rook_labels(size, bit, rook_codes):
@@ -251,9 +263,10 @@ def _rook_labels(size, bit, rook_codes):
 
 
 def f2_distinct_count(shape):
-    """Number of distinct south-west arrays in :func:`f2_census`: the keys
-    of :func:`_f2_keyed`, with no :class:`SWArray` built."""
-    return len(_f2_keyed(shape)[0])
+    """Number of distinct south-west arrays in :func:`f2_census`: the
+    distinct keys of each rook in :func:`_f2_keyed`, with no
+    :class:`SWArray` built."""
+    return sum(1 if keys is None else len(set(keys)) for _, keys in _f2_keyed(shape)[2])
 
 
 @dataclass(frozen=True)
@@ -300,32 +313,65 @@ class OrbitNode:
     matchings: tuple = field(compare=False)
 
 
-@dataclass(frozen=True)
+def _node(shape, k, row):
+    """The :class:`OrbitNode` with id k of one row of :func:`_walk`."""
+    matchings, summands, tables = row
+    return OrbitNode(k, Decomposition(shape, summands), SWArray(shape, tables), matchings)
+
+
 class OrbitPoset:
-    shape: object
-    nodes: tuple
-    edges: tuple  # (upper id, lower id) cover pairs
+    """The degeneration poset: its ``shape``, its ``nodes`` (an
+    :class:`OrbitNode` per orbit) and its ``edges``, the (upper id, lower
+    id) cover pairs.
+
+    A poset made by :func:`build_poset` keeps the plain rows of its walk
+    (:func:`orbit_rows`), ids 1..N, and builds its nodes on the first read
+    of ``nodes``; the ids, labels and edges are read without them.
+    """
+
+    def __init__(self, shape, nodes, edges):
+        self.shape = shape
+        self.edges = edges
+        self._nodes = tuple(nodes)
+        self._ids = [node.id for node in self._nodes]
+        self._rows = [(node.matchings, node.decomposition.summands, node.sw.tables) for node in self._nodes]
+
+    @classmethod
+    def _of_rows(cls, shape, rows, edges):
+        """The poset of the rows of :func:`orbit_rows`, ids 1..len(rows)."""
+        poset = cls.__new__(cls)
+        poset.shape, poset.edges = shape, edges
+        poset._nodes, poset._ids, poset._rows = None, range(1, len(rows) + 1), rows
+        return poset
+
+    @property
+    def nodes(self):
+        if self._nodes is None:
+            self._nodes = tuple(map(functools.partial(_node, self.shape), self._ids, self._rows))
+        return self._nodes
+
+    def labels(self):
+        """Each node's id and summand tuple (its decomposition's
+        ``summands``), in node order, with no node built."""
+        return zip(self._ids, [summands for _, summands, _ in self._rows])
 
     def maximal(self):
         below_something = {v for _, v in self.edges}
-        return sorted(n.id for n in self.nodes if n.id not in below_something)
+        return sorted(k for k in self._ids if k not in below_something)
 
     def minimal(self):
         above_something = {u for u, _ in self.edges}
-        return sorted(n.id for n in self.nodes if n.id not in above_something)
+        return sorted(k for k in self._ids if k not in above_something)
 
 
-def orbit_nodes(shape):
-    """Each decomposable orbit in id order, as an :class:`OrbitNode` with its
-    decomposition, its per-pair ``matchings`` and its canonical
-    representative's south-west array.
-
-    The nodes come from one walk of the product of :func:`order_matchings`
-    (:func:`_walk`), so each node costs one step from the node of its first
-    n - 2 matchings, and no window is multiplied or reduced.  The matchings
-    are the dicts of :func:`order_matchings`, shared between nodes.  Nodes
-    are built one at a time; raises InfeasibleSize for n >= 4
-    (b_6^3 = 8,365,427 nodes) before it builds any.
+def orbit_rows(shape):
+    """Each decomposable orbit in id order, as the plain row ``(matchings,
+    summands, tables)`` of :func:`_walk`: the per-pair matchings, the
+    summand tuple of its decomposition and the table tuple of its
+    canonical representative's south-west array.  The core that
+    :func:`orbit_nodes`, :func:`build_poset` and the ``orbits`` listing
+    read; raises InfeasibleSize for n >= 4 (b_6^3 = 8,365,427 rows)
+    before it builds any.
     """
     if shape.n >= 4:
         count = orbit_count(shape) if shape.n <= MAX_COUNT_N else _PAST_MAX_COUNT
@@ -333,11 +379,30 @@ def orbit_nodes(shape):
     return _walk(shape, [order_matchings(shape.size)] * shape.num_maps)
 
 
+def orbit_nodes(shape):
+    """Each decomposable orbit in id order, as an :class:`OrbitNode` with its
+    decomposition, its per-pair ``matchings`` and its canonical
+    representative's south-west array: the records of the rows of
+    :func:`orbit_rows`, each built as it is read.
+
+    The rows come from one walk of the product of :func:`order_matchings`
+    (:func:`_walk`), so each node costs one step from the node of its first
+    n - 2 matchings, and no window is multiplied or reduced.  The matchings
+    are the dicts of :func:`order_matchings`, shared between nodes.  Raises
+    InfeasibleSize for n >= 4 before it builds any.
+    """
+    return map(functools.partial(_node, shape), itertools.count(1), orbit_rows(shape))
+
+
 def _walk(shape, choices):
-    """An :class:`OrbitNode` for each combination of one matching per pair,
-    ``choices[j-1]`` listing pair j's, in product order (the first pair's
-    choice leading), numbered from 1: the orbit ids when every pair may take
-    every matching (:func:`orbit_nodes`).
+    """One plain row ``(matchings, summands, tables)`` for each combination
+    of one matching per pair, ``choices[j-1]`` listing pair j's, in product
+    order (the first pair's choice leading): the matchings as a tuple, the
+    summand tuple of their :func:`~gridorbits.grid_quiver.matchings_to_decomposition`
+    and the table tuple of their
+    :func:`~gridorbits.parametrizations.matchings_sw_array`.  The k-th row
+    is orbit k when every pair may take every matching (:func:`orbit_rows`).
+    No record is built; :func:`_node` wraps a row.
 
     Each matching's own pieces are made once per call: its
     :func:`~gridorbits.grid_quiver.chain_starts`, its image vector (the
@@ -348,7 +413,8 @@ def _walk(shape, choices):
     :func:`~gridorbits.grid_quiver.carry`, the same steps that
     :func:`~gridorbits.grid_quiver.matchings_to_decomposition` and
     :func:`~gridorbits.parametrizations.matchings_sw_array` take for one
-    combination.  Tables are memoised per image vector (52 at n = 3).
+    combination.  Tables are memoised per image vector (52 at n = 3), so
+    rows share their table objects.
     """
     size = shape.size
     tables = {}
@@ -360,7 +426,6 @@ def _walk(shape, choices):
                              tables.get(image) or image_table(size, image, tables))
     steps = [[(m, *pieces[id(m)]) for m in choice] for choice in choices]
     last = len(steps) - 1
-    ids = itertools.count(1)
 
     def extend(depth, combo, columns, images, rows):
         # images[j1 - 1] is the image vector of window (j1, depth) and
@@ -372,8 +437,7 @@ def _walk(shape, choices):
             grown = [row + (tables.get(v) or image_table(size, v, tables),) for row, v in zip(rows, ends)]
             grown.append((table,))
             if depth == last:
-                yield OrbitNode(next(ids), chained_decomposition(shape, chains),
-                                SWArray(shape, sum(grown, ())), here)
+                yield here, chained_summands(chains), sum(grown, ())
             else:
                 ends.append(image)
                 yield from extend(depth + 1, here, chains, ends, grown)
@@ -384,7 +448,13 @@ def _walk(shape, choices):
 def array_order(arrays):
     """All-pairs componentwise order of equal-shape south-west arrays, as
     up-sets: bit j of ``ups[i]`` is set when arrays[i] <= arrays[j] in every
-    entry (:func:`~gridorbits.parametrizations.array_leq`).
+    entry (:func:`~gridorbits.parametrizations.array_leq`).  The order of
+    the arrays' ``tables`` (:func:`_table_order`)."""
+    return _table_order([arr.tables for arr in arrays])
+
+
+def _table_order(tables):
+    """:func:`array_order` of arrays given by their table tuples.
 
     An array's up-set is the AND over windows of its window up-set: the
     arrays whose table there is at least its own in every entry.  Each
@@ -393,8 +463,8 @@ def array_order(arrays):
     or above it (:func:`_up_sets`).  Python ints are the bitsets, N ints of
     N bits for N arrays.
     """
-    ups = [(1 << len(arrays)) - 1] * len(arrays)
-    for column in zip(*(arr.tables for arr in arrays)):
+    ups = [(1 << len(tables)) - 1] * len(tables)
+    for column in zip(*tables):
         slot = {}  # each distinct table's index
         which = [slot.setdefault(table, len(slot)) for table in column]
         groups = [0] * len(slot)
@@ -435,21 +505,25 @@ def build_poset(shape):
     decomposition and the canonical representative's array; edges are
     the covering pairs of the componentwise array order (transitive
     reduction), found by :func:`_covers` from the up-sets of
-    :func:`array_order`.  The nodes are ordered by entry sum, a linear
+    :func:`array_order`.  The orbits are ranked by entry sum, a linear
     extension since a strictly larger array has a strictly larger sum.  The
     up-sets are N ints of N bits, so the n >= 4 refusal of
-    :func:`orbit_nodes` applies.
+    :func:`orbit_rows` applies.
+
+    The ranking, the order and the covers read the plain rows of
+    :func:`orbit_rows`; the poset keeps them and builds its
+    :class:`OrbitNode` records only when ``nodes`` is read.
     """
-    nodes = tuple(orbit_nodes(shape))
+    rows = list(orbit_rows(shape))
     ranked = sorted(
-        nodes, key=lambda node: sum(map(sum, itertools.chain.from_iterable(node.sw.tables)))
+        range(len(rows)), key=lambda i: sum(map(sum, itertools.chain.from_iterable(rows[i][2])))
     )
-    ups = array_order([node.sw for node in ranked])  # bit j: ranked[j] at or above
-    # no two nodes share an array: window (j, j) is the rook table of
+    ups = _table_order([rows[i][2] for i in ranked])  # bit j: ranked[j] at or above
+    # no two orbits share an array: window (j, j) is the rook table of
     # matching j, which pivots turns back into that rook
     strict = [up & ~(1 << i) for i, up in enumerate(ups)]
-    edges = [(ranked[j].id, ranked[i].id) for i, found in enumerate(_covers(strict)) for j in found]
-    return OrbitPoset(shape, nodes, tuple(sorted(edges)))
+    edges = [(ranked[j] + 1, ranked[i] + 1) for i, found in enumerate(_covers(strict)) for j in found]
+    return OrbitPoset._of_rows(shape, rows, tuple(sorted(edges)))
 
 
 def _covers(ups):
@@ -475,16 +549,17 @@ def _covers(ups):
 
 
 def export_dot(poset):
-    """Graphviz text for the poset, byte-deterministic, edges top-down."""
+    """Graphviz text for the poset, byte-deterministic, edges top-down.
+    The node labels are read off :meth:`OrbitPoset.labels`, so no
+    :class:`OrbitNode` is built."""
     lines = [
         "digraph orbit_poset {",
         "  rankdir=TB;",
         '  node [shape=box, fontname="Helvetica"];',
     ]
     texts = {}  # each summand's text, made once per call
-    for node in poset.nodes:
-        label = decomposition_text(node.decomposition, texts)
-        lines.append(f'  o{node.id} [label="{node.id}: {label}"];')
+    for k, summands in poset.labels():
+        lines.append(f'  o{k} [label="{k}: {decomposition_text(summands, texts)}"];')
     for upper, lower in poset.edges:
         lines.append(f"  o{upper} -> o{lower};")
     lines.append("}")

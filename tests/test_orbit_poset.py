@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gridorbits import (
+    Decomposition,
     GridShape,
     InfeasibleSize,
     OrbitPoset,
@@ -252,8 +253,9 @@ class TestF2Labels:
 
 
 class TestWalk:
-    # orbit_nodes walks the product of order_matchings once; each node must
-    # be what the per-node builds give for its matchings
+    # the walk yields plain rows (matchings, summands, tables); orbit_nodes
+    # wraps each row in an OrbitNode, and each must be what the per-node
+    # builds give for its matchings
     @pytest.mark.parametrize("n", [2, 3])
     def test_nodes_are_the_per_node_builds(self, n):
         shape = GridShape(n)
@@ -268,6 +270,17 @@ class TestWalk:
         shared = {id(m) for node in nodes for m in node.matchings}
         assert len(shared) == bell(shape.size + 1)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rows_are_the_wrapped_nodes(self, n):
+        shape = GridShape(n)
+        rows = list(orbit_poset.orbit_rows(shape))
+        nodes = list(orbit_nodes(shape))
+        assert len(rows) == len(nodes) == orbit_count(shape)
+        for (matchings, summands, tables), node in zip(rows, nodes):
+            assert matchings == node.matchings
+            assert summands == node.decomposition.summands
+            assert tables == node.sw.tables
+
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_single_combinations_past_the_listing(self, n):
         shape = GridShape(n)
@@ -275,28 +288,53 @@ class TestWalk:
         rng = random.Random(n)
         for _ in range(30):
             combo = tuple(rng.choice(per_pair) for _ in range(shape.num_maps))
-            (node,) = orbit_poset._walk(shape, [[m] for m in combo])
-            assert node.id == 1 and all(a is b for a, b in zip(node.matchings, combo))
-            assert node.decomposition == matchings_to_decomposition(shape, combo)
-            assert node.sw == matchings_sw_array(shape, combo)
+            ((matchings, summands, tables),) = orbit_poset._walk(shape, [[m] for m in combo])
+            assert all(a is b for a, b in zip(matchings, combo))
+            dec, arr = Decomposition(shape, summands), SWArray(shape, tables)
+            assert dec == matchings_to_decomposition(shape, combo)
+            assert arr == matchings_sw_array(shape, combo)
             # oracles that share no step with the walk: the summands chain
             # these matchings, and the dense sweep of the rook point
-            check_full_decomposition(node.decomposition)
-            assert matchings_of(node.decomposition) == [dict(sorted(m.items())) for m in combo]
-            assert node.sw == sw_array(rook_point(shape, combo))
+            check_full_decomposition(dec)
+            assert matchings_of(dec) == [dict(sorted(m.items())) for m in combo]
+            assert arr == sw_array(rook_point(shape, combo))
 
     def test_sub_product_in_product_order(self):
         # prefixes shared at every depth: three matchings per pair at n = 4
         shape = GridShape(4)
         rng = random.Random(4)
         choices = [rng.sample(order_matchings(5), 3) for _ in range(shape.num_maps)]
-        nodes = list(orbit_poset._walk(shape, choices))
+        rows = list(orbit_poset._walk(shape, choices))
         combos = list(itertools.product(*choices))
-        assert [node.id for node in nodes] == list(range(1, 28))
-        for node, combo in zip(nodes, combos):
-            assert node.matchings == combo
-            assert node.decomposition == matchings_to_decomposition(shape, combo)
-            assert node.sw == matchings_sw_array(shape, combo)
+        assert len(rows) == 27
+        for (matchings, summands, tables), combo in zip(rows, combos):
+            assert matchings == combo
+            assert Decomposition(shape, summands) == matchings_to_decomposition(shape, combo)
+            assert SWArray(shape, tables) == matchings_sw_array(shape, combo)
+
+    def test_n4_sub_product_builds_no_record(self, monkeypatch):
+        # the core of an n = 4 pass: the first pair fixed, the other two
+        # free, 203^2 = 41,209 rows with no OrbitNode, SWArray or
+        # Decomposition made; a seeded sample is checked per node after
+        from gridorbits import grid_quiver, parametrizations
+
+        shape = GridShape(4)
+        per_pair = order_matchings(shape.size)
+        first = random.Random(41209).choice(per_pair)
+        calls = count_calls(monkeypatch, [
+            (orbit_poset, "OrbitNode"), (parametrizations, "SWArray"), (grid_quiver, "Decomposition"),
+        ])
+        rows = list(orbit_poset._walk(shape, [[first], per_pair, per_pair]))
+        assert calls == {"OrbitNode": 0, "SWArray": 0, "Decomposition": 0}
+        monkeypatch.undo()
+        assert len(rows) == len(per_pair) ** 2 == 41209
+        rng = random.Random(4)
+        for k in [0, len(rows) - 1] + rng.sample(range(1, len(rows) - 1), 40):
+            combo = (first, *(per_pair[digit] for digit in divmod(k, len(per_pair))))
+            matchings, summands, tables = rows[k]
+            assert matchings == combo
+            assert Decomposition(shape, summands) == matchings_to_decomposition(shape, combo)
+            assert SWArray(shape, tables) == matchings_sw_array(shape, combo)
 
 
 class TestPoset:
@@ -349,12 +387,12 @@ class TestPoset:
         from gridorbits import grid_quiver
 
         calls = count_calls(monkeypatch, [
-            (grid_quiver, "chained_decomposition"), (grid_quiver, "carry"), (orbit_poset, "OrbitNode"),
+            (grid_quiver, "chained_summands"), (grid_quiver, "carry"), (orbit_poset, "OrbitNode"),
         ])
         first = next(orbit_nodes(GridShape(3)))
         # 52 image vectors of the per-pair pieces, then two chain columns
         # and one window (1, 2) image for the first node
-        assert calls == {"chained_decomposition": 1, "carry": 52 + 3, "OrbitNode": 1}
+        assert calls == {"chained_summands": 1, "carry": 52 + 3, "OrbitNode": 1}
         assert first.id == 1 and first.decomposition == enumerate_orbits(GridShape(3))[0]
 
     def test_listings_refuse_before_building(self, monkeypatch):
@@ -535,7 +573,7 @@ class TestClosedFormArrays:
     def test_record_maps_are_the_canonical_points(self, n):
         shape = GridShape(n)
         args = cli.build_parser().parse_args(["orbits", "--n", str(n), "--format", "json"])
-        records = json.loads(cli._cmd_orbits(args))
+        records = json.loads("".join(cli._cmd_orbits(args)))
         assert len(records) == orbit_count(shape)
         for record, dec in zip(records, enumerate_orbits(shape)):
             assert record["decomposition"] == str(dec)

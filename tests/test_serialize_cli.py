@@ -407,8 +407,8 @@ class TestCli:
         assert len(lines) == 16
 
     def test_orbit_records_compute_one_array_per_orbit(self, monkeypatch, capsys):
-        # each array is read off the orbit's matchings by the node walk, one
-        # SWArray per orbit, and none off its point
+        # each array is read off the orbit's matchings by the walk as a
+        # plain table tuple: no SWArray is built, and none is read off a point
         from gridorbits import orbit_poset, parametrizations
 
         calls = {"SWArray": [], "sw_array": []}
@@ -423,7 +423,8 @@ class TestCli:
                 if name.split(".")[0] == "gridorbits" and getattr(module, attr, None) is original:
                     monkeypatch.setattr(module, attr, counted)
         assert main(["orbits", "--n", "2"]) == 0
-        assert len(json.loads(capsys.readouterr().out)) == len(calls["SWArray"]) == 15
+        assert len(json.loads(capsys.readouterr().out)) == 15
+        assert calls["SWArray"] == []
         assert calls["sw_array"] == []
 
     def test_poset_dot(self):
@@ -457,6 +458,18 @@ class TestCli:
         assert code == 2
         assert "8365427 orbit nodes" in err
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("command,fmt", [
+        ("orbits", "json"), ("orbits", "csv"), ("orbits", "dot"), ("poset", "json"), ("poset", "dot"),
+    ])
+    def test_refused_listing_opens_no_file(self, command, fmt, tmp_path, capsys):
+        # the listings stream their output, and refuse before any of it
+        path = tmp_path / "out"
+        code = main([command, "--n", "4", "--format", fmt, "--out", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: n = 4 has 8365427 orbit nodes; orbit listings stop at n = 3\n"
+        assert not path.exists()
 
     @pytest.mark.parametrize("n", [65, 1000])
     @pytest.mark.parametrize("command", ["orbits", "poset", "count-report"])
