@@ -19,12 +19,10 @@ from .degeneration_lab import (
     FlatScanRow,
     HomReport,
     NoPointFound,
-    estimate_dim,
     euler_form,
     fit_dimension,
     flat_scan,
     hom_report,
-    point_counts,
     rep_variety_count,
     subrep_count,
 )
@@ -40,7 +38,6 @@ from .grid_quiver import (
     Decomposition,
     GridQuiverError,
     GridShape,
-    HeightVectorError,
     InfeasibleSize,
     InvalidDecomposition,
     MapTuple,
@@ -48,14 +45,12 @@ from .grid_quiver import (
     TriangularityViolation,
     assemble_canonical,
     borel_act,
-    column_heights,
     dims_of_heights,
     enumerate_indecomposables,
     full_dim_grid,
     identity_tuple,
     make_point,
     matchings_to_decomposition,
-    validate_heights,
     windows,
     zero_tuple,
 )

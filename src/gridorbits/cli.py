@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import functools
 import hashlib
-import io
 import itertools
 import json
 import sys
@@ -74,7 +73,8 @@ def _read_json(path):
 def _emit(text, out):
     """Write a command's output to the file ``out``, or to stdout when it
     is None: ``text`` is a str, or an iterable of str written piece by
-    piece (the ``orbits`` JSON and CSV listings, one record at a time).  A
+    piece (the ``orbits`` JSON and CSV listings, one record at a time, and
+    the ``flat-scan`` CSV, one line per row).  A
     command runs its checks before it returns, so a refused command writes
     nothing and opens no file."""
     pieces = [text] if isinstance(text, str) else text
@@ -299,22 +299,20 @@ def _cmd_schubert(args):
 def _cmd_flat_scan(args):
     w, qs, budget = _experiment_flags(args)
     result = flat_scan(w, qs=qs, budget=budget)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    line = csv.writer(_Echo(), lineterminator="\n").writerow
+    lines = [line(
         ["orbit_id", "decomposition"]
         + [f"count_q{q}" for q in qs]
         + ["fitted_poly", "est_dim", "target_dim", "flat_candidate"]
-    )
+    )]
     for row in result.rows:
-        counts = dict(row.counts)
         poly = " ".join(str(c) for c in row.estimate.coefficients)
-        writer.writerow(
+        lines.append(line(
             [row.orbit_id, str(row.decomposition)]
-            + [counts[q] for q in qs]
+            + [count for _q, count in row.counts]
             + [poly, row.estimate.degree, result.target_dim, str(row.flat_candidate).lower()]
-        )
-    return buf.getvalue()
+        ))
+    return lines
 
 
 def _cmd_hom_report(args):

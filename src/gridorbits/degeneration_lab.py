@@ -4,10 +4,13 @@ the Euler-form lower bound, and the Hom-scheme complete-intersection audit.
 Dimensions of the degenerate fibres are estimated by counting their points
 over several finite fields and fitting one integer polynomial, an exact
 Vandermonde solve on :class:`~gridorbits.exact_linalg.Matrix`, validated
-on held-out field sizes.  A count filters each column's chains of subspaces
-one pair of adjacent columns at a time, deciding each span test once per
-pair; :func:`flat_scan` builds the chains, which depend only on (column
-dims, q), once per scan.  Every count meters its budget in closed form.
+on held-out field sizes, in one count-and-fit step (:func:`_count_and_fit`).
+A count filters each column's chains of subspaces one pair of adjacent
+columns at a time, deciding each span test once per pair; :func:`flat_scan`
+builds the chains, which depend only on (column dims, q), once per scan.
+A count meters its chain enumeration in closed form before any chain is
+built, but its pair filtering as it runs, so it can be refused partway,
+after a scan's earlier counts; a rep-variety count meters in closed form.
 
 The audit compares the codimension of the Hom scheme inside its ambient
 space against the rank of the defining bilinear system, computed exactly
@@ -206,11 +209,6 @@ def _dot(field, row, u):
     return acc
 
 
-def point_counts(point, e, qs, budget=DEFAULT_BUDGET, *, chains=None):
-    """((q, :func:`subrep_count` at q), ...) in schedule order, sharing ``chains``."""
-    return tuple((q, subrep_count(point, e, q, budget, chains=chains)) for q in qs)
-
-
 # ---------------------------------------------------------------------------
 # exact polynomial fitting
 
@@ -277,11 +275,11 @@ def _degree_bound(shape, e):
     )
 
 
-def estimate_dim(point, e, qs, budget=DEFAULT_BUDGET):
-    """Dimension of the fibre with dimension grid e over the point, as the
-    degree of the validated counting polynomial."""
-    _check_field_sizes(qs)
-    return fit_dimension(point_counts(point, e, qs, budget), _degree_bound(point.shape, e))
+def _count_and_fit(count, qs, max_degree):
+    """((q, count(q)), ...) in schedule order, and their
+    :func:`fit_dimension` with degree bound ``max_degree``."""
+    counts = tuple((q, count(q)) for q in qs)
+    return counts, fit_dimension(counts, max_degree)
 
 
 def euler_form(a, b):
@@ -311,7 +309,8 @@ def flat_scan(w, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     candidate set, ``up & ~flat == 0``.
 
     Each orbit is counted on its canonical point, the
-    :func:`~gridorbits.grid_quiver.rook_point` of its node's matchings.  The
+    :func:`~gridorbits.grid_quiver.rook_point` of its node's matchings, by
+    :func:`_count_and_fit` under the scan's one degree bound.  The
     scan builds each column's chains once per (column dims, q) and shares
     them across its :func:`subrep_count` calls, one per (orbit, q), each of
     which still meters the budget before it looks the chains up.
@@ -322,12 +321,13 @@ def flat_scan(w, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     shape = GridShape(len(w) - 1)
     e = target_dims(w)
     target = length(w)
+    bound = _degree_bound(shape, e)
     rows = []
     arrays = []
     chains = {}
     for node in orbit_nodes(shape):
-        counts = point_counts(rook_point(shape, node.matchings), e, qs, budget, chains=chains)
-        est = fit_dimension(counts, _degree_bound(shape, e))
+        point = rook_point(shape, node.matchings)
+        counts, est = _count_and_fit(lambda q: subrep_count(point, e, q, budget, chains=chains), qs, bound)
         rows.append(FlatScanRow(node.id, node.decomposition, counts, est, est.degree == target))
         arrays.append(node.sw)
     flat = sum(1 << i for i, r in enumerate(rows) if r.flat_candidate)
@@ -558,7 +558,9 @@ def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     subrepresentations and the base points all come from the 1s of its
     arrow maps (:func:`_arrow_maps`, made once per call), and its dense rook point is built
     only for the fibre count.  The field sizes and the budget at the
-    largest q are checked before anything is counted.
+    largest q are checked before anything is counted; then
+    :func:`_count_and_fit` counts and fits the fibre, and after it the
+    representation variety, whose counts that budget check has cleared.
 
     A base change a in GL(e) = prod_v GL(e_v), (N, g) -> (a_t N a_s^-1,
     g_v a_v^-1), is a linear automorphism of the unknowns that multiplies
@@ -574,6 +576,8 @@ def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
             representative); raised before anything is counted.
         InfeasibleSize: q^nvars exceeds the budget at the largest q (see
             :func:`_check_rep_budget`), or the fibre's counts exceed it.
+        FitFailure: no polynomial fits the fibre's counts, or the
+            representation variety's.
         NoPointFound: the canonical point has no coordinate
             subrepresentation, so there is no exact point to start from.
     """
@@ -590,9 +594,9 @@ def hom_report(w, point, qs=DEFAULT_QS, budget=DEFAULT_BUDGET):
     total_e = sum(
         e[i - 1][j - 1] * i for i in range(1, shape.size + 1) for j in range(1, shape.n + 1)
     )
-    re_counts = tuple((q, rep_variety_count(shape, e, q, budget)) for q in qs)
-    est_gr = estimate_dim(rook_point(shape, matchings), e, qs, budget)
-    est_re = fit_dimension(re_counts, len(arrows))
+    fibre_point = rook_point(shape, matchings)
+    est_gr = _count_and_fit(lambda q: subrep_count(fibre_point, e, q, budget), qs, _degree_bound(shape, e))[1]
+    est_re = _count_and_fit(lambda q: rep_variety_count(shape, e, q, budget), qs, len(arrows))[1]
     dim_hom0 = est_gr.degree + dim_g
     dim_v = est_re.degree + total_e
     codim = dim_v - dim_hom0

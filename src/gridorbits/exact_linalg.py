@@ -272,16 +272,16 @@ def inverse(m):
         raise ValueError("matrix is singular") from None
 
 
-def solve_unique(columns, target, field=QQ):
-    """Solve sum_j x_j * columns[j] = target for a full-column-rank system.
+def solve_unique(columns, target):
+    """Solve sum_j x_j * columns[j] = target over Q for a full-column-rank system.
 
     Args:
-        columns: list of equal-length vectors (the matrix columns).
-        target: right-hand-side vector.
+        columns: list of equal-length rational vectors (the matrix columns).
+        target: right-hand-side rational vector.
 
     Returns:
         The unique coefficient list, or raises ValueError when the system
         is rank-deficient (checked first) or inconsistent.
     """
     aug = [[col[i] for col in columns] + [t] for i, t in enumerate(target)]
-    return [row[0] for row in _solve(field, aug, len(columns))]
+    return [row[0] for row in _solve(QQ, aug, len(columns))]

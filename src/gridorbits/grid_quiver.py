@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, filterfalse, repeat, zip_longest
+from operator import itemgetter, le
 
 from .exact_linalg import Matrix, integer_multiple, inverse, is_upper_triangular
 from .fields import QQ
@@ -35,10 +36,6 @@ class TriangularityViolation(GridQuiverError):
 
 
 class SizeMismatch(GridQuiverError):
-    pass
-
-
-class HeightVectorError(GridQuiverError):
     pass
 
 
@@ -89,8 +86,10 @@ class Decomposition:
     """A decomposition into thin indecomposables: the sorted tuple of its
     summands' height vectors.  A thin summand is its height vector h, where
     h_j marks the first nonzero row of column j, counted from the bottom
-    (0 = column absent).  In a full decomposition each column sees every
-    height once, so no summand repeats."""
+    (0 = column absent); its nonzero entries form one weakly increasing
+    run of columns.  In a full decomposition each column sees every height
+    once, so no summand repeats, and the summands are the chains of the
+    per-pair matchings that :func:`check_full_decomposition` reads off."""
 
     shape: GridShape
     summands: tuple  # (h, ...)
@@ -192,31 +191,6 @@ def windows(shape):
     ]
 
 
-def validate_heights(shape, h):
-    """Check the height-vector invariants and return the heights as a tuple.
-
-    The support must be a nonempty contiguous column interval, heights must
-    be weakly increasing along it, and each height must lie in 1..n+1.
-    (Contiguity is stronger than weak monotonicity alone: a vector like
-    (2,0,3) splits as a direct sum of its column blocks.)
-    """
-    h = tuple(h)
-    if len(h) != shape.n:
-        raise SizeMismatch(f"expected {shape.n} heights, got {len(h)}")
-    if any(v < 0 or v > shape.size for v in h):
-        raise HeightVectorError(f"heights must lie in 0..{shape.size}: {h}")
-    support = [j for j, v in enumerate(h) if v > 0]
-    if not support:
-        raise HeightVectorError("height vector with empty support")
-    a, b = support[0], support[-1]
-    if support != list(range(a, b + 1)):
-        raise HeightVectorError(f"support of {h} is not a contiguous interval")
-    seg = h[a:b + 1]
-    if any(x > y for x, y in zip(seg, seg[1:])):
-        raise HeightVectorError(f"heights {h} are not weakly increasing on the support")
-    return h
-
-
 def enumerate_indecomposables(shape):
     """All valid height vectors for this shape, in lexicographic order.
 
@@ -232,27 +206,52 @@ def enumerate_indecomposables(shape):
     )
 
 
-def column_heights(dec, j):
-    """Nonzero heights seen by 1-based column j, one per summand, sorted."""
-    return sorted(h[j - 1] for h in dec.summands if h[j - 1] > 0)
-
-
 def check_full_decomposition(dec):
-    """Raise InvalidDecomposition unless every column sees heights 1..n+1
-    exactly once (the invariant of full points, where dim at (i,j) is i)."""
-    expected = list(range(1, dec.shape.size + 1))
-    for j in range(1, dec.shape.n + 1):
-        if column_heights(dec, j) != expected:
-            raise InvalidDecomposition(
-                f"column {j} sees heights {column_heights(dec, j)}, expected {expected}"
-            )
+    """The per-pair :func:`height_matchings` of a full decomposition: each
+    column sees heights 1..n+1 once (the invariant of full points, where
+    dim at (i,j) is i), and each summand is thin.  With the column rule
+    met, the summands are thin exactly when each has n heights, none is
+    zero, every pair a -> b of the matchings has a <= b, and they hold
+    n(n+1) - #summands pairs, one per adjacent pair of a run's heights (a
+    gap drops one).  Anything else raises InvalidDecomposition; only then
+    are the summands scanned, to name the first that is not thin."""
+    shape, summands = dec.shape, dec.summands
+    n = shape.n
+    if set(map(len, summands)) <= {n}:
+        expected = list(range(1, shape.size + 1))
+        for j in range(n):
+            seen = sorted(filter(None, map(itemgetter(j), summands)))
+            if seen != expected:
+                raise InvalidDecomposition(f"column {j + 1} sees heights {seen}, expected {expected}")
+        matchings = height_matchings(shape, summands)
+        if (sum(map(len, matchings)) == n * shape.size - len(summands) and (0,) * n not in summands
+                and all(all(map(le, m, m.values())) for m in matchings)):
+            return matchings
+    h, fault = next((h, fault) for h in summands if (fault := _thin_fault(n, h)))
+    raise InvalidDecomposition(f"summand {h} is not thin: {fault}")
+
+
+def _thin_fault(n, h):
+    """Why ``h`` is not the heights of a thin summand of n columns (n
+    entries, the nonzero ones one weakly increasing run), or None; heights
+    above n+1 are the column rule's to refuse."""
+    support = [j for j, v in enumerate(h) if v]
+    run = h[support[0]:support[-1] + 1] if support else ()
+    if len(h) != n:
+        return f"it has length {len(h)}, expected {n}"
+    if not support:
+        return "it is zero"
+    if len(run) != len(support):
+        return "its support has a gap"
+    if any(a > b for a, b in zip(run, run[1:])):
+        return "its heights decrease"
 
 
 def assemble_canonical(dec):
     """Canonical representative of the orbit with decomposition ``dec``:
-    the :func:`rook_point` of its summands' :func:`height_matchings`."""
-    check_full_decomposition(dec)
-    return rook_point(dec.shape, height_matchings(dec.shape, dec.summands))
+    the :func:`rook_point` of the per-pair matchings that
+    :func:`check_full_decomposition` reads off its summands."""
+    return rook_point(dec.shape, check_full_decomposition(dec))
 
 
 def height_matchings(shape, heights):

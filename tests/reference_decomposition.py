@@ -30,3 +30,30 @@ def reference_matchings_to_decomposition(shape, matchings):
             h[start_col - 1:start_col - 1 + len(chain)] = chain
             heights.append(tuple(h))
     return decomposition_from_heights(shape, heights)
+
+
+def reference_is_thin(shape, h):
+    """Whether ``h`` is the height vector of a thin summand: n heights in
+    0..n+1 whose support is a nonempty column interval on which they
+    weakly increase (a vector like (2,0,3) splits as a direct sum of its
+    column blocks)."""
+    h = tuple(h)
+    if len(h) != shape.n or any(v < 0 or v > shape.size for v in h):
+        return False
+    support = [j for j, v in enumerate(h) if v > 0]
+    if not support or support != list(range(support[0], support[-1] + 1)):
+        return False
+    seg = h[support[0]:support[-1] + 1]
+    return all(x <= y for x, y in zip(seg, seg[1:]))
+
+
+def reference_is_full(dec):
+    """Whether ``dec`` is a full decomposition: every summand thin, and
+    every column seeing heights 1..n+1 exactly once."""
+    shape = dec.shape
+    if not all(reference_is_thin(shape, h) for h in dec.summands):
+        return False
+    expected = list(range(1, shape.size + 1))
+    return all(
+        sorted(h[j] for h in dec.summands if h[j] > 0) == expected for j in range(shape.n)
+    )

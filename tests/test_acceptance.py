@@ -29,7 +29,6 @@ from gridorbits import (
     decompose,
     enumerate_indecomposables,
     enumerate_orbits,
-    estimate_dim,
     euler_form,
     f2_census,
     flat_scan,
@@ -162,8 +161,9 @@ def test_criterion_7_flatness_pipeline(shape2):
     with criterion(7, "flatness pipeline on the worked permutation", 60.0):
         e = target_dims(W231)
         pt = identity_tuple(shape2)
-        est = estimate_dim(pt, e, (2, 3, 5, 7))
-        assert est.degree == 2
+        (row,) = [r for r in flat_scan(W231, qs=(2, 3, 4, 5, 7)).rows if r.decomposition == decompose(pt)]
+        est = row.estimate
+        assert est.degree == 2 and row.flat_candidate
         assert est.coefficients == (1, 2, 1)
         assert subrep_count(pt, e, 2) == exhaustive_subrep_oracle(pt, e, 2) == 9
 

@@ -21,7 +21,6 @@ from gridorbits import (
     reconstruct,
     same_rank_vector,
     sw_array,
-    validate_heights,
     windows,
     zero_tuple,
 )
@@ -67,7 +66,7 @@ class TestRankVector:
 class TestHeightsRankVector:
     @pytest.mark.parametrize("h,expected", sorted(INDECOMPOSABLE_VECTORS_12.items()))
     def test_published_list(self, shape2, h, expected):
-        vec = _indecomposable_vector(shape2, validate_heights(shape2, h))
+        vec = _indecomposable_vector(shape2, h)
         assert tuple(vec[:6] + flat_entries(vec[6:], 3)) == expected
 
     def test_all_twelve_covered(self, shape2):
@@ -274,7 +273,7 @@ class TestIndependence:
         assert independence_check(GridShape(4)) is False
 
     def test_vector_lengths(self, shape2):
-        vec = _indecomposable_vector(shape2, validate_heights(shape2, (1, 1)))
+        vec = _indecomposable_vector(shape2, (1, 1))
         assert len(vec) == 15  # 6 dims + 9 window entries
 
 

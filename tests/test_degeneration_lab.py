@@ -17,7 +17,6 @@ from gridorbits import (
     SolveFailure,
     assemble_canonical,
     e_grid,
-    estimate_dim,
     euler_form,
     fit_dimension,
     flat_scan,
@@ -26,7 +25,6 @@ from gridorbits import (
     identity_tuple,
     make_point,
     orbit_nodes,
-    point_counts,
     r_grid,
     rep_variety_count,
     subrep_count,
@@ -34,7 +32,7 @@ from gridorbits import (
     zero_tuple,
 )
 from gridorbits import degeneration_lab, fields, grid_quiver
-from gridorbits.degeneration_lab import _degree_bound, _poly_trim
+from gridorbits.degeneration_lab import _count_and_fit, _degree_bound, _poly_trim
 from gridorbits.exact_linalg import Matrix, inverse, rank, solve_unique
 from gridorbits.fields import QQ, _poly_mul_mod
 from gridorbits.subspaces import (
@@ -404,7 +402,7 @@ class TestSubrepCount:
             e = target_dims(w)
             for node in orbit_nodes(shape2):
                 canon = assemble_canonical(node.decomposition)
-                shared = point_counts(canon, e, qs, chains=chains)
+                shared = tuple((q, subrep_count(canon, e, q, chains=chains)) for q in qs)
                 assert shared == tuple((q, subrep_count(canon, e, q)) for q in qs)
         col_dims = {tuple(row[j] for row in target_dims(w)) for w in permutations((1, 2, 3)) for j in range(2)}
         assert set(chains) == {(dims, q) for dims in col_dims for q in qs}
@@ -452,25 +450,33 @@ class TestSubrepCount:
             subrep_count(identity_tuple(shape), full_dim_grid(shape), 2)
 
 
+def fibre_estimate(point, e, qs):
+    """The fitted dimension of the fibre with dimension grid e over any
+    point: the count-and-fit step of the scan and the audit, on that point."""
+    return _count_and_fit(lambda q: subrep_count(point, e, q), qs, _degree_bound(point.shape, e))[1]
+
+
 class TestEstimateDim:
     def test_worked_example(self, shape2):
-        est = estimate_dim(identity_tuple(shape2), target_dims(W231), (2, 3, 5, 7))
+        est = fibre_estimate(identity_tuple(shape2), target_dims(W231), (2, 3, 5, 7))
         assert est.degree == 2
         assert est.coefficients == (1, 2, 1)
 
     def test_zero_orbit_product_of_flags(self, shape2):
-        est = estimate_dim(zero_tuple(shape2), target_dims(W231), (2, 3, 4, 5, 7))
+        est = fibre_estimate(zero_tuple(shape2), target_dims(W231), (2, 3, 4, 5, 7))
         assert est.degree == 3
         assert est.coefficients == (1, 3, 3, 1)
 
     def test_trivial_grid(self, shape2):
         e = tuple(tuple(0 for _ in range(2)) for _ in range(3))
-        est = estimate_dim(identity_tuple(shape2), e, (2, 3, 5))
+        est = fibre_estimate(identity_tuple(shape2), e, (2, 3, 5))
         assert est.degree == 0 and est.coefficients == (1,)
 
     def test_requires_three_fields(self, shape2):
-        with pytest.raises(ValueError):
-            estimate_dim(identity_tuple(shape2), target_dims(W231), (2, 3))
+        with pytest.raises(ValueError, match="^need at least 3 distinct field sizes$"):
+            flat_scan(W231, qs=(2, 3))
+        with pytest.raises(ValueError, match="^need at least 3 sample points$"):
+            fibre_estimate(identity_tuple(shape2), target_dims(W231), (2, 3))
 
     def test_fit_failure(self):
         with pytest.raises(FitFailure):
@@ -736,7 +742,8 @@ class TestFlatScan:
         e = target_dims(W231)
         want = []
         for node in orbit_nodes(shape2):
-            counts = point_counts(assemble_canonical(node.decomposition), e, qs)
+            canon = assemble_canonical(node.decomposition)
+            counts = tuple((q, subrep_count(canon, e, q)) for q in qs)
             want.append((node.id, node.decomposition, counts, fit_dimension(counts, _degree_bound(shape2, e))))
         calls = count_calls(monkeypatch, [(grid_quiver, "assemble_canonical")])
         res = flat_scan(W231, qs=qs)
@@ -767,7 +774,7 @@ class TestOrbitInvariance:
 
         e = target_dims(W231)
         moved = borel_act(identity_tuple(shape2), [random_unimodular_ut(3, rng) for _ in range(2)])
-        est = estimate_dim(moved, e, (2, 3, 5, 7))
+        est = fibre_estimate(moved, e, (2, 3, 5, 7))
         assert est.degree == 2 and est.coefficients == (1, 2, 1)
 
 
@@ -923,8 +930,6 @@ class TestHomReport:
             hom_report(W231, identity_tuple(shape2), qs=(2, 3))
         with pytest.raises(ValueError, match=message):
             flat_scan(W231, qs=(8, 9))
-        with pytest.raises(ValueError, match=message):
-            estimate_dim(identity_tuple(shape2), target_dims(W231), (2, 3))
         with pytest.raises(ValueError, match="^field size q = 2 is repeated$"):
             flat_scan(W231, qs=(2, 3, 2, 4))
 

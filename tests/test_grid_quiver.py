@@ -9,7 +9,6 @@ from gridorbits import (
     Decomposition,
     GridQuiverError,
     GridShape,
-    HeightVectorError,
     InvalidDecomposition,
     Matrix,
     QQ,
@@ -24,17 +23,18 @@ from gridorbits import (
     make_point,
     matchings_to_decomposition,
     order_matchings,
-    validate_heights,
     windows,
     zero_tuple,
 )
 from gridorbits import grid_quiver
-from gridorbits.grid_quiver import window_products
-from gridorbits.orbit_poset import enumerate_orbits
+from gridorbits.grid_quiver import check_full_decomposition, height_matchings, window_products
+from gridorbits.orbit_poset import enumerate_orbits, orbit_nodes
 
 from conftest import DECOMP_N3, PAIR_N3, random_point
 from reference_decomposition import (
     decomposition_from_heights,
+    reference_is_full,
+    reference_is_thin,
     reference_matchings_to_decomposition,
 )
 from reference_windows import reference_compose_window
@@ -77,32 +77,44 @@ def exact(message):
 
 
 class TestValidateHeights:
+    """The height rules of a thin summand, as :func:`check_full_decomposition`
+    applies them to every summand of a decomposition."""
+
     @pytest.mark.parametrize("h", [(4, 0, 0), (3, 3, 0), (0, 4, 4), (1, 1, 1)])
     def test_published_summands_valid(self, shape3, h):
-        assert validate_heights(shape3, list(h)) == h
+        dec = decomposition_from_heights(shape3, DECOMP_N3)
+        assert h in dec.summands
+        assert check_full_decomposition(dec) == height_matchings(shape3, dec.summands)
 
     def test_non_contiguous(self, shape3):
         # (2,0,3) is weakly increasing where nonzero yet splits as a sum of
-        # its two column blocks, so it is rejected
+        # its two column blocks, so it is rejected, though every column
+        # sees each height once
+        dec = decomposition_from_heights(shape3, [(1, 1, 1), (0, 2, 2), (2, 0, 3), (3, 3, 4), (4, 4, 0)])
         with pytest.raises(
-            HeightVectorError, match=exact("support of (2, 0, 3) is not a contiguous interval")
+            InvalidDecomposition, match=exact("summand (2, 0, 3) is not thin: its support has a gap")
         ):
-            validate_heights(shape3, (2, 0, 3))
+            check_full_decomposition(dec)
 
     def test_non_monotone(self, shape3):
+        dec = decomposition_from_heights(shape3, [(1, 1, 2), (2, 3, 3), (3, 2, 1), (4, 4, 4)])
         with pytest.raises(
-            HeightVectorError,
-            match=exact("heights (3, 2, 1) are not weakly increasing on the support"),
+            InvalidDecomposition, match=exact("summand (3, 2, 1) is not thin: its heights decrease")
         ):
-            validate_heights(shape3, (3, 2, 1))
+            check_full_decomposition(dec)
 
     def test_empty_support(self, shape2):
-        with pytest.raises(HeightVectorError, match=exact("height vector with empty support")):
-            validate_heights(shape2, (0, 0))
+        dec = decomposition_from_heights(shape2, [(1, 1), (2, 2), (3, 3), (0, 0)])
+        with pytest.raises(InvalidDecomposition, match=exact("summand (0, 0) is not thin: it is zero")):
+            check_full_decomposition(dec)
 
     def test_out_of_range(self, shape2):
-        with pytest.raises(HeightVectorError, match=exact("heights must lie in 0..3: (4, 0)")):
-            validate_heights(shape2, (4, 0))
+        # a height above n+1 is the column rule's to refuse
+        dec = decomposition_from_heights(shape2, [(1, 1), (2, 2), (4, 0), (0, 3)])
+        with pytest.raises(
+            InvalidDecomposition, match=exact("column 1 sees heights [1, 2, 4], expected [1, 2, 3]")
+        ):
+            check_full_decomposition(dec)
 
 
 class TestEnumerateIndecomposables:
@@ -114,22 +126,15 @@ class TestEnumerateIndecomposables:
         assert singles == [(1, 0), (2, 0), (3, 0)]
 
     def test_against_filter_oracle(self, shape3):
-        # brute force: every candidate vector over 0..4 through the validator
-        valid = 0
-        for a in range(5):
-            for b in range(5):
-                for c in range(5):
-                    try:
-                        validate_heights(shape3, (a, b, c))
-                        valid += 1
-                    except HeightVectorError:
-                        pass
+        # brute force: every candidate vector over 0..4 through the reference
+        valid = [h for h in itertools.product(range(5), repeat=3) if reference_is_thin(shape3, h)]
         enumerated = enumerate_indecomposables(shape3)
-        assert len(enumerated) == valid == 52
-        assert enumerated == sorted(enumerated)
+        assert len(enumerated) == len(valid) == 52
+        assert enumerated == valid
 
     def test_dims_grid(self, shape2):
-        h = validate_heights(shape2, (1, 2))
+        h = (1, 2)
+        assert reference_is_thin(shape2, h)
         assert dims_of_heights(shape2, h) == ((0, 0), (0, 1), (1, 1))
 
 
@@ -150,7 +155,9 @@ class TestAssembleCanonical:
 
     def test_invalid_column_heights(self, shape2):
         dec = decomposition_from_heights(shape2, [(3, 3), (3, 0), (2, 0), (0, 1), (0, 2)])
-        with pytest.raises(InvalidDecomposition):
+        with pytest.raises(
+            InvalidDecomposition, match=exact("column 1 sees heights [2, 3, 3], expected [1, 2, 3]")
+        ):
             assemble_canonical(dec)
 
     def test_repeated_summand(self, shape2):
@@ -183,6 +190,111 @@ class TestAssembleCanonical:
                 assert all(comp.data[i][j] == 1 for i, j in ones)
                 assert len({i for i, _ in ones}) == len(ones)
                 assert len({j for _, j in ones}) == len(ones)
+
+
+class TestCheckFullDecomposition:
+    @pytest.mark.parametrize("n,summands,message", [
+        (3, ((1, 1, 1), (2, 0, 2), (3, 3, 3), (4, 4, 4), (0, 2, 0)),
+         "summand (2, 0, 2) is not thin: its support has a gap"),
+        (2, ((1, 1), (2, 2), (3, 3), (0, 0)), "summand (0, 0) is not thin: it is zero"),
+        (2, ((1, 1, 7), (2, 2), (3, 3)), "summand (1, 1, 7) is not thin: it has length 3, expected 2"),
+        (2, ((1, 1), (2, 3), (3, 2)), "summand (3, 2) is not thin: its heights decrease"),
+    ], ids=["gap", "zero", "length", "decreasing"])
+    def test_non_thin_summand_refused(self, n, summands, message):
+        # every column sees each height once, yet a summand is not thin;
+        # assembled, the first would give a point of another orbit
+        dec = Decomposition(GridShape(n), summands)
+        for check in (check_full_decomposition, assemble_canonical):
+            with pytest.raises(InvalidDecomposition, match=exact(message)):
+                check(dec)
+
+    def test_zero_summand_beside_a_gap(self, shape3):
+        # the gap's missing pair and the zero summand's missing run balance
+        # the pair count, so the zero summand is refused on its own
+        dec = decomposition_from_heights(
+            shape3, [(1, 1, 1), (0, 2, 2), (2, 0, 3), (3, 3, 4), (4, 4, 0), (0, 0, 0)]
+        )
+        with pytest.raises(InvalidDecomposition, match=exact("summand (0, 0, 0) is not thin: it is zero")):
+            check_full_decomposition(dec)
+
+    @pytest.mark.parametrize("n,count", [(2, 15), (3, 2704)])
+    def test_census_decompositions_pass(self, n, count):
+        nodes = list(orbit_nodes(GridShape(n)))
+        assert len(nodes) == count
+        for node in nodes:
+            assert check_full_decomposition(node.decomposition) == list(node.matchings)
+
+    def test_mutations_agree_with_the_reference(self):
+        rng = random.Random("check-full-decomposition")
+        verdicts = set()
+        for n in (2, 3, 4):
+            shape = GridShape(n)
+            per_pair = order_matchings(shape.size)
+            for _ in range(800):
+                base = matchings_to_decomposition(shape, [rng.choice(per_pair) for _ in range(n - 1)])
+                dec = Decomposition(shape, _mutate(shape, base.summands, rng))
+                full = reference_is_full(dec)
+                try:
+                    got = check_full_decomposition(dec)
+                except InvalidDecomposition as exc:
+                    assert not full, dec
+                    assert str(exc) in _fault_messages(dec), (dec, str(exc))
+                    verdicts.add("refused")
+                else:
+                    assert full, dec
+                    assert got == height_matchings(shape, dec.summands)
+                    verdicts.add("accepted")
+        assert verdicts == {"accepted", "refused"}
+
+
+def _mutate(shape, summands, rng):
+    """The summands after one or two random edits, in random order: an
+    entry set to any of -1..n+2, two entries of one column swapped, a
+    summand dropped, split in two or lengthened or shortened by one, two
+    summands added entrywise, or a zero summand added."""
+    n, out = shape.n, [list(h) for h in summands]
+    for _ in range(rng.randint(1, 2)):
+        i, k, j = rng.randrange(len(out)), rng.randrange(len(out)), rng.randrange(n)
+        edit = rng.randrange(7)
+        if edit == 0:
+            out[i][j] = rng.randint(-1, shape.size + 1)
+        elif edit == 1 and len(out[i]) == len(out[k]) == n:
+            out[i][j], out[k][j] = out[k][j], out[i][j]
+        elif edit == 2 and len(out) > 1:
+            del out[i]
+        elif edit == 3:
+            out[i:i + 1] = [out[i][:j] + [0] * (len(out[i]) - j), [0] * j + out[i][j:]]
+        elif edit == 4:
+            out[i] = out[i] + [rng.randint(0, 1)] if rng.random() < 0.5 else out[i][:-1]
+        elif edit == 5 and i != k and len(out[i]) == len(out[k]):
+            out[i] = [a + b for a, b in zip(out[i], out[k])]
+            del out[k]
+        elif edit == 6:
+            out.append([0] * n)
+    rng.shuffle(out)
+    return tuple(map(tuple, out))
+
+
+def _fault_messages(dec):
+    """The messages a refusal of ``dec`` may carry: the column rule's for
+    each column that does not see every height once (when every summand
+    has n heights), and one naming each summand that is not thin."""
+    shape, n = dec.shape, dec.shape.n
+    expected = list(range(1, shape.size + 1))
+    messages = set()
+    if all(len(h) == n for h in dec.summands):
+        for j in range(n):
+            seen = sorted(h[j] for h in dec.summands if h[j])
+            if seen != expected:
+                messages.add(f"column {j + 1} sees heights {seen}, expected {expected}")
+    for h in dec.summands:
+        if not reference_is_thin(shape, h):
+            messages.update(
+                f"summand {h} is not thin: {reason}"
+                for reason in (f"it has length {len(h)}, expected {n}", "it is zero",
+                               "its support has a gap", "its heights decrease")
+            )
+    return messages
 
 
 class TestMatchingsToDecomposition:

@@ -99,26 +99,26 @@ def test_public_api_inventory():
     assert sorted(gridorbits.__all__) == [
         "CountReport", "DEFAULT_BUDGET", "DEFAULT_QS", "Decomposition", "DimEstimate",
         "FitFailure", "FlatScanResult", "FlatScanRow", "GF", "GaloisField",
-        "GridQuiverError", "GridShape", "HeightVectorError", "HomReport",
+        "GridQuiverError", "GridShape", "HomReport",
         "InfeasibleSize", "InvalidDecomposition", "InvalidTable", "MapTuple", "Matrix",
         "NoPointFound", "OrbitNode", "OrbitPoset", "QQ", "RankVector", "RationalField",
         "ReconstructInvalid", "SWArray", "SizeMismatch", "SolveFailure",
         "TriangularityViolation", "array_leq", "array_order", "assemble_canonical",
-        "b_reduce", "bell", "borel_act", "build_poset", "column_heights",
+        "b_reduce", "bell", "borel_act", "build_poset",
         "contains_pattern", "count_report", "decompose", "decomposition", "degenerates",
         "degeneration_lab", "dims_of_heights", "e_grid", "enumerate_indecomposables",
-        "enumerate_orbits", "estimate_dim", "euler_form", "exact_linalg", "export_dot",
+        "enumerate_orbits", "euler_form", "exact_linalg", "export_dot",
         "f2_census", "f2_distinct_count", "fields", "fit_dimension",
         "flat_scan", "full_dim_grid",
         "grid_quiver", "hom_report", "identity_tuple",
         "independence_check", "inter_order", "inverse", "is_prime_power", "is_smooth",
         "is_upper_triangular", "length", "make_point", "matchings_sw_array",
         "matchings_to_decomposition", "orbit_by_id", "orbit_count", "orbit_nodes",
-        "orbit_poset", "order_matchings", "parametrizations", "pivots", "point_counts",
+        "orbit_poset", "order_matchings", "parametrizations", "pivots",
         "r_grid", "rank", "rank_vector",
         "reconstruct", "rep_variety_count", "rook_table", "same_orbit",
         "same_rank_vector", "schubert", "subrep_count", "subspaces", "sw_array",
-        "sw_table", "target_dims", "validate_array_inequalities", "validate_heights",
+        "sw_table", "target_dims", "validate_array_inequalities",
         "windows", "zero_tuple",
     ]
 
