@@ -18,8 +18,9 @@ built from them only at the API edge (:func:`orbit_nodes`,
 listings, the poset's order and covers and the DOT export read the rows.
 The array order is one up-set per array, a Python int used as a bitset:
 the AND of one up-set per window, each made once per distinct table there;
-the poset's covers are read off the up-sets.  The product order of the
-matchings numbers the orbits 1..b_(n+2)^(n-1); these ids index the census,
+the poset's covers are read off the up-sets, one AND-NOT per cover, and come
+out in edge order with no sort.  The product order of the matchings
+numbers the orbits 1..b_(n+2)^(n-1); these ids index the census,
 the poset and the experiment commands.  An exhaustive F_2 census of south-west arrays
 provides an independent check for n <= 3: it holds every enumerated orbit's
 array, plus those of tuples with no thin decomposition.  It runs over the
@@ -117,7 +118,10 @@ def orbit_by_id(shape, k):
     one row of :func:`_walk` over the decoded matchings: the matchings as
     a tuple, their decomposition and their
     :func:`~gridorbits.parametrizations.matchings_sw_array`.  Raises
-    GridQuiverError outside 1..orbit_count(shape)."""
+    GridQuiverError for a non-int id, a bool included, or one outside
+    1..orbit_count(shape)."""
+    if type(k) is not int:
+        raise GridQuiverError(f"orbit id must be an int, got {k!r}")
     total = orbit_count(shape)
     if not (1 <= k <= total):
         raise GridQuiverError(f"orbit id {k} out of range 1..{total}")
@@ -505,53 +509,65 @@ def build_poset(shape):
     decomposition and the canonical representative's array; edges are
     the covering pairs of the componentwise array order (transitive
     reduction), found by :func:`_covers` from the up-sets of
-    :func:`array_order`.  The orbits are ranked by entry sum, a linear
-    extension since a strictly larger array has a strictly larger sum.  The
-    up-sets are N ints of N bits, so the n >= 4 refusal of
-    :func:`orbit_rows` applies.
+    :func:`array_order`.  The orbits are ranked by entry sum, largest
+    first (each distinct table summed once), a linear extension since a
+    strictly larger array has a strictly larger sum.  The up-sets are N
+    ints of at most N bits, so the n >= 4 refusal of :func:`orbit_rows`
+    applies.  Each orbit, in id order, is filed under its covers, so the
+    edges are made in (upper id, lower id) order with no sort.
 
     The ranking, the order and the covers read the plain rows of
     :func:`orbit_rows`; the poset keeps them and builds its
     :class:`OrbitNode` records only when ``nodes`` is read.
     """
     rows = list(orbit_rows(shape))
-    ranked = sorted(
-        range(len(rows)), key=lambda i: sum(map(sum, itertools.chain.from_iterable(rows[i][2])))
-    )
-    ups = _table_order([rows[i][2] for i in ranked])  # bit j: ranked[j] at or above
+    sums, keys = {}, []  # id of each distinct table -> its entry sum; each row's sum
+    for _, _, tables in rows:
+        key = 0
+        for t in tables:
+            key += sums[id(t)] if id(t) in sums else sums.setdefault(id(t), sum(map(sum, t)))
+        keys.append(key)
+    ranked = sorted(range(len(rows)), key=keys.__getitem__, reverse=True)
     # no two orbits share an array: window (j, j) is the rook table of
     # matching j, which pivots turns back into that rook
-    strict = [up & ~(1 << i) for i, up in enumerate(ups)]
-    edges = [(ranked[j] + 1, ranked[i] + 1) for i, found in enumerate(_covers(strict)) for j in found]
-    return OrbitPoset._of_rows(shape, rows, tuple(sorted(edges)))
+    covers_of = dict(zip(ranked, _covers(_table_order([rows[i][2] for i in ranked]))))
+    below = [[] for _ in rows]  # each orbit's lower covers, in id order
+    for i in range(len(rows)):
+        for j in covers_of[i]:
+            below[ranked[j]].append(i + 1)
+    edges = tuple([(upper, lower) for upper, lowers in enumerate(below, 1) for lower in lowers])
+    return OrbitPoset._of_rows(shape, rows, edges)
 
 
 def _covers(ups):
-    """Covering pairs of a strict order given as up-sets over a linear
-    extension: bit j of ``ups[i]`` is set when i < j, which implies i < j as
-    indices.  Returns the indices of each node's covers, lowest first.
+    """Covering pairs of an order given as up-sets over a linear extension,
+    largest first: bit j of ``ups[i]`` is set when i <= j, which implies
+    j <= i as indices.  Returns the indices of each node's covers, highest
+    first.
 
-    The lowest bit of i's up-set that is above no cover found so far is a
-    cover: anything between i and it would have a lower index, so it would
-    be above a found cover, and so would the bit.  Each cover found takes
-    itself and its up-set out of what is left with one OR; no N x N matrix
+    The highest bit of i's strict up-set that is above no cover found so
+    far is a cover: anything between i and it would have a higher index, so
+    it would be above a found cover, and so would the bit.  Each cover found
+    takes its up-set, itself included, out of what is left with one AND-NOT
+    (``rest ^ (rest & up)``, which makes no negative int); no N x N matrix
     is built.
     """
     out = []
-    for rest in ups:
+    for i, rest in enumerate(ups):
+        rest ^= 1 << i
         found = []
         while rest:
-            low = rest & -rest
-            found.append(low.bit_length() - 1)
-            rest &= ~(ups[found[-1]] | low)
+            top = rest.bit_length() - 1
+            found.append(top)
+            rest ^= rest & ups[top]
         out.append(found)
     return out
 
 
 def export_dot(poset):
-    """Graphviz text for the poset, byte-deterministic, edges top-down.
-    The node labels are read off :meth:`OrbitPoset.labels`, so no
-    :class:`OrbitNode` is built."""
+    """Graphviz text for the poset, byte-deterministic, edges top-down in
+    the order of ``poset.edges``.  The node labels are read off
+    :meth:`OrbitPoset.labels`, so no :class:`OrbitNode` is built."""
     lines = [
         "digraph orbit_poset {",
         "  rankdir=TB;",
@@ -560,7 +576,6 @@ def export_dot(poset):
     texts = {}  # each summand's text, made once per call
     for k, summands in poset.labels():
         lines.append(f'  o{k} [label="{k}: {decomposition_text(summands, texts)}"];')
-    for upper, lower in poset.edges:
-        lines.append(f"  o{upper} -> o{lower};")
+    lines += [f"  o{upper} -> o{lower};" for upper, lower in poset.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ import pytest
 
 from gridorbits import GridShape, cli, decomposition
 from gridorbits.decomposition import rank_vector
-from gridorbits.grid_quiver import assemble_canonical
+from gridorbits.grid_quiver import GridQuiverError, assemble_canonical
 from gridorbits.orbit_poset import orbit_by_id, orbit_count, orbit_nodes
 from gridorbits.parametrizations import sw_array
 from gridorbits.serialize import rank_vector_to_json
@@ -133,6 +133,14 @@ def test_orbit_by_id_is_the_listed_node(n):
         decoded = orbit_by_id(shape, node.id)
         assert decoded == node
         assert decoded.matchings == node.matchings
+
+
+@pytest.mark.parametrize("k", [True, 2.0, "2", None])
+def test_orbit_by_id_refuses_a_non_int(k):
+    # a bool passes as an int in the range check, and a float would index
+    # the matchings
+    with pytest.raises(GridQuiverError, match="^orbit id must be an int, got "):
+        orbit_by_id(GridShape(2), k)
 
 
 class Discard(io.TextIOBase):

@@ -72,19 +72,23 @@ def strict_order(nodes):
     return leq & ~leq.T
 
 
-def extension(less):
-    """The nodes of a strict order in a linear extension, by up-set size,
-    largest first: i < j makes j's up-set a proper part of i's."""
-    return np.argsort(-less.sum(axis=1), kind="stable")
+def extension_upsets(less):
+    """The nodes of a strict order in a linear extension, largest first, by
+    up-set size (i < j makes j's up-set a proper part of i's), and the
+    non-strict up-sets over it, each node's own bit set, as
+    :func:`orbit_poset._covers` takes them."""
+    order = np.argsort(less.sum(axis=1), kind="stable")
+    leq = less | np.eye(len(less), dtype=bool)
+    return order, as_upsets(leq[order][:, order])
 
 
 def covers(less):
     """:func:`orbit_poset._covers` of a strict order given as a bool matrix:
-    its nodes are relabelled into a linear extension and the covers mapped
-    back into a bool matrix."""
-    order = extension(less)
-    found = orbit_poset._covers(as_upsets(less[order][:, order]))
-    assert all(js == sorted(set(js)) and all(type(j) is int for j in js) for js in found)
+    its nodes are relabelled into a linear extension, largest first, and the
+    covers mapped back into a bool matrix."""
+    order, ups = extension_upsets(less)
+    found = orbit_poset._covers(ups)
+    assert all(js == sorted(set(js), reverse=True) and all(type(j) is int for j in js) for js in found)
     cover = np.zeros_like(less)
     for i, js in zip(order, found):
         cover[i, order[js]] = True
@@ -419,6 +423,15 @@ class TestPoset:
         assert str(top_dec) == "U(1,1,1)+U(2,2,2)+U(3,3,3)+U(4,4,4)"
         assert all(h.count(0) == 2 for h in bottom_dec.summands)
 
+    def test_edges_in_output_order(self, poset3, less3):
+        # build_poset makes the (upper id, lower id) pairs in this order
+        # from its own ranking; none is sorted afterwards
+        edges = poset3.edges
+        assert all(a < b for a, b in zip(edges, edges[1:]))
+        want = {(int(j) + 1, int(i) + 1) for i, j in zip(*np.nonzero(reference_covers(less3)))}
+        assert len(edges) == len(want) == 13080
+        assert set(edges) == want
+
     def test_partial_order_axioms(self, shape2):
         from gridorbits import array_leq
 
@@ -620,8 +633,7 @@ class TestCovers:
     def test_traced_peak_memory(self, less3):
         # the dense float32 product peaks at 83.7 MB on the n = 3 order;
         # the walk over up-set ints peaks under 1 MB
-        order = extension(less3)
-        ups = as_upsets(less3[order][:, order])
+        _, ups = extension_upsets(less3)
         tracemalloc.start()
         try:
             orbit_poset._covers(ups)
